@@ -14,8 +14,8 @@ Three subcommands:
     only by certified generators (never by the summand itself).
 
 Exit codes: 0 success, 1 verify found a counterexample, 2 parse error,
-3 unsupported input shape, 4 internal verification failure (never
-expected; asserted unreachable in the test suite).
+3 unsupported input shape, 4 internal verification failure: the sweep
+or a telescoper's residual check failed (never expected).
 
 Reports are deterministic: identical invocations produce byte-identical
 output.  All arithmetic is exact rational; nothing is floated.
@@ -24,10 +24,16 @@ output.  All arithmetic is exact rational; nothing is floated.
 import argparse
 import json
 import os
+import re
 import sys
+from fractions import Fraction
 
+from .algebra import RatFunc
 from .dfield import elem_to_str, tower_to_json
 from .expr import (
+    Base,
+    Const,
+    Evaluator,
     NotPolynomialPart,
     ParseError,
     ProductSpec,
@@ -38,7 +44,11 @@ from .expr import (
     reinterpret,
     to_src,
 )
-from .telescope import UnsupportedShape, telescope_depth_optimal
+from .telescope import (
+    ResidualCheckFailed,
+    UnsupportedShape,
+    telescope_depth_optimal,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +114,6 @@ def _product_spec(text: str) -> ProductSpec:
 def _as_ratfunc(e):
     # Const and single-variable Base are the only rational shapes the
     # parser leaves unmerged
-    from .expr import Base, Const
-    from .algebra import RatFunc
-    from fractions import Fraction
-
     if isinstance(e, Const):
         return RatFunc.from_const(Fraction(e.value))
     if isinstance(e, Base):
@@ -147,15 +153,20 @@ def cmd_simplify(args) -> int:
     except UnsupportedShape as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return 3
+    except ResidualCheckFailed as exc:
+        print(f"internal verification failure: {exc}", file=sys.stderr)
+        return 4
 
     out = reinterpret(res.tower, res.spec, res.elem)
     out_text = to_src(out, h_sugar=args.h_sugar)
 
+    # one Evaluator per side keeps its prefix memo across k: linear sweep
+    ev_in, ev_out = Evaluator(), Evaluator()
     verification = []
     ok = True
     for k in range(res.lam, res.lam + args.verify_range + 1):
-        lhs = evaluate(e, k)
-        rhs = evaluate(out, k)
+        lhs = evaluate(e, k, ev_in)
+        rhs = evaluate(out, k, ev_out)
         eq = lhs == rhs
         ok = ok and eq
         verification.append((k, lhs, rhs, eq))
@@ -207,9 +218,10 @@ def cmd_simplify(args) -> int:
 def cmd_verify(args) -> int:
     lhs = _parse_or_exit(args.lhs)
     rhs = _parse_or_exit(args.rhs)
+    ev_lhs, ev_rhs = Evaluator(), Evaluator()
     for k in range(0, args.range + 1):
-        lv = evaluate(lhs, k)
-        rv = evaluate(rhs, k)
+        lv = evaluate(lhs, k, ev_lhs)
+        rv = evaluate(rhs, k, ev_rhs)
         if lv != rv:
             print(f"counterexample: k = {k}: lhs = {lv}, rhs = {rv}")
             return 1
@@ -242,6 +254,9 @@ def cmd_telescope(args) -> int:
     except UnsupportedShape as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return 3
+    except ResidualCheckFailed as exc:
+        print(f"internal verification failure: {exc}", file=sys.stderr)
+        return 4
 
     if not t.solved:
         print("NO_SOLUTION")
@@ -295,6 +310,30 @@ def _add_search_flags(sub):
     )
 
 
+# argparse takes every token that starts with "-" for an option, so an
+# expression such as -H(n) goes through parsing behind a NUL, which no
+# command-line argument can contain.  Options, "-h", "--" and negative
+# numbers, which argparse already reads right, pass unchanged.
+_SHIELD = "\0"
+_MINUS_EXPRESSION = re.compile(r"-(?!-|h$|\d+$|\d*\.\d+$).+")
+
+
+def _shield(argv):
+    end = argv.index("--") if "--" in argv else len(argv)
+    return [
+        _SHIELD + tok if i < end and _MINUS_EXPRESSION.fullmatch(tok) else tok
+        for i, tok in enumerate(argv)
+    ]
+
+
+def _unshield(value):
+    if isinstance(value, str):
+        return value.removeprefix(_SHIELD)
+    if isinstance(value, list):
+        return [_unshield(v) for v in value]
+    return value
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="nsopt",
@@ -344,7 +383,9 @@ def main(argv=None) -> int:
     )
     t.set_defaults(func=cmd_telescope)
 
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_shield(sys.argv[1:] if argv is None else argv))
+    for key, value in vars(args).items():
+        setattr(args, key, _unshield(value))
     return args.func(args)
 
 

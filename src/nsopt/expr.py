@@ -675,9 +675,12 @@ class Evaluator:
         return vals[ub - e.lower]
 
 
-def evaluate(e, k: int) -> Fraction:
-    """Exact value at n = k."""
-    return Evaluator().eval(e, {"n": Fraction(k)})
+def evaluate(e, k: int, ev: Evaluator | None = None) -> Fraction:
+    """Exact value at n = k.  Pass one Evaluator for every k of a sweep:
+    its prefix memo then makes the whole sweep linear in the range."""
+    if ev is None:
+        ev = Evaluator()
+    return ev.eval(e, {"n": Fraction(k)})
 
 
 # ---------------------------------------------------------------------------

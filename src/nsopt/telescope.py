@@ -60,6 +60,7 @@ from .dfield import (
 
 __all__ = [
     "UnsupportedShape",
+    "ResidualCheckFailed",
     "TelescopeResult",
     "DepthOptResult",
     "solve_first_order",
@@ -72,6 +73,10 @@ __all__ = [
 
 class UnsupportedShape(Exception):
     """The input leaves the class this solver is complete for."""
+
+
+class ResidualCheckFailed(ArithmeticError):
+    """A computed telescoper g fails sigma(g) - g == f; never expected."""
 
 
 @dataclass(frozen=True)
@@ -437,7 +442,10 @@ def telescope_tower(tower: Tower, f: TowerElem) -> TelescopeResult:
             g = g / c[0]
             g = g - constant_component(tower, g)
             residual = sigma(tower, g) - g - f
-            assert residual.is_zero(), "telescoper failed residual check"
+            if not residual.is_zero():
+                raise ResidualCheckFailed(
+                    f"telescoper failed residual check in {tower!r}"
+                )
             return TelescopeResult(True, g, "residual verified")
     return TelescopeResult(
         False,

@@ -1,10 +1,17 @@
 """Exit codes, report formats, and the documented command examples."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import nsopt
+from nsopt import cli, telescope
+from nsopt.algebra import RatFunc
 from nsopt.cli import main
+from nsopt.dfield import ONE, sigma
 
 FLAGSHIP = "sum(r,1,n,(sum(l,1,r,(H(l)^2+H(2,l))/l)+sum(l,1,r,H(l)/l))/r)"
 FLAGSHIP_OUT = (
@@ -153,6 +160,107 @@ def test_with_product_registers(capsys):
     assert code == 0
     assert "depth:  2 -> 2" in out
     assert "optimality_certified: true" in out
+
+
+def _sweep_eval_at_calls(monkeypatch, capsys, n):
+    """RatFunc.eval_at calls made inside the verification sweep's evaluate."""
+    calls, inside = 0, False
+    eval_at, evaluate = RatFunc.eval_at, cli.evaluate
+
+    def counting_eval_at(self, v):
+        nonlocal calls
+        calls += inside
+        return eval_at(self, v)
+
+    def sweep_evaluate(*args):
+        nonlocal inside
+        inside = True
+        try:
+            return evaluate(*args)
+        finally:
+            inside = False
+
+    monkeypatch.setattr(RatFunc, "eval_at", counting_eval_at)
+    monkeypatch.setattr(cli, "evaluate", sweep_evaluate)
+    code, _, _ = run_cli(
+        ["simplify", "sum(l,1,n,H(l)/l)", "--verify-range", str(n)], capsys
+    )
+    assert code == 0
+    return calls
+
+
+def test_simplify_sweep_work_is_linear(monkeypatch, capsys):
+    # a fresh Evaluator per point makes the work quadratic (ratio near 4);
+    # one per side keeps it linear (ratio 2)
+    ratio = (_sweep_eval_at_calls(monkeypatch, capsys, 80)
+             / _sweep_eval_at_calls(monkeypatch, capsys, 40))
+    assert ratio < 2.5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simplify", "-sum(i,1,n,1/i)", "--verify-range", "3"],
+        ["simplify", "--verify-range", "3", "-sum(i,1,n,1/i)"],
+        ["simplify", "--verify-range", "3", "--", "-sum(i,1,n,1/i)"],
+    ],
+)
+def test_simplify_leading_minus(argv, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert "input:  -sum(i,1,n,1/i)" in out
+    assert "verified: k = 0..3 exact" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "-H(n)", "-sum(i,1,n,1/i)", "--range", "5"],
+        ["verify", "--range", "5", "-H(n)", "-sum(i,1,n,1/i)"],
+        ["verify", "--range", "5", "--", "-H(n)", "-sum(i,1,n,1/i)"],
+    ],
+)
+def test_verify_leading_minus(argv, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == "equal: k = 0..5 exact\n"
+
+
+def _break_residual(tower, g):
+    return sigma(tower, g) + ONE
+
+
+# rational summands: the solve stays in Q(x), where nsopt.telescope.sigma
+# is used by the residual check alone, so no broken solve gets cached
+@pytest.mark.parametrize(
+    "argv",
+    [["simplify", "sum(i,1,n,1/(i*(i+1)))"], ["telescope", "1/(n*(n+1))"]],
+)
+def test_residual_failure_exit4(argv, monkeypatch, capsys):
+    monkeypatch.setattr(telescope, "sigma", _break_residual)
+    code, _, err = run_cli(argv, capsys)
+    assert code == 4
+    assert "residual check" in err
+
+
+def test_residual_failure_exit4_under_optimize():
+    # the residual check must not vanish with asserts under python -O
+    script = (
+        "import sys\n"
+        "from nsopt import telescope\n"
+        "from nsopt.dfield import ONE, sigma\n"
+        "telescope.sigma = lambda tower, g: sigma(tower, g) + ONE\n"
+        "from nsopt.cli import main\n"
+        "sys.exit(main(['simplify', 'sum(i,1,n,1/(i*(i+1)))']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(nsopt.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert "residual check" in proc.stderr
 
 
 # -- verify -----------------------------------------------------------------

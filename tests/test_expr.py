@@ -191,13 +191,49 @@ def test_evaluate_oracles():
     assert evaluate(parse("prod(k,1,n,k)"), 5) == 120
 
 
+SWEEP_INPUTS = (
+    "sum(i,1,n,H(i)/i)",
+    "sum(i,0,n,1/(i-3))+1/(n-2)",  # poles give zero
+    "sum(i,3,n,i)+prod(k,5,n,k)",  # empty sum and product below their bounds
+    "prod(t,1,n,t/(2*(2*t-1)))",  # the inverse central binomial product
+    "sum(i,2,n,sum(j,2,i,1/(j*(2*j-1)))/i)",
+    # bodies that read an outer binder take the path without the memo
+    "sum(i,1,n,sum(j,1,i,(i+j)/j))",
+    "sum(i,1,n,(n+i)/i)",
+)
+
+
 def test_evaluator_prefix_is_consistent():
-    # sweeping n upward must agree with fresh evaluations
-    e = parse("sum(i,1,n,H(i)/i)")
-    ev = Evaluator()
-    swept = [ev.eval(e, {"n": Fraction(k)}) for k in range(12)]
-    fresh = [evaluate(e, k) for k in range(12)]
-    assert swept == fresh
+    # sweeping n upward through one Evaluator must agree with fresh ones,
+    # also when the sweep starts above 0
+    for src in SWEEP_INPUTS:
+        e = parse(src)
+        for start in (0, 4):
+            ev = Evaluator()
+            swept = [evaluate(e, k, ev) for k in range(start, start + 15)]
+            fresh = [evaluate(e, k) for k in range(start, start + 15)]
+            assert swept == fresh, (src, start)
+
+
+@pytest.mark.parametrize(
+    "src, products",
+    [
+        ("sum(i,5,n,1/i)", ()),  # lambda = 4
+        # prints prod(...) nodes for the declared product, one inside a sum
+        ("sum(k,1,n,prod(t,1,k,t/(2*(2*t-1)))/k)",
+         (ProductSpec("b", rf((1, 1), (2, 4)), 1),)),
+    ],
+)
+def test_shared_evaluator_sweeps_compiled_output(src, products):
+    # the CLI sweep: one Evaluator per side from lambda upward
+    e = parse(src)
+    res = compile(e, products=products)
+    out = reinterpret(res.tower, res.spec, res.elem)
+    ev_in, ev_out = Evaluator(), Evaluator()
+    for k in range(res.lam, res.lam + 20):
+        lhs = evaluate(e, k, ev_in)
+        rhs = evaluate(out, k, ev_out)
+        assert lhs == evaluate(e, k) == rhs == evaluate(out, k), k
 
 
 # -- o- and z-functions -------------------------------------------------------

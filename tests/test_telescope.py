@@ -17,7 +17,9 @@ from nsopt.dfield import (
     depth,
     sigma,
 )
+import nsopt.telescope
 from nsopt.telescope import (
+    ResidualCheckFailed,
     UnsupportedShape,
     homogeneous_first_order,
     solve_first_order,
@@ -51,6 +53,17 @@ def test_telescope_sum_of_shifts():
     res = telescope_rational(f)
     assert res.solved
     assert res.g.rf == -rf((1,), (0, 1))
+
+
+def test_residual_check_raises(monkeypatch):
+    # a rational f is solved in Q(x), where the residual check is the only
+    # user of nsopt.telescope.sigma, so no broken solve gets cached
+    monkeypatch.setattr(
+        nsopt.telescope, "sigma", lambda tower, g: sigma(tower, g) + ONE
+    )
+    f = TowerElem.base(rf((1,), (0, 1)) * rf((1,), (1, 1)))
+    with pytest.raises(ResidualCheckFailed):
+        telescope_tower(Tower(), f)
 
 
 def test_harmonic_summand_is_refuted():
