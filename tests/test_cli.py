@@ -226,10 +226,6 @@ def test_verify_leading_minus(argv, capsys):
     assert out == "equal: k = 0..5 exact\n"
 
 
-def _break_residual(tower, g):
-    return sigma(tower, g) + ONE
-
-
 # rational summands: the solve stays in Q(x), where nsopt.telescope.sigma
 # is used by the residual check alone, so no broken solve gets cached
 @pytest.mark.parametrize(
@@ -237,7 +233,9 @@ def _break_residual(tower, g):
     [["simplify", "sum(i,1,n,1/(i*(i+1)))"], ["telescope", "1/(n*(n+1))"]],
 )
 def test_residual_failure_exit4(argv, monkeypatch, capsys):
-    monkeypatch.setattr(telescope, "sigma", _break_residual)
+    monkeypatch.setattr(
+        telescope, "sigma", lambda tower, g: sigma(tower, g) + ONE
+    )
     code, _, err = run_cli(argv, capsys)
     assert code == 4
     assert "residual check" in err
