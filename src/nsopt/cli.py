@@ -13,9 +13,10 @@ Three subcommands:
     Solve sigma(g) - g = f for a single summand f, growing the tower
     only by certified generators (never by the summand itself).
 
-Exit codes: 0 success, 1 verify found a counterexample, 2 parse error,
-3 unsupported input shape, 4 internal verification failure: the sweep
-or a telescoper's residual check failed (never expected).
+Exit codes: 0 success, 1 verify found a counterexample, 2 parse error or
+invalid invocation (such as a negative range), 3 unsupported input shape,
+4 internal verification failure: the sweep or a telescoper's residual
+check failed (never expected).
 
 Reports are deterministic: identical invocations produce byte-identical
 output.  All arithmetic is exact rational; nothing is floated.
@@ -119,6 +120,16 @@ def _as_ratfunc(e):
     if isinstance(e, Base):
         return e.rf
     return None
+
+
+def _nonnegative_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return n
 
 
 def _atom_power_default(args) -> int:
@@ -346,7 +357,7 @@ def main(argv=None) -> int:
     s.add_argument("--file", help="read the expression from a file instead")
     s.add_argument(
         "--verify-range",
-        type=int,
+        type=_nonnegative_int,
         default=60,
         metavar="N",
         help="check input == output exactly for k = lambda..lambda+N",
@@ -366,7 +377,7 @@ def main(argv=None) -> int:
     v.add_argument("rhs")
     v.add_argument(
         "--range",
-        type=int,
+        type=_nonnegative_int,
         default=60,
         metavar="N",
         help="compare for k = 0..N (default 60)",

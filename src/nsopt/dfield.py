@@ -77,7 +77,8 @@ class Generator:
     __slots__ = ("name", "kind", "shift_part", "depth", "evidence")
 
     def __init__(self, name, kind, shift_part, depth, evidence=None):
-        assert kind in ("sigma", "pi")
+        if kind not in ("sigma", "pi"):
+            raise ValueError(f"generator kind must be 'sigma' or 'pi', not {kind!r}")
         self.name = name
         self.kind = kind
         self.shift_part = shift_part
@@ -332,7 +333,8 @@ def _one_poly() -> Poly:
 
 def _lift_rf(e: TowerElem, level: int) -> RatFunc:
     """View a lower element as a degree-0 rational function at `level`."""
-    assert e.level < level
+    if e.level >= level:
+        raise ArithmeticError(f"cannot lift a level-{e.level} element to level {level}")
     return RatFunc(Poly((e,)), _one_poly(), _normalized=True)
 
 

@@ -182,7 +182,8 @@ def solve_first_order(gamma: RatFunc, phis) -> list:
     Cs = []
     for r in rhs:
         cleared = r * RatFunc.from_poly(E)
-        assert cleared.den.is_one()
+        if not cleared.den.is_one():
+            raise ArithmeticError("common denominator failed to clear a right-hand side")
         Cs.append(cleared.num)
 
     D = universal_denominator(a, b)
@@ -292,7 +293,8 @@ def _solve_param_impl(tower: Tower, level: int, gamma: TowerElem, phis: list) ->
             raise UnsupportedShape("first-order ratio not in the base field")
         base_phis = []
         for phi in phis:
-            assert phi.level == 0
+            if phi.level != 0:
+                raise ValueError(f"right-hand side {phi!r} is not in the tower")
             base_phis.append(phi.rf)
         res = solve_first_order(gamma.rf, base_phis)
         return [(TowerElem.base(u), c) for u, c in res]
@@ -307,10 +309,55 @@ def _solve_param_impl(tower: Tower, level: int, gamma: TowerElem, phis: list) ->
     return _solve_sigma_level(tower, level, phis)
 
 
+def _solve_by_slots(level: int, k: int, slots, solve_slot) -> list:
+    """Parameter bookkeeping shared by the level solvers.
+
+    Parameter p of the current space stands for the original constants
+    cmap[p] and contributes umap[j][p] to the coefficient of t^j.  Each
+    slot's subproblem, solve_slot(slot, cmap, umap), returns a basis of
+    (w, d): w is the slot's coefficient and d combines the current
+    parameters, so both maps are re-expressed in that basis.  Only the
+    nonzero d[p] and cmap[p][k0] are combined: the parameter spaces are
+    sparse, and exact sums do not depend on skipped zero terms."""
+    cmap = [tuple(Fraction(int(i == j)) for j in range(k)) for i in range(k)]
+    umap = {}
+    for slot in slots:
+        sub = solve_slot(slot, cmap, umap)
+        if not sub:
+            return []
+        new_cmap = []
+        new_umap = {j: [] for j in umap}
+        for _, d in sub:
+            nonzero = [(p, dp) for p, dp in enumerate(d) if dp]
+            row = [Fraction(0)] * k
+            for p, dp in nonzero:
+                for k0, c in enumerate(cmap[p]):
+                    if c:
+                        row[k0] += dp * c
+            new_cmap.append(tuple(row))
+            for j, vec in umap.items():
+                acc = ZERO
+                for p, dp in nonzero:
+                    acc = acc + dp * vec[p]
+                new_umap[j].append(acc)
+        cmap = new_cmap
+        umap = new_umap
+        umap[slot] = [w for w, _ in sub]
+
+    t = TowerElem.gen(level - 1)
+    out = []
+    for q, c in enumerate(cmap):
+        g = ZERO
+        for j, vec in umap.items():
+            if not vec[q].is_zero():
+                g = g + vec[q] * t ** j
+        out.append((g, c))
+    return out
+
+
 def _solve_sigma_level(tower: Tower, level: int, phis: list) -> list:
     gen = tower.gens[level - 1]
     coeff_lists = [_sigma_level_coeffs(phi, level, gen.name) for phi in phis]
-    k = len(phis)
     n = max((len(cl) - 1 for cl in coeff_lists), default=-1)
     deg = n + 1  # ansatz degree: one more than the input's
 
@@ -319,119 +366,41 @@ def _solve_sigma_level(tower: Tower, level: int, phis: list) -> list:
     for _ in range(deg):
         beta_pow.append(beta_pow[-1] * beta)
 
-    # parameter state: P params; cmap[p] -> original c vector;
-    # umap[j][p] -> coefficient of t^j contributed by param p
-    P = k
-    cmap = [tuple(Fraction(int(i == j)) for j in range(k)) for i in range(k)]
-    umap = {}
-
-    for i in range(deg, -1, -1):
+    def solve_slot(i, cmap, umap):
         psi = []
-        for p in range(P):
+        for p, row in enumerate(cmap):
             val = ZERO
-            for k0 in range(k):
-                if cmap[p][k0]:
-                    cl = coeff_lists[k0]
-                    if i < len(cl):
-                        val = val + cmap[p][k0] * cl[i]
+            for c, cl in zip(row, coeff_lists):
+                if c and i < len(cl):
+                    val = val + c * cl[i]
             for j in range(i + 1, deg + 1):
                 if j in umap:
                     u_jp = umap[j][p]
                     if not u_jp.is_zero():
                         val = val - comb(j, i) * sigma(tower, u_jp) * beta_pow[j - i]
             psi.append(val)
-        sub = _solve_param(tower, level - 1, ONE, psi)
-        if not sub:
-            return []
-        new_cmap = []
-        new_umap = {j: [] for j in umap}
-        new_ui = []
-        for w, d in sub:
-            new_cmap.append(
-                tuple(
-                    sum((d[p] * cmap[p][k0] for p in range(P)), Fraction(0))
-                    for k0 in range(k)
-                )
-            )
-            for j in umap:
-                acc = ZERO
-                for p in range(P):
-                    if d[p]:
-                        acc = acc + d[p] * umap[j][p]
-                new_umap[j].append(acc)
-            new_ui.append(w)
-        cmap = new_cmap
-        umap = new_umap
-        umap[i] = new_ui
-        P = len(sub)
+        return _solve_param(tower, level - 1, ONE, psi)
 
-    t = TowerElem.gen(level - 1)
-    out = []
-    for q in range(P):
-        g = ZERO
-        for j, vec in umap.items():
-            if not vec[q].is_zero():
-                g = g + vec[q] * t ** j
-        out.append((g, cmap[q]))
-    return out
+    return _solve_by_slots(level, len(phis), range(deg, -1, -1), solve_slot)
 
 
 def _solve_pi_level(tower: Tower, level: int, gamma: TowerElem, phis: list) -> list:
     gen = tower.gens[level - 1]
     alpha = gen.shift_part
     lau = [_pi_laurent(phi, level, gen.name) for phi in phis]
-    k = len(phis)
     degrees = sorted(set().union(*[set(l) for l in lau], {0}))
 
-    P = k
-    cmap = [tuple(Fraction(int(i == j)) for j in range(k)) for i in range(k)]
-    umap = {}
-
-    for dgr in degrees:
+    def solve_slot(dgr, cmap, umap):
         psi = []
-        for p in range(P):
+        for row in cmap:
             val = ZERO
-            for k0 in range(k):
-                if cmap[p][k0]:
-                    c = lau[k0].get(dgr)
-                    if c is not None:
-                        val = val + cmap[p][k0] * c
+            for c, coeffs in zip(row, lau):
+                if c and dgr in coeffs:
+                    val = val + c * coeffs[dgr]
             psi.append(val)
-        gamma_eff = gamma * alpha ** dgr
-        sub = _solve_param(tower, level - 1, gamma_eff, psi)
-        if not sub:
-            return []
-        new_cmap = []
-        new_umap = {j: [] for j in umap}
-        new_ud = []
-        for w, d in sub:
-            new_cmap.append(
-                tuple(
-                    sum((d[p] * cmap[p][k0] for p in range(P)), Fraction(0))
-                    for k0 in range(k)
-                )
-            )
-            for j in umap:
-                acc = ZERO
-                for p in range(P):
-                    if d[p]:
-                        acc = acc + d[p] * umap[j][p]
-                new_umap[j].append(acc)
-            new_ud.append(w)
-        cmap = new_cmap
-        umap = new_umap
-        umap[dgr] = new_ud
-        P = len(sub)
+        return _solve_param(tower, level - 1, gamma * alpha ** dgr, psi)
 
-    t = TowerElem.gen(level - 1)
-    out = []
-    for q in range(P):
-        g = ZERO
-        for j, vec in umap.items():
-            if not vec[q].is_zero():
-                g = g + vec[q] * t ** j
-        out.append((g, cmap[q]))
-    return out
+    return _solve_by_slots(level, len(phis), degrees, solve_slot)
 
 
 def telescope_tower(tower: Tower, f: TowerElem) -> TelescopeResult:

@@ -197,6 +197,32 @@ def test_simplify_sweep_work_is_linear(monkeypatch, capsys):
     assert ratio < 2.5
 
 
+# a rational factor outside the inner sum sends the generator search
+# through the level solvers' parameter rewrite before it solves
+@pytest.mark.parametrize(
+    "expression",
+    [
+        "sum(i,1,n,sum(j,1,i,1/(j+2))*1/(i+1))",
+        "sum(i,0,n,sum(j,0,i,1/(2*j+1))*1/(2*i+3))",
+    ],
+)
+def test_simplify_weighted_outer_level(expression, capsys):
+    code, out, _ = run_cli(["simplify", expression], capsys)
+    assert code == 0
+    assert "depth:  3 -> 2" in out
+    assert "optimality_certified: true" in out
+    assert "verified: k = 0..60 exact" in out
+
+
+def test_simplify_negative_range_exit2(capsys):
+    code, out, err = run_cli(
+        ["simplify", "sum(i,1,n,1/i)", "--verify-range", "-3"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "--verify-range: must be an integer >= 0, got '-3'" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -279,6 +305,14 @@ def test_verify_counterexample(capsys):
     )
     assert code == 1
     assert out == "counterexample: k = 0: lhs = 0, rhs = 1\n"
+
+
+def test_verify_negative_range_exit2(capsys):
+    # an empty range would report two different expressions equal
+    code, out, err = run_cli(["verify", "--range", "-1", "H(n)", "H(n)+1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--range: must be an integer >= 0, got '-1'" in err
 
 
 def test_verify_parse_error_exit2(capsys):

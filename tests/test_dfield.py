@@ -8,8 +8,10 @@ import pytest
 
 from nsopt.algebra import RatFunc
 from nsopt.dfield import (
+    Generator,
     Tower,
     TowerElem,
+    _lift_rf,
     constant_component,
     depth,
     elem_to_str,
@@ -168,3 +170,15 @@ def test_zero_division():
         h / (h - h)
     with pytest.raises(ZeroDivisionError):
         (h - h).inverse()
+
+
+def test_generator_kind_is_checked():
+    with pytest.raises(ValueError):
+        Generator("d", "delta", ONE, 1)
+
+
+def test_lift_rejects_element_at_or_above_level():
+    t, h = harmonic_tower()
+    assert _lift_rf(X, 1).num.coeffs == (X,)
+    with pytest.raises(ArithmeticError):
+        _lift_rf(h, 1)

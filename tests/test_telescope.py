@@ -21,6 +21,7 @@ import nsopt.telescope
 from nsopt.telescope import (
     ResidualCheckFailed,
     UnsupportedShape,
+    _solve_by_slots,
     homogeneous_first_order,
     solve_first_order,
     telescope_depth_optimal,
@@ -64,6 +65,19 @@ def test_residual_check_raises(monkeypatch):
     f = TowerElem.base(rf((1,), (0, 1)) * rf((1,), (1, 1)))
     with pytest.raises(ResidualCheckFailed):
         telescope_tower(Tower(), f)
+
+
+def test_uncleared_right_hand_side_raises(monkeypatch):
+    # with the common denominator broken, 1/x is left uncleared
+    monkeypatch.setattr(nsopt.telescope, "poly_lcm", lambda a, b: a)
+    with pytest.raises(ArithmeticError):
+        solve_first_order(rf((1,)), [rf((1,), (0, 1))])
+
+
+def test_right_hand_side_outside_tower_raises():
+    _, h = harmonic_tower()
+    with pytest.raises(ValueError):
+        telescope_tower(Tower(), h)
 
 
 def test_harmonic_summand_is_refuted():
@@ -262,3 +276,157 @@ def test_pi_above_sigma_unsupported():
     b = TowerElem.gen(1)
     with pytest.raises(UnsupportedShape):
         telescope_tower(bad, b * h)
+
+
+# -- parameter bookkeeping of the level solvers ------------------------------
+
+
+def _dense_rewrite(level, k, steps):
+    """Reference for telescope._solve_by_slots: replays the (slot, sub)
+    steps of a level solve with a dense product over every parameter,
+    zeros included.  Returns the (cmap, umap) before each step and the
+    level's basis."""
+    zero = TowerElem.const(0)
+    cmap = [tuple(Fraction(int(i == j)) for j in range(k)) for i in range(k)]
+    umap = {}
+    states = []
+    for slot, sub in steps:
+        states.append((cmap, umap))
+        P = len(cmap)
+        cmap_next = [
+            tuple(
+                sum((d[p] * cmap[p][k0] for p in range(P)), Fraction(0))
+                for k0 in range(k)
+            )
+            for _, d in sub
+        ]
+        umap_next = {
+            j: [sum((d[p] * vec[p] for p in range(P)), zero) for _, d in sub]
+            for j, vec in umap.items()
+        }
+        umap_next[slot] = [w for w, _ in sub]
+        cmap, umap = cmap_next, umap_next
+    t = TowerElem.gen(level - 1)
+    basis = [
+        (sum((vec[q] * t ** j for j, vec in umap.items()), zero), c)
+        for q, c in enumerate(cmap)
+    ]
+    return states, basis
+
+
+def _check_against_dense(level, k, slots, solve_slot, seen):
+    """Run _solve_by_slots, then compare every state it handed to
+    solve_slot, and its basis, with the dense reference."""
+    steps, states = [], []
+
+    def recording(slot, cmap, umap):
+        states.append((list(cmap), {j: list(v) for j, v in umap.items()}))
+        sub = solve_slot(slot, cmap, umap)
+        steps.append((slot, sub))
+        return sub
+
+    basis = _solve_by_slots(level, k, slots, recording)
+    ref_states, ref_basis = _dense_rewrite(level, k, steps)
+    assert states == ref_states
+    assert basis == ref_basis
+    assert all(type(c) is Fraction for _, row in basis for c in row)
+    seen.append((states, steps))
+    return basis
+
+
+def _holds_zeros(seen):
+    """Some weight d[p] is zero, and some cmap holds zeros off the identity."""
+    zero_weight = any(
+        not dp for _, steps in seen for _, sub in steps for _, d in sub for dp in d
+    )
+
+    def identity(cmap):
+        return all(
+            c == (i == j) for i, row in enumerate(cmap) for j, c in enumerate(row)
+        )
+
+    rewritten = any(
+        not identity(cmap) and any(0 in row for row in cmap)
+        for states, _ in seen for cmap, _ in states
+    )
+    return zero_weight and rewritten
+
+
+def _dense_checked(monkeypatch):
+    seen = []
+    check = _check_against_dense
+    monkeypatch.setattr(
+        nsopt.telescope,
+        "_solve_by_slots",
+        lambda level, k, slots, solve_slot: check(level, k, slots, solve_slot, seen),
+    )
+    return seen
+
+
+def test_rewrite_matches_dense_at_sum_level(monkeypatch):
+    seen = _dense_checked(monkeypatch)
+    t2, h, s = nested_tower()
+    phis = [s / (X + 1), h * h, h / (X + 1), ONE / (X + 1), s * h]
+    basis = nsopt.telescope._solve_sigma_level(t2, 2, phis)
+    assert len(basis) == 5
+    assert _holds_zeros(seen)
+
+
+def test_rewrite_matches_dense_at_product_level(monkeypatch):
+    seen = _dense_checked(monkeypatch)
+    tb = adjoin_pi(Tower(), TowerElem.const(2), name="b")
+    b = TowerElem.gen(0)
+    phis = [b, X * b, ONE / (X + 1), b * b / X, 2 * b, b * b]
+    basis = nsopt.telescope._solve_pi_level(tb, 1, ONE, phis)
+    assert len(basis) == 5
+    assert _holds_zeros(seen)
+
+
+def test_rewrite_matches_dense_on_fixed_subs():
+    # dense weights into a cmap that stops being the identity after the
+    # first slot; zero rows, zero weights and zero coefficients w
+    w = [X, ONE / (X + 1), TowerElem.const(0), X * X]
+    F = Fraction
+    subs = {
+        2: [(w[0], (F(1), F(0), F(2))), (w[1], (F(0), F(0), F(1))),
+            (w[2], (F(0), F(0), F(0)))],
+        1: [(w[3], (F(1, 2), F(0), F(3))), (w[2], (F(0), F(-1), F(0)))],
+        0: [(w[1], (F(2), F(5))), (w[0], (F(0), F(0))), (w[3], (F(1), F(0)))],
+    }
+    seen = []
+    basis = _check_against_dense(
+        1, 3, (2, 1, 0), lambda slot, cmap, umap: subs[slot], seen
+    )
+    assert len(basis) == 3
+    assert _holds_zeros(seen)
+
+
+def test_product_level_rewrite_skips_zero_weights(monkeypatch):
+    # the dense rewrite multiplied every weight d[p] into every entry of
+    # cmap[p] and umap[j][p], zeros included
+    count = {"weights": 0, "zero_weights": 0, "zero_products": 0}
+
+    class Weight(Fraction):
+        def __mul__(self, other):
+            count["zero_products"] += not self
+            return Fraction.__mul__(self, other)
+
+        __rmul__ = __mul__
+
+    solve_param = nsopt.telescope._solve_param
+
+    def weighted(*args):
+        sub = solve_param(*args)
+        for _, d in sub:
+            count["weights"] += len(d)
+            count["zero_weights"] += sum(not dp for dp in d)
+        return [(w, tuple(Weight(dp) for dp in d)) for w, d in sub]
+
+    monkeypatch.setattr(nsopt.telescope, "_solve_param", weighted)
+    tb = adjoin_pi(Tower(), TowerElem.const(2), name="b")
+    b = TowerElem.gen(0)
+    phis = [b, X * b, ONE / (X + 1), b * b / X, 2 * b, b * b]
+    basis = nsopt.telescope._solve_pi_level(tb, 1, ONE, phis)
+    assert len(basis) == 5
+    assert count["zero_weights"] > count["weights"] // 2
+    assert count["zero_products"] == 0
