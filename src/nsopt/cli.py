@@ -14,9 +14,10 @@ Three subcommands:
     only by certified generators (never by the summand itself).
 
 Exit codes: 0 success, 1 verify found a counterexample, 2 parse error or
-invalid invocation (such as a negative range), 3 unsupported input shape,
-4 internal verification failure: the sweep or a telescoper's residual
-check failed (never expected).
+invalid invocation (such as a negative range or search knob), 3 unsupported
+input shape or a declared product that is not a legal product-like
+extension, 4 internal verification failure: the sweep or a telescoper's
+residual check failed (never expected).
 
 Reports are deterministic: identical invocations produce byte-identical
 output.  All arithmetic is exact rational; nothing is floated.
@@ -138,9 +139,9 @@ def _atom_power_default(args) -> int:
     env = os.environ.get("NSOPT_MAX_ATOM_POWER")
     if env is not None:
         try:
-            return int(env)
-        except ValueError:
-            print(f"error: bad NSOPT_MAX_ATOM_POWER {env!r}", file=sys.stderr)
+            return _nonnegative_int(env)
+        except argparse.ArgumentTypeError as exc:
+            print(f"error: bad NSOPT_MAX_ATOM_POWER: {exc}", file=sys.stderr)
             raise SystemExit(2)
     return 6
 
@@ -301,14 +302,14 @@ def cmd_telescope(args) -> int:
 def _add_search_flags(sub):
     sub.add_argument(
         "--max-atom-power",
-        type=int,
+        type=_nonnegative_int,
         default=None,
         help="largest 1/atom^e considered when growing the tower"
         " (default 6; NSOPT_MAX_ATOM_POWER overrides)",
     )
     sub.add_argument(
         "--max-monomial-degree",
-        type=int,
+        type=_nonnegative_int,
         default=3,
         help="largest generator-monomial degree in candidate shift parts",
     )

@@ -92,14 +92,16 @@ class Generator:
 class Tower:
     """Immutable ordered list of generators over Q(x)."""
 
-    __slots__ = ("gens", "_sigma_cache")
+    __slots__ = ("gens", "_sigma_cache", "_solve_cache")
 
-    def __init__(self, gens=()):
+    def __init__(self, gens=(), solve_cache=None):
         self.gens = tuple(gens)
         names = [g.name for g in self.gens]
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")
         self._sigma_cache = {}
+        # telescope's solve memo, shared by every tower grown from one root
+        self._solve_cache = {} if solve_cache is None else solve_cache
 
     def __len__(self):
         return len(self.gens)
@@ -116,10 +118,10 @@ class Tower:
     def extended(self, gen: Generator) -> "Tower":
         if gen.shift_part.level > len(self.gens):
             raise ValueError("shift part does not lie below the new generator")
-        return Tower(self.gens + (gen,))
+        return Tower(self.gens + (gen,), self._solve_cache)
 
     def prefix(self, nlevels: int) -> "Tower":
-        return Tower(self.gens[:nlevels])
+        return Tower(self.gens[:nlevels], self._solve_cache)
 
     def fresh_name(self, stem: str = "t") -> str:
         used = set(self.names())
@@ -136,9 +138,6 @@ class Tower:
 # ---------------------------------------------------------------------------
 # Elements
 # ---------------------------------------------------------------------------
-
-_QONE = Fraction(1)
-
 
 class TowerElem:
     """Element of the tower field in recursive rational normal form.
@@ -309,7 +308,7 @@ class TowerElem:
     def __pow__(self, n: int) -> "TowerElem":
         if n < 0:
             return self.inverse() ** (-n)
-        result = ONE_ELEM
+        result = ONE
         base = self
         while n:
             if n & 1:
@@ -324,7 +323,6 @@ class TowerElem:
 
 ZERO = TowerElem(0, RatFunc.from_const(Fraction(0)))
 ONE = TowerElem(0, RatFunc.from_const(Fraction(1)))
-ONE_ELEM = ONE
 
 
 def _one_poly() -> Poly:
@@ -424,19 +422,6 @@ def _make_reduced(level: int, num: Poly, den: Poly) -> TowerElem:
     if den.degree == 0:
         den = _one_poly()
     return TowerElem._make(level, RatFunc(num, den, _normalized=True))
-
-
-def _normalize_level(level: int, num: Poly, den: Poly) -> TowerElem:
-    """Reduced, monic-denominator element of `level` from a raw num/den pair."""
-    if den.is_zero():
-        raise ZeroDivisionError("zero denominator at tower level")
-    if num.is_zero():
-        return ZERO
-    g = _gcd_level(level, num, den)
-    if g.degree >= 1:
-        num = num.exact_div(g)
-        den = den.exact_div(g)
-    return _make_reduced(level, num, den)
 
 
 def _add_level(level: int, fa: RatFunc, fb: RatFunc) -> TowerElem:

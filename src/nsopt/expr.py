@@ -22,7 +22,14 @@ import dataclasses
 from fractions import Fraction
 
 from .algebra import Poly, RatFunc, nonneg_integer_roots
-from .dfield import Tower, TowerElem, adjoin_pi, is_polynomial_part, sigma
+from .dfield import (
+    PiCriterionFails,
+    Tower,
+    TowerElem,
+    adjoin_pi,
+    is_polynomial_part,
+    sigma,
+)
 from .telescope import UnsupportedShape, _prune_tower, telescope_depth_optimal
 
 __all__ = [
@@ -580,29 +587,6 @@ def expr_depth(e) -> int:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-_FREE_CACHE = {}
-
-
-def _free_vars(e) -> frozenset:
-    got = _FREE_CACHE.get(e)
-    if got is not None:
-        return got
-    if isinstance(e, Const):
-        out = frozenset()
-    elif isinstance(e, Base):
-        out = frozenset((e.var,))
-    elif isinstance(e, Plus):
-        out = frozenset().union(*(_free_vars(t) for t in e.terms))
-    elif isinstance(e, Times):
-        out = frozenset().union(*(_free_vars(t) for t in e.factors))
-    elif isinstance(e, Power):
-        out = _free_vars(e.base)
-    else:
-        out = (_free_vars(e.body) - {e.idx}) | {e.upper}
-    _FREE_CACHE[e] = out
-    return out
-
-
 def _rename_var(e, old: str, new: str):
     """Substitute a free index name; binders never collide with `old`
     because the parser forbids shadowing."""
@@ -635,6 +619,7 @@ class Evaluator:
 
     def __init__(self):
         self._prefix = {}
+        self._free = {}
 
     def eval(self, e, env: dict) -> Fraction:
         if isinstance(e, Const):
@@ -656,7 +641,7 @@ class Evaluator:
             empty = Fraction(0) if isinstance(e, Sum) else Fraction(1)
             if ub < e.lower:
                 return empty
-            if _free_vars(e.body) <= {e.idx}:
+            if self._free_vars(e.body) <= {e.idx}:
                 return self._prefix_eval(e, ub, empty)
             out = empty
             for k in range(e.lower, ub + 1):
@@ -664,6 +649,25 @@ class Evaluator:
                 out = out + val if isinstance(e, Sum) else out * val
             return out
         raise TypeError(f"not an expression node: {e!r}")
+
+    def _free_vars(self, e) -> frozenset:
+        got = self._free.get(e)
+        if got is not None:
+            return got
+        if isinstance(e, Const):
+            out = frozenset()
+        elif isinstance(e, Base):
+            out = frozenset((e.var,))
+        elif isinstance(e, Plus):
+            out = frozenset().union(*(self._free_vars(t) for t in e.terms))
+        elif isinstance(e, Times):
+            out = frozenset().union(*(self._free_vars(t) for t in e.factors))
+        elif isinstance(e, Power):
+            out = self._free_vars(e.base)
+        else:
+            out = (self._free_vars(e.body) - {e.idx}) | {e.upper}
+        self._free[e] = out
+        return out
 
     def _prefix_eval(self, e, ub: int, empty: Fraction) -> Fraction:
         vals = self._prefix.setdefault(e, [])
@@ -854,9 +858,13 @@ def compile(e, products=(), max_atom_power: int = 6,
                 f"product {p.name!r} starts at {p.lower}, "
                 f"but its ratio only supports {start} on"
             )
-        tower = adjoin_pi(
-            tower, TowerElem.base(p.alpha), max_power=max_atom_power, name=p.name
-        )
+        try:
+            tower = adjoin_pi(tower, TowerElem.base(p.alpha), name=p.name)
+        except PiCriterionFails as exc:
+            raise UnsupportedShape(
+                f"declared product {p.name!r} is not a legal product-like"
+                f" extension: {exc}"
+            ) from exc
         spec.overrides[p.name] = (p.lower, Fraction(1))
     st = _Session(tower, spec, max_atom_power, max_monomial_degree)
     elem, lam = _compile_node(st, e, "n")

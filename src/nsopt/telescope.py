@@ -181,10 +181,10 @@ def solve_first_order(gamma: RatFunc, phis) -> list:
     b = -(gd * E)
     Cs = []
     for r in rhs:
-        cleared = r * RatFunc.from_poly(E)
-        if not cleared.den.is_one():
+        q, rem = divmod(E, r.den)
+        if not rem.is_zero():
             raise ArithmeticError("common denominator failed to clear a right-hand side")
-        Cs.append(cleared.num)
+        Cs.append(q * r.num)
 
     D = universal_denominator(a, b)
     Dup = D.shift(1)
@@ -263,25 +263,17 @@ def _pi_laurent(phi: TowerElem, level: int, gen_name: str) -> dict:
     return out
 
 
-# solves recur identically while the search grows the tower one
-# candidate at a time, so memoize on (generator prefix, gamma, phis);
-# the pin list keeps generator ids from being recycled under the cache
-_SOLVE_CACHE = {}
-_SOLVE_PINS = []
-
-
 def _solve_param(tower: Tower, level: int, gamma: TowerElem, phis: list) -> list:
-    key = (tuple(map(id, tower.gens[:level])), gamma, tuple(phis))
-    hit = _SOLVE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    res = _solve_param_impl(tower, level, gamma, phis)
-    if len(_SOLVE_CACHE) > 200000:
-        _SOLVE_CACHE.clear()
-        del _SOLVE_PINS[:]
-    _SOLVE_CACHE[key] = res
-    _SOLVE_PINS.append(tower.gens[:level])
-    return res
+    # solves recur identically while the search grows the tower one
+    # candidate at a time, so memoize on (generator prefix, gamma, phis) in
+    # the memo every tower of one lineage shares; generators hash by
+    # identity and the key holds them, so no id is recycled under it
+    cache = tower._solve_cache
+    key = (tower.gens[:level], gamma, tuple(phis))
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache[key] = _solve_param_impl(tower, level, gamma, phis)
+    return hit
 
 
 def _solve_param_impl(tower: Tower, level: int, gamma: TowerElem, phis: list) -> list:
@@ -622,7 +614,9 @@ def _prune_tower(grown: Tower, g: TowerElem, base_len: int):
                 gen.evidence,
             )
         )
-    pruned = Tower(gens)
+    # the generators below base_len are the same objects, so their solves
+    # stay in the shared memo
+    pruned = Tower(gens, grown._solve_cache)
     return pruned, _remap_elem(g, level_map), tuple(grown.gens[i].name for i in kept_sorted)
 
 

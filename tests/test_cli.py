@@ -134,6 +134,42 @@ def test_simplify_env_var_override(monkeypatch, capsys):
     monkeypatch.setenv("NSOPT_MAX_ATOM_POWER", "six")
     code, _, err = run_cli(["simplify", "sum(l,1,n,H(l)/l)"], capsys)
     assert code == 2
+    monkeypatch.setenv("NSOPT_MAX_ATOM_POWER", "-1")
+    code, _, err = run_cli(["simplify", "sum(l,1,n,H(l)/l)"], capsys)
+    assert code == 2
+    assert "must be an integer >= 0" in err
+
+
+def test_negative_atom_power_exit2(capsys):
+    # a negative power turned the generator search off: NO_SOLUTION, exit 0
+    code, _, err = run_cli(
+        ["telescope", "H(n+1)/(n+1)", "--max-atom-power", "-2"], capsys
+    )
+    assert code == 2
+    assert "must be an integer >= 0" in err
+
+
+def test_negative_monomial_degree_exit2(capsys):
+    # a negative degree gave an uncertified depth 3 -> 3, exit 0
+    code, _, err = run_cli(
+        ["simplify", "sum(l,1,n,H(l)/l)", "--max-monomial-degree", "-1"], capsys
+    )
+    assert code == 2
+    assert "must be an integer >= 0" in err
+
+
+@pytest.mark.parametrize("knob", [[], ["--max-atom-power", "1"],
+                                  ["--max-atom-power", "0"]])
+def test_illegal_product_exit3(knob, capsys):
+    # (-1)^n squared is the constant 1, so p is no product-like extension;
+    # the search knob must not shorten that check
+    code, out, err = run_cli(
+        ["simplify", "--with-product", "p:-1:1", *knob, "prod(t,1,n,-1)^2"],
+        capsys,
+    )
+    assert code == 3
+    assert out == ""
+    assert "not a legal product-like extension" in err
 
 
 def test_with_product_bad_spec_exit2(capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import nsopt.telescope
 from nsopt.algebra import Poly, RatFunc
 from nsopt.dfield import Tower, TowerElem, depth, sigma
 from nsopt.expr import (
@@ -415,6 +416,34 @@ def test_compile_is_deterministic():
     assert [g.name for g in a.tower.gens] == [g.name for g in b.tower.gens]
     assert to_src(reinterpret(a.tower, a.spec, a.elem)) == \
         to_src(reinterpret(b.tower, b.spec, b.elem))
+
+
+def test_compile_rejects_illegal_product():
+    # alpha = -1 passes the check at power 1, but sigma(g) = g at power 2
+    # has the solution g = 1, whatever the search's atom power
+    spec = ProductSpec("p", RatFunc.from_const(Fraction(-1)))
+    for power in (6, 1, 0):
+        with pytest.raises(UnsupportedShape, match="not a legal product-like"):
+            compile(parse("prod(t,1,n,-1)^2"), products=(spec,),
+                    max_atom_power=power)
+
+
+def test_compile_starts_cold(monkeypatch):
+    # no solve is carried from one compile to the next, so the second
+    # compile of the same input does the same work as the first
+    calls = []
+    solve = nsopt.telescope.solve_first_order
+
+    def counted(*args):
+        calls[-1] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(nsopt.telescope, "solve_first_order", counted)
+    e = parse("sum(i,1,n,sum(j,1,i,1/(j+2))*1/(i+1))")
+    for _ in range(2):
+        calls.append(0)
+        compile(e)
+    assert calls[0] == calls[1] > 0
 
 
 # -- reinterpret --------------------------------------------------------------

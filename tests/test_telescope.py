@@ -227,6 +227,37 @@ def test_depth_optimal_base_fallback_is_certified():
     assert res.g == TowerElem.gen(0)
 
 
+def test_solve_memo_is_shared_along_a_lineage(monkeypatch):
+    calls = [0]
+    solve = nsopt.telescope.solve_first_order
+
+    def counted(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(nsopt.telescope, "solve_first_order", counted)
+
+    def base_solves(tower, f):
+        before = calls[0]
+        telescope_tower(tower, f)
+        return calls[0] - before
+
+    root = Tower()
+    beta = ONE / (X + 1)
+    grown = adjoin_sigma_star(root, beta, "h")  # certifies beta on root
+    f = sigma(grown, TowerElem.gen(0)) / (X + 1)
+    assert base_solves(grown, f) > 0
+    assert base_solves(grown, f) == 0
+    # a second tower grown from the root by the same generator
+    assert base_solves(root.extended(grown.gens[0]), f) == 0
+    assert base_solves(grown.prefix(0), beta) == 0
+    res = telescope_depth_optimal(grown, f)
+    assert res.adjoined == ("h2",)
+    assert res.tower._solve_cache is root._solve_cache  # pruning keeps it
+    # a fresh root starts empty
+    assert base_solves(Tower(), beta) > 0
+
+
 # -- adjunction through the public, certifying API ---------------------------
 
 
