@@ -30,14 +30,13 @@ __all__ = [
     "RatFunc",
     "ZeroDenominator",
     "ZeroPolynomial",
+    "RootSearchLimit",
     "poly_gcd",
     "poly_lcm",
-    "ratfunc_normalize",
     "nonneg_integer_roots",
     "rational_roots",
     "squarefree_decomposition",
     "factor_atoms",
-    "partial_fraction_atoms",
     "shift_class",
     "equal_degree_shift",
     "nullspace",
@@ -50,6 +49,10 @@ class ZeroDenominator(ZeroDivisionError):
 
 class ZeroPolynomial(ValueError):
     """An operation that needs a nonzero polynomial received zero."""
+
+
+class RootSearchLimit(ArithmeticError):
+    """The exact integer-root search would scan past its trial limit."""
 
 
 def _is_zero(c) -> bool:
@@ -478,13 +481,6 @@ class RatFunc:
 RatFunc.X = RatFunc.from_poly(Poly.from_ints(0, 1))
 
 
-def ratfunc_normalize(num: Poly, den: Poly) -> RatFunc:
-    """Coprime pair with monic denominator representing num/den."""
-    if den.is_zero():
-        raise ZeroDenominator("zero denominator")
-    return RatFunc(num, den)
-
-
 # ---------------------------------------------------------------------------
 # Root finding and factorization over Q
 # ---------------------------------------------------------------------------
@@ -565,7 +561,7 @@ def nonneg_integer_roots(p: Poly) -> set:
         # fall back to a direct scan under the Cauchy bound
         bound = 1 + max(abs(c) for c in ints[:-1]) // abs(ints[-1])
         if bound > _TRIAL_LIMIT:
-            raise ArithmeticError("integer-root search out of range")
+            raise RootSearchLimit("integer-root search out of range")
         candidates = range(1, bound + 1)
     for r in candidates:
         acc = 0
@@ -723,13 +719,6 @@ def factor_atoms(p: Poly) -> list:
     out = [(Poly(k), m) for k, m in atoms.items()]
     out.sort(key=lambda am: (am[0].degree, am[0].coeffs))
     return out
-
-
-def partial_fraction_atoms(f: RatFunc) -> list:
-    """Denominator atoms of f with multiplicities; [] for polynomials."""
-    if f.den.is_one():
-        return []
-    return factor_atoms(f.den)
 
 
 def shift_class(atom: Poly):

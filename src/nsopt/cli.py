@@ -15,9 +15,11 @@ Three subcommands:
 
 Exit codes: 0 success, 1 verify found a counterexample, 2 parse error or
 invalid invocation (such as a negative range or search knob), 3 unsupported
-input shape or a declared product that is not a legal product-like
-extension, 4 internal verification failure: the sweep or a telescoper's
-residual check failed (never expected).
+input shape, a declared product that is not a legal product-like
+extension, or coefficients beyond the exact integer-root search,
+4 internal verification failure: the sweep or a telescoper's residual
+check failed (never expected).  Commands raise their failures, and main()
+maps each to its stderr line and code through one table, _FAILURES.
 
 Reports are deterministic: identical invocations produce byte-identical
 output.  All arithmetic is exact rational; nothing is floated.
@@ -30,7 +32,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebra import RatFunc
+from .algebra import RatFunc, RootSearchLimit
 from .dfield import elem_to_str, tower_to_json
 from .expr import (
     Base,
@@ -58,26 +60,21 @@ from .telescope import (
 # ---------------------------------------------------------------------------
 
 
+class UsageError(Exception):
+    """An invalid invocation that argparse cannot see; the message is the
+    whole stderr line."""
+
+
 def _read_expression(args) -> str:
     if args.file is not None:
         if args.expression is not None:
-            print("error: give an expression inline or via --file, not both",
-                  file=sys.stderr)
-            raise SystemExit(2)
+            raise UsageError(
+                "error: give an expression inline or via --file, not both")
         with open(args.file, "r", encoding="utf-8") as fh:
             return fh.read().strip()
     if args.expression is None:
-        print("error: no expression given", file=sys.stderr)
-        raise SystemExit(2)
+        raise UsageError("error: no expression given")
     return args.expression
-
-
-def _parse_or_exit(text: str):
-    try:
-        return parse(text)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
 
 
 def _product_spec(text: str) -> ProductSpec:
@@ -88,28 +85,24 @@ def _product_spec(text: str) -> ProductSpec:
     """
     parts = text.split(":")
     if len(parts) not in (2, 3):
-        print(f"error: bad --with-product {text!r} (want name:alpha[:lower])",
-              file=sys.stderr)
-        raise SystemExit(2)
+        raise UsageError(
+            f"error: bad --with-product {text!r} (want name:alpha[:lower])")
     name, alpha_src = parts[0], parts[1]
     lower = 1
     if len(parts) == 3:
         try:
             lower = int(parts[2])
         except ValueError:
-            print(f"error: bad --with-product lower bound {parts[2]!r}",
-                  file=sys.stderr)
-            raise SystemExit(2)
+            raise UsageError(
+                f"error: bad --with-product lower bound {parts[2]!r}")
     try:
         alpha_expr = parse(alpha_src)
     except ParseError as exc:
-        print(f"parse error in --with-product alpha: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        raise UsageError(f"parse error in --with-product alpha: {exc}")
     rf = _as_ratfunc(alpha_expr)
     if rf is None:
-        print(f"error: --with-product alpha must be rational in n: {alpha_src!r}",
-              file=sys.stderr)
-        raise SystemExit(2)
+        raise UsageError(
+            f"error: --with-product alpha must be rational in n: {alpha_src!r}")
     return ProductSpec(name, rf, lower)
 
 
@@ -141,8 +134,7 @@ def _atom_power_default(args) -> int:
         try:
             return _nonnegative_int(env)
         except argparse.ArgumentTypeError as exc:
-            print(f"error: bad NSOPT_MAX_ATOM_POWER: {exc}", file=sys.stderr)
-            raise SystemExit(2)
+            raise UsageError(f"error: bad NSOPT_MAX_ATOM_POWER: {exc}")
     return 6
 
 
@@ -153,21 +145,14 @@ def _atom_power_default(args) -> int:
 
 def cmd_simplify(args) -> int:
     text = _read_expression(args)
-    e = _parse_or_exit(text)
+    e = parse(text)
     products = tuple(_product_spec(p) for p in args.with_product or ())
-    try:
-        res = compile(
-            e,
-            products=products,
-            max_atom_power=_atom_power_default(args),
-            max_monomial_degree=args.max_monomial_degree,
-        )
-    except UnsupportedShape as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
-        return 3
-    except ResidualCheckFailed as exc:
-        print(f"internal verification failure: {exc}", file=sys.stderr)
-        return 4
+    res = compile(
+        e,
+        products=products,
+        max_atom_power=_atom_power_default(args),
+        max_monomial_degree=args.max_monomial_degree,
+    )
 
     out = reinterpret(res.tower, res.spec, res.elem)
     out_text = to_src(out, h_sugar=args.h_sugar)
@@ -228,8 +213,8 @@ def cmd_simplify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    lhs = _parse_or_exit(args.lhs)
-    rhs = _parse_or_exit(args.rhs)
+    lhs = parse(args.lhs)
+    rhs = parse(args.rhs)
     ev_lhs, ev_rhs = Evaluator(), Evaluator()
     for k in range(0, args.range + 1):
         lv = evaluate(lhs, k, ev_lhs)
@@ -247,28 +232,21 @@ def cmd_verify(args) -> int:
 
 
 def cmd_telescope(args) -> int:
-    e = _parse_or_exit(args.summand)
+    e = parse(args.summand)
     products = tuple(_product_spec(p) for p in args.with_product or ())
-    try:
-        res = compile(
-            e,
-            products=products,
-            max_atom_power=_atom_power_default(args),
-            max_monomial_degree=args.max_monomial_degree,
-        )
-        t = telescope_depth_optimal(
-            res.tower,
-            res.elem,
-            max_atom_power=_atom_power_default(args),
-            max_monomial_degree=args.max_monomial_degree,
-            allow_fallback=False,
-        )
-    except UnsupportedShape as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
-        return 3
-    except ResidualCheckFailed as exc:
-        print(f"internal verification failure: {exc}", file=sys.stderr)
-        return 4
+    res = compile(
+        e,
+        products=products,
+        max_atom_power=_atom_power_default(args),
+        max_monomial_degree=args.max_monomial_degree,
+    )
+    t = telescope_depth_optimal(
+        res.tower,
+        res.elem,
+        max_atom_power=_atom_power_default(args),
+        max_monomial_degree=args.max_monomial_degree,
+        allow_fallback=False,
+    )
 
     if not t.solved:
         print("NO_SOLUTION")
@@ -346,6 +324,18 @@ def _unshield(value):
     return value
 
 
+# (exception class, stderr prefix, exit code) for every failure a command
+# raises; the first isinstance match wins, so ScopeError, a ParseError,
+# reads as a parse error
+_FAILURES = (
+    (UsageError, "", 2),
+    (ParseError, "parse error: ", 2),
+    (UnsupportedShape, "unsupported: ", 3),
+    (RootSearchLimit, "unsupported: ", 3),
+    (ResidualCheckFailed, "internal verification failure: ", 4),
+)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="nsopt",
@@ -398,7 +388,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(_shield(sys.argv[1:] if argv is None else argv))
     for key, value in vars(args).items():
         setattr(args, key, _unshield(value))
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(cls for cls, _, _ in _FAILURES) as exc:
+        prefix, code = next(
+            (prefix, code) for cls, prefix, code in _FAILURES if isinstance(exc, cls)
+        )
+        print(f"{prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -41,6 +41,7 @@ __all__ = [
     "is_polynomial_part",
     "occurring_generators",
     "constant_component",
+    "eval_at_point",
     "elem_to_str",
     "tower_to_json",
 ]
@@ -353,8 +354,11 @@ def _coeff_elems(p: Poly):
 # ---------------------------------------------------------------------------
 
 
-def _eval_elem_point(f: TowerElem, vals) -> Fraction:
-    """Evaluate at x = vals[0], t_k = vals[k]; None when a pole is hit."""
+def eval_at_point(f: TowerElem, vals) -> Fraction:
+    """Value of f at x = vals[0] and tower.gens[k-1] = vals[k] for k >= 1.
+
+    None when a pole is hit, in f's own denominator or in any coefficient
+    at any level below it."""
     if f.level == 0:
         return f.rf.eval_at(vals[0])
     n = _eval_poly_point(f.rf.num, f.level, vals)
@@ -368,7 +372,7 @@ def _eval_poly_point(p: Poly, level: int, vals) -> Fraction:
     acc = Fraction(0)
     v = vals[level]
     for c in reversed(p.coeffs):
-        cv = _eval_elem_point(c, vals) if isinstance(c, TowerElem) else Fraction(c)
+        cv = eval_at_point(c, vals) if isinstance(c, TowerElem) else Fraction(c)
         if cv is None:
             return None
         acc = acc * v + cv
@@ -378,7 +382,7 @@ def _eval_poly_point(p: Poly, level: int, vals) -> Fraction:
 def _specialize_coeffs(p: Poly, vals) -> Poly:
     out = []
     for c in p.coeffs:
-        cv = _eval_elem_point(c, vals) if isinstance(c, TowerElem) else Fraction(c)
+        cv = eval_at_point(c, vals) if isinstance(c, TowerElem) else Fraction(c)
         if cv is None:
             return None
         out.append(cv)

@@ -27,6 +27,7 @@ from .dfield import (
     Tower,
     TowerElem,
     adjoin_pi,
+    eval_at_point,
     is_polynomial_part,
     sigma,
 )
@@ -776,28 +777,13 @@ class EvalSpec:
 
 
 def eval_field(tower: Tower, spec: EvalSpec, f: TowerElem, k: int) -> Fraction:
-    """Canonical value of a tower element at index k (poles give zero)."""
-    if f.level == 0:
-        v = f.rf.eval_at(Fraction(k))
-        return v if v is not None else Fraction(0)
-    t = spec.gen_value(tower, f.level - 1, k)
-    num = _eval_poly_at(tower, spec, f.rf.num, t, k)
-    den = _eval_poly_at(tower, spec, f.rf.den, t, k)
-    if den == 0:
-        return Fraction(0)
-    return num / den
+    """Canonical value of a tower element at index k.
 
-
-def _eval_poly_at(tower, spec, p: Poly, t: Fraction, k: int) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p.coeffs):
-        cv = (
-            eval_field(tower, spec, c, k)
-            if isinstance(c, TowerElem)
-            else Fraction(c)
-        )
-        acc = acc * t + cv
-    return acc
+    A pole anywhere in f, in its denominator or in a coefficient at any
+    level, gives 0 for the whole element.  Poles occur only at k < o(f)."""
+    vals = [Fraction(k)] + [spec.gen_value(tower, i, k) for i in range(f.level)]
+    v = eval_at_point(f, vals)
+    return v if v is not None else Fraction(0)
 
 
 # ---------------------------------------------------------------------------

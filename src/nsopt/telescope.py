@@ -65,7 +65,6 @@ __all__ = [
     "DepthOptResult",
     "solve_first_order",
     "homogeneous_first_order",
-    "telescope_rational",
     "telescope_tower",
     "telescope_depth_optimal",
 ]
@@ -222,12 +221,6 @@ def homogeneous_first_order(gamma: RatFunc):
         if not u.is_zero():
             return u
     return None
-
-
-def telescope_rational(f: RatFunc) -> TelescopeResult:
-    """sigma(g) - g = f over Q(x) alone."""
-    res = telescope_tower(Tower(), TowerElem.base(f))
-    return res
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +452,8 @@ def _occurring_monomials(tower: Tower, f: TowerElem, total_deg: int,
                          max_depth: int, pi_idx: tuple) -> list:
     """(monomial, product-degree vector) pairs of the given total degree in
     generators that occur in f and have depth <= max_depth.  Restricting to
-    occurring generators keeps the candidate family small on towers grown
-    by earlier compilations."""
+    occurring generators keeps the candidate family small on a compile's
+    tower, which also holds the generators of the expression's other sums."""
     pos = {i: p for p, i in enumerate(pi_idx)}
     if total_deg == 0:
         return [(ONE, (0,) * len(pi_idx))]

@@ -26,7 +26,7 @@ from nsopt.expr import (
     parse,
     reinterpret,
 )
-from nsopt.telescope import telescope_depth_optimal, telescope_rational, telescope_tower
+from nsopt.telescope import telescope_depth_optimal, telescope_tower
 
 from conftest import harmonic_tower, nested_tower, rand_elem
 
@@ -229,7 +229,7 @@ def test_criterion_2_telescoping_fixtures():
 
     # harmonic summand: no solution over Q(x) alone
     t0 = time.monotonic()
-    r = telescope_rational(rf(1, (1, 1)))
+    r = telescope_tower(Tower(), TowerElem.base(rf(1, (1, 1))))
     assert not r.solved
     assert time.monotonic() - t0 < 1.0
 
@@ -491,7 +491,7 @@ def test_criterion_6_base_solver_completeness():
         f = w.shift(1) - w
         if f.is_zero():
             continue
-        res = telescope_rational(f)
+        res = telescope_tower(Tower(), TowerElem.base(f))
         assert res.solved
         assert (res.g.rf - w).is_constant()
         done += 1
@@ -509,7 +509,7 @@ def test_criterion_6_base_solver_completeness():
             continue
         if any(w.den.eval_at(Fraction(k)) == 0 for k in range(0, 42)):
             continue
-        res = telescope_rational(w)
+        res = telescope_tower(Tower(), TowerElem.base(w))
         if res.solved:
             continue
         acc = Fraction(0)

@@ -183,6 +183,42 @@ def test_with_product_bad_spec_exit2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["simplify", "--file", "expr.txt", "sum(i,1,n,1/i)"],
+         "error: give an expression inline or via --file, not both"),
+        (["simplify"], "error: no expression given"),
+        (["simplify", "sum(i,1,n,1/i)", "--with-product", "b:n+1:z"],
+         "error: bad --with-product lower bound 'z'"),
+        (["simplify", "sum(i,1,n,1/i)", "--with-product", "b:(n+1:1"],
+         "parse error in --with-product alpha:"
+         " expected ), found end of input (at position 4)"),
+    ],
+)
+def test_usage_error_exit2(argv, line, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == line + "\n"
+
+
+# the constant term is past the divisor limit, so the integer roots of the
+# denominator need a Cauchy-bound scan too long to run
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simplify", "sum(i,1,n,1/(i^2+1000000000000037))"],
+        ["telescope", "1/(n^2+1000000000000037)"],
+    ],
+)
+def test_root_search_limit_exit3(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "unsupported: integer-root search out of range\n"
+
+
 def test_with_product_registers(capsys):
     code, out, _ = run_cli(
         [

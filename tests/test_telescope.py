@@ -25,7 +25,6 @@ from nsopt.telescope import (
     homogeneous_first_order,
     solve_first_order,
     telescope_depth_optimal,
-    telescope_rational,
     telescope_tower,
     universal_denominator,
 )
@@ -51,7 +50,7 @@ def test_universal_denominator_chain():
 def test_telescope_sum_of_shifts():
     # f = 1/(x(x+1)) telescopes with g = -1/x
     f = rf((1,), (0, 1)) * rf((1,), (1, 1))
-    res = telescope_rational(f)
+    res = telescope_tower(Tower(), TowerElem.base(f))
     assert res.solved
     assert res.g.rf == -rf((1,), (0, 1))
 
@@ -81,9 +80,9 @@ def test_right_hand_side_outside_tower_raises():
 
 
 def test_harmonic_summand_is_refuted():
-    res = telescope_rational(rf((1,), (1, 1)))
+    res = telescope_tower(Tower(), TowerElem.base(rf((1,), (1, 1))))
     assert not res.solved
-    res2 = telescope_rational(rf((1,), (1, 2, 1)))  # 1/(x+1)^2
+    res2 = telescope_tower(Tower(), TowerElem.base(rf((1,), (1, 2, 1))))  # 1/(x+1)^2
     assert not res2.solved
 
 
@@ -100,7 +99,7 @@ def test_random_telescopable(seed=3001, count=40):
         f = sigma(t0, w) - w
         if f.is_zero():
             continue
-        res = telescope_rational(f.rf)
+        res = telescope_tower(Tower(), f)
         assert res.solved
         diff = res.g - w
         assert diff.level == 0 and diff.rf.is_constant()
