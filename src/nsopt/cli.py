@@ -14,7 +14,8 @@ Three subcommands:
     only by certified generators (never by the summand itself).
 
 Exit codes: 0 success, 1 verify found a counterexample, 2 parse error or
-invalid invocation (such as a negative range or search knob), 3 unsupported
+invalid invocation (such as a negative range or search knob, or a --file
+that cannot be read), 3 unsupported
 input shape, a declared product that is not a legal product-like
 extension, or coefficients beyond the exact integer-root search,
 4 internal verification failure: the sweep or a telescoper's residual
@@ -70,8 +71,13 @@ def _read_expression(args) -> str:
         if args.expression is not None:
             raise UsageError(
                 "error: give an expression inline or via --file, not both")
-        with open(args.file, "r", encoding="utf-8") as fh:
-            return fh.read().strip()
+        try:
+            with open(args.file, "r", encoding="utf-8") as fh:
+                return fh.read().strip()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise UsageError(
+                f"error: cannot read --file {args.file}: {reason}") from None
     if args.expression is None:
         raise UsageError("error: no expression given")
     return args.expression

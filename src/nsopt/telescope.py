@@ -21,10 +21,13 @@ shape escapes this scheme (a sum-like generator in a denominator, a
 non-monomial denominator at a product-like level) raise UnsupportedShape.
 
 telescope_depth_optimal searches for a telescoper of *small depth*: it
-tries the given tower first, then grows it with certified sum-like
-generators built from the input's pole structure (1/atom^e, then times
-monomials in existing generators), and finally falls back to adjoining
-the input itself, which raises the depth by one.
+tries the given tower first, then lists candidate shift parts built from
+the input's pole structure (1/atom^e, then times monomials in existing
+generators) and solves, over the given tower, for the linear relations
+between the input and the candidates.  Those relations decide which
+candidates are legal new sum-like generators and the first one after
+which the input telescopes, so only those are adjoined.  Failing that it
+falls back to adjoining the input itself, which raises the depth by one.
 """
 
 from __future__ import annotations
@@ -75,7 +78,8 @@ class UnsupportedShape(Exception):
 
 
 class ResidualCheckFailed(ArithmeticError):
-    """A computed telescoper g fails sigma(g) - g == f; never expected."""
+    """A computed telescoper g fails sigma(g) - g == f, or a relation that
+    promises one is not confirmed in the grown tower; never expected."""
 
 
 @dataclass(frozen=True)
@@ -257,10 +261,11 @@ def _pi_laurent(phi: TowerElem, level: int, gen_name: str) -> dict:
 
 
 def _solve_param(tower: Tower, level: int, gamma: TowerElem, phis: list) -> list:
-    # solves recur identically while the search grows the tower one
-    # candidate at a time, so memoize on (generator prefix, gamma, phis) in
-    # the memo every tower of one lineage shares; generators hash by
-    # identity and the key holds them, so no id is recycled under it
+    # level subproblems recur identically across the search's relation
+    # solves, its final solve in the grown tower and the later sum nodes of
+    # one compile, so memoize on (generator prefix, gamma, phis) in the memo
+    # every tower of one lineage shares; generators hash by identity and the
+    # key holds them, so no id is recycled under it
     cache = tower._solve_cache
     key = (tower.gens[:level], gamma, tuple(phis))
     hit = cache.get(key)
@@ -616,6 +621,46 @@ def _prune_tower(grown: Tower, g: TowerElem, base_len: int):
 _ADJOIN_BUDGET = 24
 
 
+def _echelon_by_last(vectors) -> dict:
+    """Echelon form of the vectors keyed by their last nonzero entry: the
+    keys are exactly the last indices that nonzero combinations reach."""
+    rows = {}
+    for vec in vectors:
+        vec = list(vec)
+        last = max((i for i, c in enumerate(vec) if c), default=None)
+        while last in rows:
+            row = rows[last]
+            factor = vec[last] / row[last]
+            vec = [a - factor * b for a, b in zip(vec, row)]
+            last = max((i for i, c in enumerate(vec) if c), default=None)
+        if last is not None:
+            rows[last] = vec
+    return rows
+
+
+def _adjoin_legal(tower: Tower, cands: list, legal: list, dim: int) -> Tower:
+    """Adjoin the legal candidates (1-based indices into cands) in order,
+    under the names the one-at-a-time search gave them."""
+    cur = tower
+    for i in legal:
+        beta, series = cands[i - 1]
+        name = _series_name(cur, *series) if series else None
+        cur = _adjoin_sigma_star_unchecked(
+            cur,
+            beta,
+            name or cur.fresh_name(),
+            {
+                "certified": True,
+                "certificate": (
+                    "no relation sigma(g) - g = c_0*f + sum c_j*beta_j"
+                    f" over {tower!r} ends at candidate {i}"
+                    f" (relation space dim {dim})"
+                ),
+            },
+        )
+    return cur
+
+
 def telescope_depth_optimal(
     tower: Tower,
     f: TowerElem,
@@ -625,19 +670,29 @@ def telescope_depth_optimal(
 ) -> DepthOptResult:
     """Find g with sigma(g) - g = f of smallest available depth.
 
-    Strategy: try the given tower, then adjoin certified sum-like generators
-    built from the input's pole structure (1/atom^e times monomials in
-    occurring generators), attempting a solve after every adjunction.  An
-    in-tower answer ends the search at once: solutions are unique up to
-    additive constants, so no extension can present a shallower one.  The
-    first pass only considers shift parts of depth < depth(f), so a hit
-    there is depth-optimal; a second pass allows shift parts of depth equal
-    to depth(f), whose solutions sit one level higher and are reported
-    uncertified (except over depth-1 input, where one level up is provably
-    the floor).  With allow_fallback, an exhausted search adjoins f itself.
-    Pruning keeps only the adjoined generators g actually depends on; the
-    tower prefix passed in is never touched, so elements built on it stay
-    valid on the returned tower."""
+    Strategy: try the given tower, then look for sum-like generators
+    t_i with sigma(t_i) = t_i + beta_i built from the input's pole
+    structure (beta_i = sigma(mu/atom^e), mu a monomial in occurring
+    generators), in a fixed candidate order.  Every beta_i lies in the
+    given tower T, so by Karr's structure theorem f telescopes once the
+    legal candidates up to i are adjoined exactly when some relation
+    sigma(g) - g = c_0*f + sum c_j*beta_j with g in T has c_0 != 0 and
+    c_j = 0 for j > i, and beta_i is illegal (telescopes in the grown
+    tower) exactly when a relation with c_0 = 0 ends at i.  The search
+    therefore solves these relations over T after each block of
+    candidates and adjoins only the legal candidates up to the first
+    success.  An in-tower answer ends the search at once: solutions are
+    unique up to additive constants, so no extension can present a
+    shallower one.  The first pass only considers shift parts of depth
+    < depth(f), so a hit there is depth-optimal; a second pass allows
+    shift parts of depth equal to depth(f), whose solutions sit one level
+    higher and are reported uncertified (except over depth-1 input, where
+    one level up is provably the floor).  The search gives up once the
+    first success would need more than _ADJOIN_BUDGET adjunctions.  With
+    allow_fallback, an exhausted search adjoins f itself.  Pruning keeps
+    only the adjoined generators g actually depends on; the tower prefix
+    passed in is never touched, so elements built on it stay valid on the
+    returned tower."""
     first = telescope_tower(tower, f)
     d = depth(tower, f)
     if first.solved:
@@ -654,15 +709,10 @@ def telescope_depth_optimal(
     atoms = _candidate_atoms(f)
     pi_idx = tuple(i for i, g in enumerate(tower.gens) if g.kind == "pi")
     supp = _pi_degree_support(tower, f, pi_idx) if pi_idx else None
-    cur = tower
-    budget = _ADJOIN_BUDGET
-
-    def _finish(g: TowerElem, certified: bool, note: str) -> DepthOptResult:
-        pruned, g2, kept = _prune_tower(cur, g, len(tower))
-        return DepthOptResult(True, g2, pruned, kept, certified, note)
+    taken = {g.shift_part for g in tower.gens if g.kind == "sigma"}
 
     def _search():
-        nonlocal cur, budget
+        cands = []  # (beta, (atom, e) for a series name, or None)
         for cap, preserving in ((d - 1, True), (d, False)):
             for mono_deg in range(0, max_monomial_degree + 1):
                 mus = _occurring_monomials(tower, f, mono_deg, cap, pi_idx)
@@ -673,51 +723,51 @@ def telescope_depth_optimal(
                     if supp is not None and degvec not in supp:
                         continue
                     for e in range(1, max_atom_power + 1):
+                        before = len(cands)
                         for atom in atoms:
                             inv_pow = TowerElem.base(RatFunc(_PONE, atom ** e))
-                            if budget <= 0:
-                                return None
-                            beta = sigma(cur, mu * inv_pow)
-                            if depth(cur, beta) > cap or beta == f:
+                            beta = sigma(tower, mu * inv_pow)
+                            if depth(tower, beta) > cap or beta == f:
                                 continue
-                            if any(
-                                g.kind == "sigma" and g.shift_part == beta
-                                for g in cur.gens
-                            ):
-                                continue
-                            cert = telescope_tower(cur, beta)
-                            if cert.solved:
-                                continue  # not a legal new generator here
-                            name = (
-                                _series_name(cur, atom, e) if mu == ONE else None
+                            if beta not in taken:
+                                taken.add(beta)
+                                cands.append((beta, (atom, e) if mu == ONE else None))
+                        if len(cands) == before:
+                            continue
+                        # one relation solve per (monomial, atom power)
+                        # block keeps the candidate list short when f
+                        # telescopes early and the solves few when it does not
+                        basis = _solve_param(
+                            tower, len(tower), ONE, [f] + [b for b, _ in cands]
+                        )
+                        rows = _echelon_by_last(c for _, c in basis)
+                        hit = min((i for i, r in rows.items() if r[0]), default=None)
+                        # earlier blocks had no hit, so a hit lies in this one
+                        end = len(cands) if hit is None else hit - 1
+                        legal = [i for i in range(1, end + 1) if i not in rows]
+                        if len(legal) >= _ADJOIN_BUDGET:
+                            return None
+                        if hit is None:
+                            continue
+                        cur = _adjoin_legal(tower, cands, legal + [hit], len(basis))
+                        attempt = telescope_tower(cur, f)
+                        if not attempt.solved:
+                            raise ResidualCheckFailed(
+                                f"relation over {tower!r} gives no telescoper"
+                                f" in {cur!r}"
                             )
-                            cur = _adjoin_sigma_star_unchecked(
-                                cur,
-                                beta,
-                                name or cur.fresh_name(),
-                                {
-                                    "certified": True,
-                                    "certificate": cert.certificate,
-                                },
-                            )
-                            budget -= 1
-                            attempt = telescope_tower(cur, f)
-                            if attempt.solved:
-                                dg = depth(cur, attempt.g)
-                                # depth-1 shift parts are never legal, so a
-                                # depth-2 answer over a depth-1 input is
-                                # already as low as it can get
-                                ok = (preserving and dg <= d) or (
-                                    d <= 1 and dg <= d + 1
-                                )
-                                note = (
-                                    "solved after adjoining depth-preserving"
-                                    " generator(s)"
-                                    if ok
-                                    else "solved one level above the summand"
-                                    " depth"
-                                )
-                                return _finish(attempt.g, ok, note)
+                        dg = depth(cur, attempt.g)
+                        # depth-1 shift parts are never legal, so a depth-2
+                        # answer over a depth-1 input is already as low as
+                        # it can get
+                        ok = (preserving and dg <= d) or (d <= 1 and dg <= d + 1)
+                        note = (
+                            "solved after adjoining depth-preserving generator(s)"
+                            if ok
+                            else "solved one level above the summand depth"
+                        )
+                        pruned, g2, kept = _prune_tower(cur, attempt.g, len(tower))
+                        return DepthOptResult(True, g2, pruned, kept, ok, note)
         return None
 
     if d >= 1 and atoms:

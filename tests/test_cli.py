@@ -203,6 +203,24 @@ def test_usage_error_exit2(argv, line, capsys):
     assert err == line + "\n"
 
 
+@pytest.mark.parametrize(
+    "make, reason",
+    [
+        (lambda p: None, "No such file or directory"),
+        (lambda p: p.mkdir(), "Is a directory"),
+        (lambda p: p.write_bytes(b"\xff"),
+         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ],
+)
+def test_unreadable_file_exit2(make, reason, tmp_path, capsys):
+    path = tmp_path / "expr.txt"
+    make(path)
+    code, out, err = run_cli(["simplify", "--file", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot read --file {path}: {reason}\n"
+
+
 # the constant term is past the divisor limit, so the integer roots of the
 # denominator need a Cauchy-bound scan too long to run
 @pytest.mark.parametrize(

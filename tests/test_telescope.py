@@ -1,5 +1,6 @@
 """First-order solver and telescoping, base field and towers."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -12,11 +13,13 @@ from nsopt.dfield import (
     TelescoperExists,
     Tower,
     TowerElem,
+    _adjoin_sigma_star_unchecked,
     adjoin_pi,
     adjoin_sigma_star,
     depth,
     sigma,
 )
+import nsopt.cli
 import nsopt.telescope
 from nsopt.telescope import (
     ResidualCheckFailed,
@@ -255,6 +258,162 @@ def test_solve_memo_is_shared_along_a_lineage(monkeypatch):
     assert res.tower._solve_cache is root._solve_cache  # pruning keeps it
     # a fresh root starts empty
     assert base_solves(Tower(), beta) > 0
+
+
+# -- the relation-space search against the one-at-a-time loop ---------------
+
+
+def _one_at_a_time(tower, f, max_atom_power=6, max_monomial_degree=3,
+                   allow_fallback=True):
+    """Reference: the generator search that adjoins each legal candidate
+    after a certification solve, then re-solves f in the taller tower."""
+    T = nsopt.telescope
+    first = telescope_tower(tower, f)
+    d = depth(tower, f)
+    if first.solved:
+        return T.DepthOptResult(True, first.g, tower, (), True,
+                                "solved in the given tower")
+    atoms = T._candidate_atoms(f)
+    pi_idx = tuple(i for i, g in enumerate(tower.gens) if g.kind == "pi")
+    supp = T._pi_degree_support(tower, f, pi_idx) if pi_idx else None
+    cur, budget = tower, T._ADJOIN_BUDGET
+
+    def search():
+        nonlocal cur, budget
+        for cap, preserving in ((d - 1, True), (d, False)):
+            for mono_deg in range(max_monomial_degree + 1):
+                for mu, degvec in T._occurring_monomials(
+                        tower, f, mono_deg, cap, pi_idx):
+                    if supp is not None and degvec not in supp:
+                        continue
+                    for e in range(1, max_atom_power + 1):
+                        for atom in atoms:
+                            if budget <= 0:
+                                return None
+                            inv_pow = TowerElem.base(RatFunc(Poly.from_ints(1), atom ** e))
+                            beta = sigma(cur, mu * inv_pow)
+                            if depth(cur, beta) > cap or beta == f:
+                                continue
+                            if any(g.kind == "sigma" and g.shift_part == beta
+                                   for g in cur.gens):
+                                continue
+                            cert = telescope_tower(cur, beta)
+                            if cert.solved:
+                                continue
+                            name = T._series_name(cur, atom, e) if mu == ONE else None
+                            cur = _adjoin_sigma_star_unchecked(
+                                cur, beta, name or cur.fresh_name(),
+                                {"certified": True, "certificate": cert.certificate})
+                            budget -= 1
+                            attempt = telescope_tower(cur, f)
+                            if attempt.solved:
+                                dg = depth(cur, attempt.g)
+                                ok = (preserving and dg <= d) or (d <= 1 and dg <= d + 1)
+                                note = (
+                                    "solved after adjoining depth-preserving generator(s)"
+                                    if ok else "solved one level above the summand depth"
+                                )
+                                pruned, g2, kept = T._prune_tower(cur, attempt.g, len(tower))
+                                return T.DepthOptResult(True, g2, pruned, kept, ok, note)
+        return None
+
+    if d >= 1 and atoms:
+        hit = search()
+        if hit is not None:
+            return hit
+    if not allow_fallback:
+        return T.DepthOptResult(False, None, tower, (), False, first.certificate)
+    name = T._fallback_name(tower, f) or tower.fresh_name()
+    grown = _adjoin_sigma_star_unchecked(
+        tower, f, name, {"certified": True, "certificate": first.certificate})
+    return T.DepthOptResult(True, TowerElem.gen(len(tower)), grown, (name,), d <= 1,
+                            "fallback: adjoined the input as a new generator")
+
+
+def _outcome(res):
+    return (
+        res.solved, res.g, res.adjoined, res.optimality_certified, res.note,
+        [(g.name, g.kind, g.shift_part, g.depth) for g in res.tower.gens],
+    )
+
+
+def _search_case(case):
+    """(tower, f, knobs, note of the result at the default budget)."""
+    t1, h = harmonic_tower()
+    if case == "pass-1 hit":
+        # sigma(1/x) is h's own shift part, so the first candidate is dropped
+        return t1, sigma(t1, h) / (X + 1), {}, "solved after adjoining depth-preserving"
+    if case == "uncertified pass-2 hit":
+        # pass 2 repeats every pass-1 candidate, and one candidate is illegal
+        return (t1, sigma(t1, h) / ((X + 2) * (X + 2)), {},
+                "solved one level above the summand depth")
+    if case == "product-like level":
+        tb = adjoin_pi(Tower(), (X + 1) / (2 * (2 * X + 1)), name="b")
+        return (tb, TowerElem.gen(0) / (4 * X + 2), {},
+                "solved one level above the summand depth")
+    if case == "two legal candidates":
+        return (Tower(), ONE / (X + 1) + ONE / ((X + 1) * (X + 1)), {},
+                "solved after adjoining depth-preserving")
+    if case == "fallback":
+        return t1, sigma(t1, h) / (X + 1), {"max_atom_power": 1}, "fallback"
+    if case == "no fallback":
+        return (t1, sigma(t1, h) / (X + 1),
+                {"max_atom_power": 1, "allow_fallback": False}, "no telescoper")
+    raise KeyError(case)
+
+
+SEARCH_CASES = ("pass-1 hit", "uncertified pass-2 hit", "product-like level",
+                "two legal candidates", "fallback", "no fallback")
+
+
+@pytest.mark.parametrize("budget", [None, 1, 2])
+@pytest.mark.parametrize("case", SEARCH_CASES)
+def test_relation_search_matches_one_at_a_time(case, budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(nsopt.telescope, "_ADJOIN_BUDGET", budget)
+    tower, f, knobs, note = _search_case(case)
+    got = telescope_depth_optimal(tower, f, **knobs)
+    assert _outcome(got) == _outcome(_one_at_a_time(tower, f, **knobs))
+    if budget is None:
+        assert got.note.startswith(note)
+
+
+def test_budget_counts_legal_candidates(monkeypatch):
+    tower, f, _, _ = _search_case("two legal candidates")
+    monkeypatch.setattr(nsopt.telescope, "_ADJOIN_BUDGET", 2)
+    assert telescope_depth_optimal(tower, f).adjoined == ("h", "h2")
+    monkeypatch.setattr(nsopt.telescope, "_ADJOIN_BUDGET", 1)
+    assert telescope_depth_optimal(tower, f).note.startswith("fallback")
+
+
+def test_adjoined_generator_states_its_relation_certificate():
+    tower, f, _, _ = _search_case("pass-1 hit")
+    res = telescope_depth_optimal(tower, f)
+    evidence = res.tower.gens[-1].evidence
+    assert evidence["certified"]
+    assert evidence["certificate"].startswith("no relation sigma(g) - g")
+
+
+def test_quadratic_atom_search_work(monkeypatch, capsys):
+    # the candidate class holds no generator that lowers this input, so the
+    # search spends its budget and falls back; relation solves over the
+    # input tower keep that cheap
+    calls = [0]
+    solve = nsopt.telescope.solve_first_order
+
+    def counted(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(nsopt.telescope, "solve_first_order", counted)
+    code = nsopt.cli.main(["simplify", "--json", "--verify-range", "5",
+                           "sum(i,0,n,sum(j,1,i,3/(j^2+1)))"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert [g["name"] for g in report["tower_summary"]["generators"]] == ["t1", "t2"]
+    assert (report["input_depth"], report["output_depth"]) == (3, 3)
+    assert report["optimality_certified"] is False
+    assert calls[0] <= 120
 
 
 # -- adjunction through the public, certifying API ---------------------------
