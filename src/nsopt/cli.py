@@ -16,8 +16,9 @@ Three subcommands:
 Exit codes: 0 success, 1 verify found a counterexample, 2 parse error or
 invalid invocation (such as a negative range or search knob, or a --file
 that cannot be read), 3 unsupported
-input shape, a declared product that is not a legal product-like
-extension, or coefficients beyond the exact integer-root search,
+input shape, a result that does not map back to an expression, a declared
+product that is not a legal product-like extension, or coefficients beyond
+the exact integer-root search,
 4 internal verification failure: the sweep or a telescoper's residual
 check failed (never expected).  Commands raise their failures, and main()
 maps each to its stderr line and code through one table, _FAILURES.
@@ -337,6 +338,7 @@ _FAILURES = (
     (UsageError, "", 2),
     (ParseError, "parse error: ", 2),
     (UnsupportedShape, "unsupported: ", 3),
+    (NotPolynomialPart, "unsupported: ", 3),
     (RootSearchLimit, "unsupported: ", 3),
     (ResidualCheckFailed, "internal verification failure: ", 4),
 )

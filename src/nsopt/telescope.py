@@ -26,7 +26,9 @@ the input's pole structure (1/atom^e, then times monomials in existing
 generators) and solves, over the given tower, for the linear relations
 between the input and the candidates.  Those relations decide which
 candidates are legal new sum-like generators and the first one after
-which the input telescopes, so only those are adjoined.  Failing that it
+which the input telescopes, so only those are adjoined, and the relation
+that reaches that one already holds the telescoper: it is read off and
+residual-checked, never solved again in the grown tower.  Failing that it
 falls back to adjoining the input itself, which raises the depth by one.
 """
 
@@ -78,8 +80,8 @@ class UnsupportedShape(Exception):
 
 
 class ResidualCheckFailed(ArithmeticError):
-    """A computed telescoper g fails sigma(g) - g == f, or a relation that
-    promises one is not confirmed in the grown tower; never expected."""
+    """A telescoper g, solved in a tower or read off a relation over its
+    prefix, fails sigma(g) - g == f there; never expected."""
 
 
 @dataclass(frozen=True)
@@ -262,8 +264,8 @@ def _pi_laurent(phi: TowerElem, level: int, gen_name: str) -> dict:
 
 def _solve_param(tower: Tower, level: int, gamma: TowerElem, phis: list) -> list:
     # level subproblems recur identically across the search's relation
-    # solves, its final solve in the grown tower and the later sum nodes of
-    # one compile, so memoize on (generator prefix, gamma, phis) in the memo
+    # solves, one per candidate block, and the later sum nodes of one
+    # compile, so memoize on (generator prefix, gamma, phis) in the memo
     # every tower of one lineage shares; generators hash by identity and the
     # key holds them, so no id is recycled under it
     cache = tower._solve_cache
@@ -393,18 +395,21 @@ def _solve_pi_level(tower: Tower, level: int, gamma: TowerElem, phis: list) -> l
     return _solve_by_slots(level, len(phis), degrees, solve_slot)
 
 
+def _checked(tower: Tower, g: TowerElem, f: TowerElem) -> TowerElem:
+    """g without its constant summand, once sigma(g) - g == f is confirmed
+    exactly in the tower."""
+    g = g - constant_component(tower, g)
+    if not (sigma(tower, g) - g - f).is_zero():
+        raise ResidualCheckFailed(f"telescoper failed residual check in {tower!r}")
+    return g
+
+
 def telescope_tower(tower: Tower, f: TowerElem) -> TelescopeResult:
     """sigma(g) - g = f with g anywhere in the given tower (no growth)."""
     basis = _solve_param(tower, len(tower), ONE, [f])
     for g, c in basis:
         if c[0]:
-            g = g / c[0]
-            g = g - constant_component(tower, g)
-            residual = sigma(tower, g) - g - f
-            if not residual.is_zero():
-                raise ResidualCheckFailed(
-                    f"telescoper failed residual check in {tower!r}"
-                )
+            g = _checked(tower, g / c[0], f)
             return TelescopeResult(True, g, "residual verified")
     return TelescopeResult(
         False,
@@ -621,21 +626,50 @@ def _prune_tower(grown: Tower, g: TowerElem, base_len: int):
 _ADJOIN_BUDGET = 24
 
 
-def _echelon_by_last(vectors) -> dict:
-    """Echelon form of the vectors keyed by their last nonzero entry: the
-    keys are exactly the last indices that nonzero combinations reach."""
+def _last_nonzero(vec):
+    return max((i for i, c in enumerate(vec) if c), default=None)
+
+
+def _echelon_by_last(basis) -> dict:
+    """Echelon form of a relation basis, (g, c) pairs with sigma(g) - g =
+    sum c_k*phi_k, keyed by the last nonzero entry of c: the keys are
+    exactly the last indices that nonzero combinations reach.  Rows are
+    combined as whole (g, c) pairs, so each still states a relation."""
     rows = {}
-    for vec in vectors:
-        vec = list(vec)
-        last = max((i for i, c in enumerate(vec) if c), default=None)
+    for g, vec in basis:
+        last = _last_nonzero(vec)
         while last in rows:
-            row = rows[last]
-            factor = vec[last] / row[last]
-            vec = [a - factor * b for a, b in zip(vec, row)]
-            last = max((i for i, c in enumerate(vec) if c), default=None)
+            g, vec = _cancel(g, vec, rows[last], last)
+            last = _last_nonzero(vec)
         if last is not None:
-            rows[last] = vec
+            rows[last] = (g, vec)
     return rows
+
+
+def _cancel(g, vec, row, i):
+    """The relation (g, vec) minus the multiple of row that zeroes entry i."""
+    rg, rvec = row
+    factor = vec[i] / rvec[i]
+    return g - factor * rg, [a - factor * b for a, b in zip(vec, rvec)]
+
+
+def _read_off(rows: dict, hit: int, adjoined: list, base_len: int) -> TowerElem:
+    """The telescoper of f = phi_0 in the tower grown by the candidates
+    `adjoined` (hit last), read off the echelon row that ends at hit.
+
+    Every row below hit has c_0 = 0 and ends at an illegal candidate, so
+    subtracting those rows from the highest down clears the hit row's
+    illegal entries without touching c_0 or any entry above.  What is left,
+    sigma(g_T) - g_T = c_0*f + sum over adjoined j of c_j*beta_j, gives
+    g = (g_T - sum c_j*t_j) / c_0 once t_j is the generator for beta_j."""
+    g, vec = rows[hit]
+    for j in sorted((j for j in rows if j < hit), reverse=True):
+        if vec[j]:
+            g, vec = _cancel(g, vec, rows[j], j)
+    for pos, j in enumerate(adjoined, start=base_len):
+        if vec[j]:
+            g = g - vec[j] * TowerElem.gen(pos)
+    return g / vec[0]
 
 
 def _adjoin_legal(tower: Tower, cands: list, legal: list, dim: int) -> Tower:
@@ -681,8 +715,11 @@ def telescope_depth_optimal(
     tower) exactly when a relation with c_0 = 0 ends at i.  The search
     therefore solves these relations over T after each block of
     candidates and adjoins only the legal candidates up to the first
-    success.  An in-tower answer ends the search at once: solutions are
-    unique up to additive constants, so no extension can present a
+    success.  That relation also gives g: with t_j the generator for
+    beta_j, g = (g_T - sum c_j*t_j) / c_0 once the illegal candidates are
+    eliminated from it (_read_off), and g is then residual-checked in the
+    grown tower.  An in-tower answer ends the search at once: solutions
+    are unique up to additive constants, so no extension can present a
     shallower one.  The first pass only considers shift parts of depth
     < depth(f), so a hit there is depth-optimal; a second pass allows
     shift parts of depth equal to depth(f), whose solutions sit one level
@@ -740,8 +777,8 @@ def telescope_depth_optimal(
                         basis = _solve_param(
                             tower, len(tower), ONE, [f] + [b for b, _ in cands]
                         )
-                        rows = _echelon_by_last(c for _, c in basis)
-                        hit = min((i for i, r in rows.items() if r[0]), default=None)
+                        rows = _echelon_by_last(basis)
+                        hit = min((i for i, (_, c) in rows.items() if c[0]), default=None)
                         # earlier blocks had no hit, so a hit lies in this one
                         end = len(cands) if hit is None else hit - 1
                         legal = [i for i in range(1, end + 1) if i not in rows]
@@ -749,14 +786,11 @@ def telescope_depth_optimal(
                             return None
                         if hit is None:
                             continue
-                        cur = _adjoin_legal(tower, cands, legal + [hit], len(basis))
-                        attempt = telescope_tower(cur, f)
-                        if not attempt.solved:
-                            raise ResidualCheckFailed(
-                                f"relation over {tower!r} gives no telescoper"
-                                f" in {cur!r}"
-                            )
-                        dg = depth(cur, attempt.g)
+                        adjoined = legal + [hit]
+                        cur = _adjoin_legal(tower, cands, adjoined, len(basis))
+                        g = _read_off(rows, hit, adjoined, len(tower))
+                        g = _checked(cur, g, f)
+                        dg = depth(cur, g)
                         # depth-1 shift parts are never legal, so a depth-2
                         # answer over a depth-1 input is already as low as
                         # it can get
@@ -766,7 +800,7 @@ def telescope_depth_optimal(
                             if ok
                             else "solved one level above the summand depth"
                         )
-                        pruned, g2, kept = _prune_tower(cur, attempt.g, len(tower))
+                        pruned, g2, kept = _prune_tower(cur, g, len(tower))
                         return DepthOptResult(True, g2, pruned, kept, ok, note)
         return None
 

@@ -12,6 +12,7 @@ from nsopt import cli, telescope
 from nsopt.algebra import RatFunc
 from nsopt.cli import main
 from nsopt.dfield import ONE, sigma
+from nsopt.expr import NotPolynomialPart
 
 FLAGSHIP = "sum(r,1,n,(sum(l,1,r,(H(l)^2+H(2,l))/l)+sum(l,1,r,H(l)/l))/r)"
 FLAGSHIP_OUT = (
@@ -121,6 +122,22 @@ def test_simplify_unsupported_exit3(capsys):
     code, _, err = run_cli(["simplify", "sum(i,1,n,H(n)/i)"], capsys)
     assert code == 3
     assert "unsupported" in err
+
+
+def test_not_polynomial_part_exit3(monkeypatch, capsys):
+    # no known input yields a result that reinterpret cannot map back; if
+    # one does, simplify exits through the failure table, and telescope
+    # prints the tower element instead
+    def refuse(*args):
+        raise NotPolynomialPart("a sum-like generator occurs in a denominator")
+
+    monkeypatch.setattr(cli, "reinterpret", refuse)
+    code, out, err = run_cli(["simplify", "sum(i,1,n,1/i)"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "unsupported: a sum-like generator occurs in a denominator\n"
+    code, out, err = run_cli(["telescope", "1/(n*(n+1))"], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("g = ")
 
 
 def test_simplify_env_var_override(monkeypatch, capsys):

@@ -416,6 +416,66 @@ def test_quadratic_atom_search_work(monkeypatch, capsys):
     assert calls[0] <= 120
 
 
+def test_telescoper_is_read_off_the_relation(monkeypatch, capsys):
+    # a weighted outer level whose search adjoins many candidates: the
+    # telescoper comes from the relation solves over the input tower, with
+    # no second solve of f in the grown tower
+    calls = [0]
+    solve = nsopt.telescope.solve_first_order
+
+    def counted(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(nsopt.telescope, "solve_first_order", counted)
+    code = nsopt.cli.main(["simplify", "--json", "--verify-range", "5",
+                           "sum(i,1,n,sum(j,2,i,sum(k,1,j,1/k^2)/j)/(i+1))"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert ([g["name"] for g in report["tower_summary"]["generators"]]
+            == ["h2", "t2", "h", "h4", "t23"])
+    assert (report["input_depth"], report["output_depth"]) == (4, 4)
+    assert report["optimality_certified"] is False
+    assert calls[0] <= 200
+
+
+def test_read_off_clears_illegal_candidates_from_the_hit_row(monkeypatch):
+    # relation bases come back with the hit row already clear of illegal
+    # candidates; mixing the relation that ends at the illegal candidate 6
+    # into every relation with c_0 != 0 leaves that entry for the search
+    # to clear before it reads the telescoper off the row
+    tower, f, knobs, _ = _search_case("uncertified pass-2 hit")
+    want = _outcome(_one_at_a_time(tower, f, **knobs))
+    T = nsopt.telescope
+    solve_param, echelon = T._solve_param, T._echelon_by_last
+    seen = []
+
+    def mixed(tw, level, gamma, phis):
+        basis = solve_param(tw, level, gamma, phis)
+        illegal = [(g, c) for g, c in basis if len(c) > 6 and not c[0] and c[6]]
+        if level < len(tw) or phis[0] != f or not illegal:
+            return basis
+        gi, ci = illegal[0]
+        return [
+            (g + gi, tuple(a + b for a, b in zip(c, ci))) if c[0] else (g, c)
+            for g, c in basis
+        ]
+
+    def recorded(basis):
+        rows = echelon(basis)
+        seen.append(rows)
+        return rows
+
+    monkeypatch.setattr(T, "_solve_param", mixed)
+    monkeypatch.setattr(T, "_echelon_by_last", recorded)
+    got = telescope_depth_optimal(tower, f, **knobs)
+    rows = seen[-1]
+    hit = min(i for i, (_, c) in rows.items() if c[0])
+    assert hit == 7 and rows[6][1][0] == 0
+    assert rows[hit][1][6] != 0
+    assert _outcome(got) == want
+
+
 # -- adjunction through the public, certifying API ---------------------------
 
 

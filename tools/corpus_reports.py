@@ -12,7 +12,9 @@ invocation differs in a byte.
 The corpus comes from CHECKOUT/perfbench/workloads.py, which is read and
 never changed: the seven acceptance fixtures at --verify-range 60, the
 search_heavy inputs at range 5 with no deadline, the sweep_long inputs at
-range 150 and the iterated_batch inputs of seed 1 at range 20.
+range 150 and the iterated_batch inputs of seed 1 at range 20.  An extra/
+group, listed here in EXTRA, adds four slow inputs from outside the
+benchmark at range 5: their searches adjoin the most generators.
 """
 
 import argparse
@@ -24,6 +26,12 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = ("FLAGSHIP", "A4", "A5", "B_DEPTH7", "BINOM_A1", "BINOM_A2", "BINOM_B")
+EXTRA = (
+    "sum(i,1,n,sum(j,2,i,sum(k,1,j,1/k^2)/j)/(i+1))",
+    "sum(i,0,n,sum(j,1,i,5*((3*j+4)/(j+3)^2)^2)*1/(i+3))",
+    "sum(i,0,n,H(i)*1/(2*i+3))",
+    "sum(i,0,n,sum(j,3,i,sum(k,2,j,5/2*H(k)*(1/(3*k+3))))*1/(3*i+2))",
+)
 
 
 def _workloads(root):
@@ -47,6 +55,8 @@ def corpus(root):
         ops = wl.WORKLOADS[workload](1)
         for label, expr, argv, _deadline, _closed in sorted(ops):
             out.append((f"{workload}/{label}", list(argv) + [expr]))
+    for i, expr in enumerate(EXTRA):
+        out.append((f"extra/{i}", ["--verify-range", "5", expr]))
     return out
 
 
