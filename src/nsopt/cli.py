@@ -14,11 +14,12 @@ Three subcommands:
     only by certified generators (never by the summand itself).
 
 Exit codes: 0 success, 1 verify found a counterexample, 2 parse error or
-invalid invocation (such as a negative range or search knob, or a --file
-that cannot be read), 3 unsupported
-input shape, a result that does not map back to an expression, a declared
-product that is not a legal product-like extension, or coefficients beyond
-the exact integer-root search,
+invalid invocation (such as a negative range or search knob, a --file
+that cannot be read, or a --with-product with a zero ratio or a repeated
+name), 3 unsupported input shape, a result that does not map back to an
+expression, a declared product that is not a legal product-like extension
+(also when it is a power product of the products declared before it), or
+coefficients beyond the exact integer-root search,
 4 internal verification failure: the sweep or a telescoper's residual
 check failed (never expected).  Commands raise their failures, and main()
 maps each to its stderr line and code through one table, _FAILURES.
@@ -110,7 +111,19 @@ def _product_spec(text: str) -> ProductSpec:
     if rf is None:
         raise UsageError(
             f"error: --with-product alpha must be rational in n: {alpha_src!r}")
+    if rf.is_zero():
+        raise UsageError(f"error: --with-product alpha must be nonzero: {alpha_src!r}")
     return ProductSpec(name, rf, lower)
+
+
+def _products(args) -> tuple:
+    """The --with-product declarations, in order, with distinct names."""
+    products = tuple(_product_spec(p) for p in args.with_product or ())
+    names = [p.name for p in products]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise UsageError(f"error: --with-product name {name!r} declared twice")
+    return products
 
 
 def _as_ratfunc(e):
@@ -153,7 +166,7 @@ def _atom_power_default(args) -> int:
 def cmd_simplify(args) -> int:
     text = _read_expression(args)
     e = parse(text)
-    products = tuple(_product_spec(p) for p in args.with_product or ())
+    products = _products(args)
     res = compile(
         e,
         products=products,
@@ -240,7 +253,7 @@ def cmd_verify(args) -> int:
 
 def cmd_telescope(args) -> int:
     e = parse(args.summand)
-    products = tuple(_product_spec(p) for p in args.with_product or ())
+    products = _products(args)
     res = compile(
         e,
         products=products,

@@ -13,11 +13,8 @@ coefficients are TowerElems of strictly lower level.  Elements are always
 stored at the *minimal* possible level (an element whose top generator
 cancels is demoted), so equality is plain structural comparison.
 
-Adjunction is guarded: a sum-like generator may only be added after the
-telescoping equation for its summand has been shown unsolvable in the
-current field, and a product-like generator only after the first-order
-criterion has been checked; both certificates are stored on the
-generator, so a tower is auditable after the fact.
+This module adjoins generators without checking them; telescope certifies
+every adjunction and stores its certificate on the generator.
 """
 
 from __future__ import annotations
@@ -31,13 +28,8 @@ __all__ = [
     "Generator",
     "Tower",
     "TowerElem",
-    "TelescoperExists",
-    "PiCriterionFails",
-    "NotYetSupported",
     "sigma",
     "depth",
-    "adjoin_sigma_star",
-    "adjoin_pi",
     "is_polynomial_part",
     "occurring_generators",
     "constant_component",
@@ -47,44 +39,20 @@ __all__ = [
 ]
 
 
-class TelescoperExists(Exception):
-    """The summand already telescopes; adjoining it would be illegal.
-
-    Carries the telescoper g with s(g) - g = beta.
-    """
-
-    def __init__(self, g):
-        super().__init__(f"summand telescopes with g = {g}")
-        self.g = g
-
-
-class PiCriterionFails(Exception):
-    """s(g) = alpha^m * g has a nonzero solution; the product-like
-    extension would change the constants."""
-
-    def __init__(self, m, g):
-        super().__init__(f"sigma(g) = alpha^{m} * g is solved by g = {g}")
-        self.m = m
-        self.g = g
-
-
-class NotYetSupported(Exception):
-    """The argument lies outside the certified class of this operation."""
-
-
 class Generator:
-    """One tower level: name, kind ('sigma' or 'pi'), shift part, depth."""
+    """One tower level: name, kind ('sigma' or 'pi'), shift part, depth,
+    and the certificate its adjunction was checked with."""
 
-    __slots__ = ("name", "kind", "shift_part", "depth", "evidence")
+    __slots__ = ("name", "kind", "shift_part", "depth", "certificate")
 
-    def __init__(self, name, kind, shift_part, depth, evidence=None):
+    def __init__(self, name, kind, shift_part, depth, certificate=""):
         if kind not in ("sigma", "pi"):
             raise ValueError(f"generator kind must be 'sigma' or 'pi', not {kind!r}")
         self.name = name
         self.kind = kind
         self.shift_part = shift_part
         self.depth = depth
-        self.evidence = dict(evidence or {})
+        self.certificate = certificate
 
     def __repr__(self):
         return f"Generator({self.name!r}, {self.kind!r}, depth={self.depth})"
@@ -599,55 +567,13 @@ def constant_component(tower: Tower, f: TowerElem) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def adjoin_sigma_star(tower: Tower, beta: TowerElem, name: str = None, extra_evidence=None) -> Tower:
-    """Extend the tower by t with s(t) = t + beta, after certifying that
-    the telescoping equation s(g) - g = beta has no solution in the
-    current field.  Raises TelescoperExists(g) otherwise."""
-    from . import telescope  # deferred: telescope sits on top of this module
-
-    res = telescope.telescope_any(tower, beta)
-    if res.solved:
-        raise TelescoperExists(res.g)
-    evidence = {"certified": True, "certificate": res.certificate}
-    evidence.update(extra_evidence or {})
-    return _adjoin_sigma_star_unchecked(tower, beta, name, evidence)
-
-
-def _adjoin_sigma_star_unchecked(tower: Tower, beta: TowerElem, name=None, evidence=None) -> Tower:
+def _adjoin_sigma_star_unchecked(tower: Tower, beta: TowerElem, name=None, certificate="") -> Tower:
     gen = Generator(
         name or tower.fresh_name(),
         "sigma",
         beta,
         depth(tower, beta) + 1,
-        evidence,
-    )
-    return tower.extended(gen)
-
-
-def adjoin_pi(tower: Tower, alpha: TowerElem, max_power: int = 6, name: str = None) -> Tower:
-    """Extend the tower by t with s(t) = alpha * t after the restricted
-    first-order check: no nonzero g solves s(g) = alpha^m g for any
-    m = 1..max_power.
-
-    Only base-level alpha is certified; anything else raises
-    NotYetSupported.
-    """
-    if alpha.is_zero():
-        raise ValueError("pi generator needs alpha != 0")
-    if alpha.level != 0:
-        raise NotYetSupported("pi adjunction only certified for base-level alpha")
-
-    from . import telescope
-    for m in range(1, max_power + 1):
-        witness = telescope.homogeneous_first_order(alpha.rf ** (-m))
-        if witness is not None:
-            raise PiCriterionFails(m, witness)
-    gen = Generator(
-        name or tower.fresh_name("p"),
-        "pi",
-        alpha,
-        depth(tower, alpha) + 1,
-        {"certified": True, "pi_checked_powers": max_power},
+        certificate,
     )
     return tower.extended(gen)
 

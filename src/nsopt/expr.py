@@ -22,16 +22,13 @@ import dataclasses
 from fractions import Fraction
 
 from .algebra import Poly, RatFunc, nonneg_integer_roots
-from .dfield import (
-    PiCriterionFails,
-    Tower,
-    TowerElem,
+from .dfield import Tower, TowerElem, eval_at_point, is_polynomial_part, sigma
+from .telescope import (
+    UnsupportedShape,
+    _prune_tower,
     adjoin_pi,
-    eval_at_point,
-    is_polynomial_part,
-    sigma,
+    telescope_depth_optimal,
 )
-from .telescope import UnsupportedShape, _prune_tower, telescope_depth_optimal
 
 __all__ = [
     "ParseError",
@@ -738,9 +735,10 @@ class EvalSpec:
     """Per-generator evaluation data: start index r and initial value c.
 
     Sum-like generators get r = o(shift part) + 1 with c = 0; product-like
-    ones r = max(o, z)(ratio) + 1 with c = 1, unless overridden (registered
-    products carry their declared lower bound).  Value prefixes are cached
-    per generator object, so pruned and regrown towers never collide."""
+    ones r = z(ratio) + 1 with c = 1 (z also clears the ratio's poles),
+    unless overridden (registered products carry their declared lower
+    bound).  Value prefixes are cached per generator object, so pruned and
+    regrown towers never collide."""
 
     def __init__(self, overrides=None):
         self.overrides = dict(overrides or {})
@@ -758,7 +756,7 @@ class EvalSpec:
             rc = (o_function(tower, self, gen.shift_part) + 1, Fraction(0))
         else:
             rf = gen.shift_part.rf
-            rc = (max(_L_base(rf), z_function_base(rf)) + 1, Fraction(1))
+            rc = (z_function_base(rf) + 1, Fraction(1))
         self._params[gen] = rc
         return rc
 
@@ -808,12 +806,11 @@ class CompileResult:
     elem: TowerElem
     lam: int
     optimality_certified: bool
-    adjoined: tuple
 
 
 class _Session:
     __slots__ = ("tower", "spec", "ev", "atom_power", "mono_degree",
-                 "adjoined", "certified", "cache")
+                 "certified", "cache")
 
     def __init__(self, tower, spec, atom_power, mono_degree):
         self.tower = tower
@@ -821,7 +818,6 @@ class _Session:
         self.ev = Evaluator()
         self.atom_power = atom_power
         self.mono_degree = mono_degree
-        self.adjoined = set()
         self.certified = True
         self.cache = {}
 
@@ -838,31 +834,24 @@ def compile(e, products=(), max_atom_power: int = 6,
     tower = Tower()
     spec = EvalSpec()
     for p in products:
-        start = max(_L_base(p.alpha), z_function_base(p.alpha)) + 1
+        start = z_function_base(p.alpha) + 1
         if p.lower < start:
             raise UnsupportedShape(
                 f"product {p.name!r} starts at {p.lower}, "
                 f"but its ratio only supports {start} on"
             )
-        try:
-            tower = adjoin_pi(tower, TowerElem.base(p.alpha), name=p.name)
-        except PiCriterionFails as exc:
-            raise UnsupportedShape(
-                f"declared product {p.name!r} is not a legal product-like"
-                f" extension: {exc}"
-            ) from exc
+        tower = adjoin_pi(tower, TowerElem.base(p.alpha), name=p.name)
         spec.overrides[p.name] = (p.lower, Fraction(1))
     st = _Session(tower, spec, max_atom_power, max_monomial_degree)
     elem, lam = _compile_node(st, e, "n")
     lam = max(lam, o_function(st.tower, spec, elem))
     pruned, elem, _ = _prune_tower(st.tower, elem, 0)
-    adjoined = tuple(g.name for g in pruned.gens if g.name in st.adjoined)
     while lam > 0:
         k = lam - 1
         if st.ev.eval(e, {"n": Fraction(k)}) != eval_field(pruned, spec, elem, k):
             break
         lam -= 1
-    return CompileResult(pruned, spec, elem, lam, st.certified, adjoined)
+    return CompileResult(pruned, spec, elem, lam, st.certified)
 
 
 def _compile_node(st: _Session, e, var: str):
@@ -913,7 +902,6 @@ def _compile_sum(st: _Session, e: Sum, var: str):
             max_monomial_degree=st.mono_degree,
         )
         st.tower = res.tower
-        st.adjoined.update(res.adjoined)
         st.certified = st.certified and res.optimality_certified
         hit = (body_elem, lam_body, res.g)
         st.cache[key] = hit

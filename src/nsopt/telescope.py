@@ -30,6 +30,13 @@ which the input telescopes, so only those are adjoined, and the relation
 that reaches that one already holds the telescoper: it is read off and
 residual-checked, never solved again in the grown tower.  Failing that it
 falls back to adjoining the input itself, which raises the depth by one.
+
+Adjunction is guarded here: a sum-like generator is only added after the
+telescoping equation for its summand has been shown unsolvable in the
+current field (by the search's relation solve, or the in-tower solve of
+the fallback), and a product-like generator only after adjoin_pi has
+checked Karr's first-order criterion.  The certificate is stored on the
+generator, so a tower is auditable after the fact.
 """
 
 from __future__ import annotations
@@ -59,17 +66,21 @@ from .dfield import (
     _coeff_elems,
     constant_component,
     depth,
+    elem_to_str,
     occurring_generators,
     sigma,
 )
 
 __all__ = [
     "UnsupportedShape",
+    "PiCriterionFails",
+    "NotYetSupported",
     "ResidualCheckFailed",
     "TelescopeResult",
     "DepthOptResult",
     "solve_first_order",
     "homogeneous_first_order",
+    "adjoin_pi",
     "telescope_tower",
     "telescope_depth_optimal",
 ]
@@ -77,6 +88,23 @@ __all__ = [
 
 class UnsupportedShape(Exception):
     """The input leaves the class this solver is complete for."""
+
+
+class PiCriterionFails(UnsupportedShape):
+    """s(g) = alpha^m * g has a nonzero solution g in the current field;
+    the product-like extension would change the constants."""
+
+    def __init__(self, name, m, g, text):
+        super().__init__(
+            f"declared product {name!r} is not a legal product-like extension:"
+            f" sigma(g) = alpha^{m} * g is solved by g = {text}"
+        )
+        self.m = m
+        self.g = g
+
+
+class NotYetSupported(Exception):
+    """The argument lies outside the certified class of this operation."""
 
 
 class ResidualCheckFailed(ArithmeticError):
@@ -227,6 +255,55 @@ def homogeneous_first_order(gamma: RatFunc):
         if not u.is_zero():
             return u
     return None
+
+
+_PI_POWERS = 6
+
+
+def adjoin_pi(tower: Tower, alpha: TowerElem, name: str = None) -> Tower:
+    """Extend the tower by t with s(t) = alpha * t after checking Karr's
+    criterion: no nonzero g in the current field solves s(g) = alpha^m * g.
+
+    Only a base-level alpha over a tower of product-like generators p_i
+    with base-level ratios alpha_i is certified; anything else raises
+    NotYetSupported.  Each p_i was adjoined through this check, so every
+    such g is u * prod p_i^k_i with u in Q(x), and s(g) = alpha^m * g
+    becomes the first-order equation s(u) * alpha^-m * prod alpha_i^k_i = u.
+    It is solved for m = 1.._PI_POWERS and every |k_i| <= _PI_POWERS; a
+    witness raises PiCriterionFails, which prints g.  A relation whose m or
+    some |k_i| exceeds _PI_POWERS goes unnoticed.
+    """
+    if alpha.is_zero():
+        raise ValueError("pi generator needs alpha != 0")
+    if alpha.level != 0:
+        raise NotYetSupported("pi adjunction only certified for base-level alpha")
+    if any(g.kind != "pi" or g.shift_part.level != 0 for g in tower.gens):
+        raise NotYetSupported(
+            "pi adjunction only certified over base-level product-like generators"
+        )
+    name = name or tower.fresh_name("p")
+    alphas = [g.shift_part.rf for g in tower.gens]
+    exponents = range(-_PI_POWERS, _PI_POWERS + 1)
+    for m in range(1, _PI_POWERS + 1):
+        for ks in itertools.product(exponents, repeat=len(alphas)):
+            gamma = alpha.rf ** (-m)
+            for a, k in zip(alphas, ks):
+                gamma = gamma * a ** k
+            u = homogeneous_first_order(gamma)
+            if u is not None:
+                g = TowerElem.base(u)
+                for i, k in enumerate(ks):
+                    g = g * TowerElem.gen(i) ** k
+                raise PiCriterionFails(name, m, g, elem_to_str(tower, g))
+    gen = Generator(
+        name,
+        "pi",
+        alpha,
+        depth(tower, alpha) + 1,
+        f"sigma(g) = alpha^m * g has no solution g != 0 for m <= {_PI_POWERS}"
+        f" and exponents of earlier products up to {_PI_POWERS}",
+    )
+    return tower.extended(gen)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +496,8 @@ def telescope_tower(tower: Tower, f: TowerElem) -> TelescopeResult:
     )
 
 
-# dfield.adjoin_sigma_star certifies through this entry point
+# no caller in nsopt: perfbench/spans.py patches this name, so it stays
+# until the engine records its own spans
 telescope_any = telescope_tower
 
 
@@ -614,7 +692,7 @@ def _prune_tower(grown: Tower, g: TowerElem, base_len: int):
                 gen.kind,
                 _remap_elem(gen.shift_part, level_map),
                 gen.depth,
-                gen.evidence,
+                gen.certificate,
             )
         )
     # the generators below base_len are the same objects, so their solves
@@ -683,14 +761,9 @@ def _adjoin_legal(tower: Tower, cands: list, legal: list, dim: int) -> Tower:
             cur,
             beta,
             name or cur.fresh_name(),
-            {
-                "certified": True,
-                "certificate": (
-                    "no relation sigma(g) - g = c_0*f + sum c_j*beta_j"
-                    f" over {tower!r} ends at candidate {i}"
-                    f" (relation space dim {dim})"
-                ),
-            },
+            "no relation sigma(g) - g = c_0*f + sum c_j*beta_j"
+            f" over {tower!r} ends at candidate {i}"
+            f" (relation space dim {dim})",
         )
     return cur
 
@@ -814,9 +887,7 @@ def telescope_depth_optimal(
 
     # fallback: adjoin the input itself (depth rises by one)
     name = _fallback_name(tower, f) or tower.fresh_name()
-    grown = _adjoin_sigma_star_unchecked(
-        tower, f, name, {"certified": True, "certificate": first.certificate}
-    )
+    grown = _adjoin_sigma_star_unchecked(tower, f, name, first.certificate)
     g = TowerElem.gen(len(tower))
     return DepthOptResult(
         True,

@@ -2,7 +2,7 @@
 
 These construct the generators directly (no certification round trip) so
 that low-level modules can be tested without the solver; the solver tests
-re-adjoin the same generators through the public, certifying API.
+check the same adjunctions by solving their telescoping equations.
 """
 
 from fractions import Fraction
@@ -13,7 +13,7 @@ from nsopt.dfield import Tower, TowerElem, _adjoin_sigma_star_unchecked, sigma
 X = TowerElem.base_x()
 ONE = TowerElem.const(1)
 
-_TRUSTED = {"certified": True, "certificate": "test fixture"}
+_TRUSTED = "test fixture"
 
 
 def harmonic_tower():

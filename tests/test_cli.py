@@ -189,6 +189,35 @@ def test_illegal_product_exit3(knob, capsys):
     assert "not a legal product-like extension" in err
 
 
+@pytest.mark.parametrize("command", ["simplify", "telescope"])
+def test_related_products_exit3(command, capsys):
+    # 4^n = (2^n)^2, so the sum is identically 0: q is no product-like
+    # extension over p, and no depth claim about it may be certified
+    code, out, err = run_cli(
+        [command, "--with-product", "p:2:1", "--with-product", "q:4:1",
+         "sum(i,1,n,prod(t,1,i,4)-prod(t,1,i,2)^2)"],
+        capsys,
+    )
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "unsupported: declared product 'q' is not a legal product-like"
+        " extension: sigma(g) = alpha^1 * g is solved by g = p^2\n"
+    )
+
+
+def test_unrelated_products_certify(capsys):
+    code, out, _ = run_cli(
+        ["simplify", "--with-product", "p:2:1", "--with-product", "q:3:1",
+         "sum(i,1,n,prod(t,1,i,2)+prod(t,1,i,3))"],
+        capsys,
+    )
+    assert code == 0
+    assert "depth:  2 -> 1" in out
+    assert "optimality_certified: true" in out
+    assert "verified: k = 0..60 exact" in out
+
+
 def test_with_product_bad_spec_exit2(capsys):
     code, _, err = run_cli(
         ["simplify", "sum(i,1,n,1/i)", "--with-product", "justaname"], capsys
@@ -211,6 +240,16 @@ def test_with_product_bad_spec_exit2(capsys):
         (["simplify", "sum(i,1,n,1/i)", "--with-product", "b:(n+1:1"],
          "parse error in --with-product alpha:"
          " expected ), found end of input (at position 4)"),
+        (["simplify", "sum(i,1,n,1/i)", "--with-product", "p:0:1"],
+         "error: --with-product alpha must be nonzero: '0'"),
+        (["telescope", "1/(n+1)", "--with-product", "p:n-n:1"],
+         "error: --with-product alpha must be nonzero: 'n-n'"),
+        (["simplify", "sum(i,1,n,1/i)", "--with-product", "b:2",
+          "--with-product", "b:3"],
+         "error: --with-product name 'b' declared twice"),
+        (["telescope", "1/(n+1)", "--with-product", "b:2",
+          "--with-product", "b:2"],
+         "error: --with-product name 'b' declared twice"),
     ],
 )
 def test_usage_error_exit2(argv, line, capsys):

@@ -253,7 +253,7 @@ def test_o_function_tower_example():
 
     t = _adjoin_sigma_star_unchecked(
         t, TowerElem.base(rf((1,), (1, 2, 1))), "h2",
-        {"certified": True, "certificate": "test fixture"},
+        "test fixture",
     )
     spec = EvalSpec()
     f = h / (X - 3) + TowerElem.gen(1)

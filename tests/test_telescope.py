@@ -9,22 +9,21 @@ import pytest
 from nsopt.algebra import Poly, RatFunc
 from nsopt.dfield import (
     Generator,
-    PiCriterionFails,
-    TelescoperExists,
     Tower,
     TowerElem,
     _adjoin_sigma_star_unchecked,
-    adjoin_pi,
-    adjoin_sigma_star,
     depth,
     sigma,
 )
 import nsopt.cli
 import nsopt.telescope
 from nsopt.telescope import (
+    NotYetSupported,
+    PiCriterionFails,
     ResidualCheckFailed,
     UnsupportedShape,
     _solve_by_slots,
+    adjoin_pi,
     homogeneous_first_order,
     solve_first_order,
     telescope_depth_optimal,
@@ -246,7 +245,8 @@ def test_solve_memo_is_shared_along_a_lineage(monkeypatch):
 
     root = Tower()
     beta = ONE / (X + 1)
-    grown = adjoin_sigma_star(root, beta, "h")  # certifies beta on root
+    assert not telescope_tower(root, beta).solved  # certifies beta on root
+    grown = _adjoin_sigma_star_unchecked(root, beta, "h")
     f = sigma(grown, TowerElem.gen(0)) / (X + 1)
     assert base_solves(grown, f) > 0
     assert base_solves(grown, f) == 0
@@ -302,8 +302,7 @@ def _one_at_a_time(tower, f, max_atom_power=6, max_monomial_degree=3,
                                 continue
                             name = T._series_name(cur, atom, e) if mu == ONE else None
                             cur = _adjoin_sigma_star_unchecked(
-                                cur, beta, name or cur.fresh_name(),
-                                {"certified": True, "certificate": cert.certificate})
+                                cur, beta, name or cur.fresh_name(), cert.certificate)
                             budget -= 1
                             attempt = telescope_tower(cur, f)
                             if attempt.solved:
@@ -324,8 +323,7 @@ def _one_at_a_time(tower, f, max_atom_power=6, max_monomial_degree=3,
     if not allow_fallback:
         return T.DepthOptResult(False, None, tower, (), False, first.certificate)
     name = T._fallback_name(tower, f) or tower.fresh_name()
-    grown = _adjoin_sigma_star_unchecked(
-        tower, f, name, {"certified": True, "certificate": first.certificate})
+    grown = _adjoin_sigma_star_unchecked(tower, f, name, first.certificate)
     return T.DepthOptResult(True, TowerElem.gen(len(tower)), grown, (name,), d <= 1,
                             "fallback: adjoined the input as a new generator")
 
@@ -389,9 +387,7 @@ def test_budget_counts_legal_candidates(monkeypatch):
 def test_adjoined_generator_states_its_relation_certificate():
     tower, f, _, _ = _search_case("pass-1 hit")
     res = telescope_depth_optimal(tower, f)
-    evidence = res.tower.gens[-1].evidence
-    assert evidence["certified"]
-    assert evidence["certificate"].startswith("no relation sigma(g) - g")
+    assert res.tower.gens[-1].certificate.startswith("no relation sigma(g) - g")
 
 
 def test_quadratic_atom_search_work(monkeypatch, capsys):
@@ -476,22 +472,22 @@ def test_read_off_clears_illegal_candidates_from_the_hit_row(monkeypatch):
     assert _outcome(got) == want
 
 
-# -- adjunction through the public, certifying API ---------------------------
+# -- what makes an adjunction legal -----------------------------------------
 
 
-def test_adjoin_sigma_star_certifies():
-    t0 = Tower()
-    t1 = adjoin_sigma_star(t0, ONE / (X + 1), "h")
-    assert t1.names() == ["h"]
-    assert t1.gens[0].evidence["certified"]
-    with pytest.raises(TelescoperExists) as exc:
-        adjoin_sigma_star(t1, sigma(t1, ONE / (X + 1)))
-    assert exc.value.g == TowerElem.gen(0) or exc.value.g is not None
+def test_harmonic_shift_telescopes_over_h():
+    # 1/(x+1) is a legal sum-like shift part over Q(x), and its shift is
+    # not over Q(x)(h): sigma(h) telescopes it
+    assert not telescope_tower(Tower(), ONE / (X + 1)).solved
+    t1, h = harmonic_tower()
+    res = telescope_tower(t1, sigma(t1, ONE / (X + 1)))
+    assert res.solved
+    assert (res.g - sigma(t1, h)).is_constant()
 
 
-def test_adjoin_sigma_star_rejects_zero():
-    with pytest.raises(TelescoperExists):
-        adjoin_sigma_star(Tower(), TowerElem.const(0))
+def test_zero_telescopes_over_base():
+    res = telescope_tower(Tower(), TowerElem.const(0))
+    assert res.solved and res.g == 0
 
 
 def test_adjoin_pi_criterion():
@@ -502,6 +498,23 @@ def test_adjoin_pi_criterion():
         adjoin_pi(t0, TowerElem.const(1))
     with pytest.raises(PiCriterionFails):
         adjoin_pi(t0, (X + 1) / X)  # sigma(x)/x: witness g = x
+
+
+def test_adjoin_pi_checks_earlier_products():
+    tp = adjoin_pi(Tower(), X + 1, name="p")  # p = n!
+    p = TowerElem.gen(0)
+    # sigma(p^2/(x+1)) = (x+1)^3/(x+2) * p^2/(x+1): the witness needs both a
+    # rational factor and a power of p
+    with pytest.raises(PiCriterionFails) as exc:
+        adjoin_pi(tp, (X + 1) ** 3 / (X + 2), name="q")
+    assert exc.value.m == 1
+    assert (exc.value.g / (p * p / (X + 1))).is_constant()
+    assert "declared product 'q' is not a legal" in str(exc.value)
+    assert adjoin_pi(tp, TowerElem.const(3), name="q").names() == ["p", "q"]
+    # over a sum-like generator the criterion would need more than Q(x)
+    t1, _ = harmonic_tower()
+    with pytest.raises(NotYetSupported):
+        adjoin_pi(t1, TowerElem.const(2))
 
 
 def test_telescope_with_pi_generator():
@@ -520,7 +533,7 @@ def test_pi_above_sigma_unsupported():
     t1, h = harmonic_tower()
     bad = Tower(
         t1.gens
-        + (Generator("b", "pi", TowerElem.const(2), 1, {"certified": True}),)
+        + (Generator("b", "pi", TowerElem.const(2), 1, "test fixture"),)
     )
     b = TowerElem.gen(1)
     with pytest.raises(UnsupportedShape):

@@ -1,20 +1,25 @@
-"""Byte-identity corpus: every report of `nsopt simplify`, one process each.
+"""Byte-identity corpus: every report of `nsopt simplify` and `nsopt
+telescope` on a fixed set of inputs, one process each.
 
     python3 tools/corpus_reports.py run OUT.json [--root CHECKOUT]
     python3 tools/corpus_reports.py diff A.json B.json
 
-`run` runs each corpus input as its own `python -m nsopt.cli simplify
---json` process, with CHECKOUT/src on PYTHONPATH (default: the checkout
-holding this file), and writes the exit code, stdout and stderr of each
-to OUT.json.  `diff` compares two such files and exits 1 when any
+`run` runs each corpus invocation as its own `python -m nsopt.cli ...`
+process, with CHECKOUT/src on PYTHONPATH (default: the checkout holding
+this file), and writes the exit code, stdout and stderr of each to
+OUT.json.  `diff` compares two such files and exits 1 when any
 invocation differs in a byte.
 
-The corpus comes from CHECKOUT/perfbench/workloads.py, which is read and
-never changed: the seven acceptance fixtures at --verify-range 60, the
-search_heavy inputs at range 5 with no deadline, the sweep_long inputs at
-range 150 and the iterated_batch inputs of seed 1 at range 20.  An extra/
-group, listed here in EXTRA, adds four slow inputs from outside the
-benchmark at range 5: their searches adjoin the most generators.
+The simplify inputs come from CHECKOUT/perfbench/workloads.py, which is
+read and never changed: the seven acceptance fixtures at --verify-range
+60, the search_heavy inputs at range 5 with no deadline, the sweep_long
+inputs at range 150 and the iterated_batch inputs of seed 1 at range 20,
+all with --json.  An extra/ group, listed here in EXTRA, adds four slow
+simplify inputs from outside the benchmark at range 5: their searches
+adjoin the most generators.  A telescope/ group, listed in TELESCOPE,
+runs `nsopt telescope` on four summands: one solved over an adjoined
+generator, one with no solution (its certificate text), one that adjoins
+a generator over another, and one over the BINOM_PRODUCT product.
 """
 
 import argparse
@@ -32,6 +37,13 @@ EXTRA = (
     "sum(i,0,n,H(i)*1/(2*i+3))",
     "sum(i,0,n,sum(j,3,i,sum(k,2,j,5/2*H(k)*(1/(3*k+3))))*1/(3*i+2))",
 )
+# (summand, declares BINOM_PRODUCT)
+TELESCOPE = (
+    ("H(n+1)/(n+1)", False),
+    ("1/(n+1)", False),
+    ("sum(j,1,n,1/j^2)/(n+1)", False),
+    ("prod(t,1,n,t/(2*(2*t-1)))/(2*n+1)", True),
+)
 
 
 def _workloads(root):
@@ -43,20 +55,24 @@ def _workloads(root):
 
 
 def corpus(root):
-    """(label, argv after `simplify`) for every invocation, in a fixed order."""
+    """(label, argv after `nsopt`) for every invocation, in a fixed order."""
     wl = _workloads(root)
+    simplify = ["simplify", "--json"]
     out = []
     for name in FIXTURES:
-        argv = ["--verify-range", "60"]
+        argv = simplify + ["--verify-range", "60"]
         if name.startswith("BINOM"):
             argv += list(wl.BINOM_PRODUCT)
         out.append((f"fixture/{name}", argv + [getattr(wl, name)]))
     for workload in ("search_heavy", "sweep_long", "iterated_batch"):
         ops = wl.WORKLOADS[workload](1)
         for label, expr, argv, _deadline, _closed in sorted(ops):
-            out.append((f"{workload}/{label}", list(argv) + [expr]))
+            out.append((f"{workload}/{label}", simplify + list(argv) + [expr]))
     for i, expr in enumerate(EXTRA):
-        out.append((f"extra/{i}", ["--verify-range", "5", expr]))
+        out.append((f"extra/{i}", simplify + ["--verify-range", "5", expr]))
+    for i, (expr, binom) in enumerate(TELESCOPE):
+        products = list(wl.BINOM_PRODUCT) if binom else []
+        out.append((f"telescope/{i}", ["telescope", *products, expr]))
     return out
 
 
@@ -66,7 +82,7 @@ def run(root, out_path):
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     results = []
     for label, argv in corpus(root):
-        cmd = [sys.executable, "-m", "nsopt.cli", "simplify", "--json", *argv]
+        cmd = [sys.executable, "-m", "nsopt.cli", *argv]
         proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         results.append({
             "label": label,
