@@ -38,6 +38,7 @@ __all__ = [
     "squarefree_decomposition",
     "factor_atoms",
     "shift_class",
+    "gcd_shifts",
     "equal_degree_shift",
     "nullspace",
 ]
@@ -285,13 +286,60 @@ def _coeff_str(c) -> str:
     return s
 
 
+def _is_rational(p: Poly) -> bool:
+    return all(type(c) is Fraction for c in p.coeffs)
+
+
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic greatest common divisor via Euclid; gcd(0, 0) = 0."""
+    """Monic greatest common divisor; gcd(0, 0) = 0.
+
+    Over Q it runs a primitive PRS on the primitive integer parts (Brown,
+    JACM 1971); over other coefficient fields, Euclid with monic
+    remainders."""
+    if p.is_zero() or q.is_zero():
+        return (p or q).monic()
+    if _is_rational(p) and _is_rational(q):
+        g = _int_gcd(_to_int_coeffs(p.coeffs), _to_int_coeffs(q.coeffs))
+        lc = g[-1]
+        return Poly(tuple(Fraction(c, lc) for c in g))
     a, b = p, q
     while not b.is_zero():
-        # keeping remainders monic tames coefficient growth over Q
+        # keeping remainders monic tames coefficient growth
         a, b = b, (a % b).monic()
     return a.monic()
+
+
+def _primitive(cs: list) -> list:
+    g = math.gcd(*cs)
+    return [c // g for c in cs] if g > 1 else cs
+
+
+def _int_gcd(a: list, b: list) -> list:
+    """gcd of two nonzero primitive integer polynomials (ascending), up to
+    sign: each pseudo-remainder is reduced to its primitive part."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = list(a)
+        lb, db = b[-1], len(b) - 1
+        while len(r) > db:
+            c = r[-1]
+            g = math.gcd(c, lb)
+            u, v = lb // g, c // g
+            off = len(r) - 1 - db
+            if u != 1:
+                r = [u * x for x in r]
+            for i, bc in enumerate(b):
+                r[off + i] -= v * bc
+            r.pop()
+            while r and not r[-1]:
+                r.pop()
+            if r:
+                r = _primitive(r)
+        if not r:
+            return b
+        a, b = b, r
+    return [1]
 
 
 def poly_lcm(p: Poly, q: Poly) -> Poly:
@@ -489,18 +537,10 @@ _DIVISOR_LIMIT = 10**12
 _TRIAL_LIMIT = 10**6
 
 
-def _to_int_coeffs(p: Poly) -> list:
-    """Scale a Fraction-coefficient poly to primitive integer coefficients."""
-    den_lcm = 1
-    for c in p.coeffs:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in p.coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
-    if g > 1:
-        ints = [c // g for c in ints]
-    return ints
+def _to_int_coeffs(cs) -> list:
+    """Scale a sequence of Fractions to primitive integers."""
+    den_lcm = math.lcm(*(c.denominator for c in cs))
+    return _primitive([c.numerator * (den_lcm // c.denominator) for c in cs])
 
 
 def _divisors(n: int):
@@ -531,6 +571,90 @@ def _divisors(n: int):
     return sorted(set(divs))
 
 
+def _ceil_root(m: int, k: int) -> int:
+    """The least r >= 0 with r**k >= m, for m >= 0."""
+    if m <= 1:
+        return m
+    r = 1 << -(-m.bit_length() // k)  # r**k >= 2**bit_length > m
+    while True:  # Newton's step down to the floor of the k-th root
+        s = ((k - 1) * r + m // r ** (k - 1)) // k
+        if s >= r:
+            break
+        r = s
+    return r if r**k >= m else r + 1
+
+
+def _root_bound(ints: list) -> int:
+    """An integer B >= |z| for every complex root z of the integer
+    polynomial (ascending, nonzero leading coefficient): Fujiwara's bound
+    2 * max_i |a_(n-i) / a_n|^(1/i), rounded up."""
+    n = len(ints) - 1
+    lc = abs(ints[-1])
+    r = 0
+    for i in range(1, n + 1):
+        c = abs(ints[n - i])
+        if c:
+            r = max(r, _ceil_root(-(-c // lc), i))
+    return 2 * r
+
+
+# primes for the residue filter of gcd_shifts; two leave few false
+# candidates even in a window of 10**5
+_SHIFT_PRIMES = (251, 257)
+
+
+def gcd_shifts(a: Poly, b: Poly) -> set:
+    """Every integer j >= 0 with gcd(a(x), b(x+j)) of positive degree, for
+    nonzero Fraction-coefficient a and b.
+
+    Such a j is a root of b minus a root of a, so |j| is at most the sum of
+    their root bounds.  Each j in that window is confirmed by a gcd, after
+    a filter: b(x+j) mod a prime depends on j mod the prime only, and a
+    common factor over Q stays one modulo any prime that divides neither
+    leading coefficient."""
+    ai, bi = _to_int_coeffs(a.coeffs), _to_int_coeffs(b.coeffs)
+    cands = range(_root_bound(ai) + _root_bound(bi) + 1)
+    if len(cands) > _SHIFT_PRIMES[0]:  # else the gcds cost less than a filter
+        for prime in _SHIFT_PRIMES:
+            if ai[-1] % prime and bi[-1] % prime:
+                residues = _gcd_shifts_mod(ai, bi, prime)
+                cands = [j for j in cands if j % prime in residues]
+    return {j for j in cands if poly_gcd(a, b.shift(j)).degree >= 1}
+
+
+def _gcd_shifts_mod(a: list, b: list, prime: int) -> set:
+    """The residues r with gcd(a(x), b(x+r)) of positive degree over
+    GF(prime), for integer polynomials whose leading coefficients the prime
+    does not divide."""
+    a = [c % prime for c in a]
+    b = [c % prime for c in b]
+    n = len(b) - 1
+    out = set()
+    for r in range(prime):
+        if _gcd_degree_mod(a, b, prime) >= 1:
+            out.add(r)
+        for i in range(n):  # b(x) <- b(x+1) by synthetic division
+            for k in range(n - 1, i - 1, -1):
+                b[k] = (b[k] + b[k + 1]) % prime
+    return out
+
+
+def _gcd_degree_mod(a: list, b: list, prime: int) -> int:
+    """Degree of gcd(a, b) over GF(prime); both nonzero and reduced."""
+    while b:
+        inv = pow(b[-1], -1, prime)
+        r = list(a)
+        while len(r) >= len(b):
+            c = r[-1] * inv % prime
+            off = len(r) - len(b)
+            for i, bc in enumerate(b):
+                r[off + i] = (r[off + i] - c * bc) % prime
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, r
+    return len(a) - 1
+
+
 def nonneg_integer_roots(p: Poly) -> set:
     """Exactly the natural numbers n with p(n) = 0.
 
@@ -543,7 +667,7 @@ def nonneg_integer_roots(p: Poly) -> set:
         raise ZeroPolynomial("nonneg_integer_roots of the zero polynomial")
     if p.degree == 0:
         return set()
-    ints = _to_int_coeffs(p)
+    ints = _to_int_coeffs(p.coeffs)
     roots = set()
     low = 0
     while low < len(ints) and ints[low] == 0:
@@ -558,8 +682,8 @@ def nonneg_integer_roots(p: Poly) -> set:
     if divs is not None:
         candidates = divs
     else:
-        # fall back to a direct scan under the Cauchy bound
-        bound = 1 + max(abs(c) for c in ints[:-1]) // abs(ints[-1])
+        # fall back to a direct scan under the root bound
+        bound = _root_bound(ints)
         if bound > _TRIAL_LIMIT:
             raise RootSearchLimit("integer-root search out of range")
         candidates = range(1, bound + 1)
@@ -578,7 +702,7 @@ def rational_roots(p: Poly) -> list:
     sorted by root."""
     if p.is_zero():
         raise ZeroPolynomial("rational_roots of the zero polynomial")
-    ints = _to_int_coeffs(p)
+    ints = _to_int_coeffs(p.coeffs)
     found = {}
     low = 0
     while low < len(ints) and ints[low] == 0:
@@ -639,9 +763,6 @@ def squarefree_decomposition(p: Poly) -> list:
     return out
 
 
-_SHIFT_GCD_WINDOW = 36
-
-
 def _split_quadratic(q: Poly):
     """Monic quadratic -> [two monic linear factors] if the discriminant is
     a rational square, else None."""
@@ -661,17 +782,18 @@ def _split_quadratic(q: Poly):
 def _refine_by_shift_gcd(factors: list) -> list:
     """Split composite factors that share irreducible parts with an integer
     shift of themselves or of another factor (u(x)*u(x+j) style products,
-    which plain root-finding cannot separate)."""
+    which plain root-finding cannot separate).  Linear factors and
+    quadratics without rational roots are irreducible and never split."""
     work = list(factors)
     changed = True
     while changed:
         changed = False
         for a, b in itertools.product(list(work), repeat=2):
-            if a.degree < 2 and b.degree < 2:
+            if a.degree < 2 or (a.degree == 2 and _split_quadratic(a) is None):
                 continue
             if a not in work or b not in work:
                 continue
-            for j in range(0 if a is not b else 1, _SHIFT_GCD_WINDOW + 1):
+            for j in sorted(gcd_shifts(a, b) - ({0} if a is b else set())):
                 g = poly_gcd(a, b.shift(j))
                 if 0 < g.degree < a.degree:
                     work.remove(a)
@@ -770,8 +892,12 @@ def nullspace(rows: list, ncols: int) -> list:
     ``rows`` is a list of length-ncols lists of field elements (Fractions
     or anything with field arithmetic).  Basis vectors come back in the
     canonical reduced-echelon order, one per free column, so callers get a
-    deterministic result.
+    deterministic result.  A matrix of Fractions is eliminated fraction-free
+    over the integers; the reduced-echelon form is unique, so the basis is
+    the same as over Q.
     """
+    if all(type(c) is Fraction for r in rows for c in r):
+        return _nullspace_int(rows, ncols)
     mat = [list(r) for r in rows if any(not _is_zero(c) for c in r)]
     pivots = []
     r = 0
@@ -802,5 +928,46 @@ def nullspace(rows: list, ncols: int) -> list:
         vec[fc] = Fraction(1)
         for row_i, pc in enumerate(pivots):
             vec[pc] = -mat[row_i][fc]
+        basis.append(vec)
+    return basis
+
+
+def _nullspace_int(rows: list, ncols: int) -> list:
+    """nullspace of a Fraction matrix by Gauss-Jordan on primitive integer
+    rows: each combined row is divided by its content, and the reduced
+    echelon entries are read off as ratios to the pivots."""
+    mat = [_to_int_coeffs(r) for r in rows if any(r)]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(r, len(mat)):
+            if mat[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        prow = mat[r]
+        p = prow[col]
+        for i, row in enumerate(mat):
+            m = row[col]
+            if m and i != r:
+                g = math.gcd(p, m)
+                u, v = p // g, m // g
+                mat[i] = _primitive([u * a - v * b for a, b in zip(row, prow)])
+        pivots.append(col)
+        r += 1
+        if r == len(mat):
+            break
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for row_i, pc in enumerate(pivots):
+            vec[pc] = Fraction(-mat[row_i][fc], mat[row_i][pc])
         basis.append(vec)
     return basis

@@ -51,6 +51,7 @@ from .algebra import (
     RatFunc,
     equal_degree_shift,
     factor_atoms,
+    gcd_shifts,
     nullspace,
     poly_gcd,
     poly_lcm,
@@ -109,7 +110,8 @@ class NotYetSupported(Exception):
 
 class ResidualCheckFailed(ArithmeticError):
     """A telescoper g, solved in a tower or read off a relation over its
-    prefix, fails sigma(g) - g == f there; never expected."""
+    prefix, fails sigma(g) - g == f there, or a relation solve telescopes
+    an input the in-tower solve refuted; never expected."""
 
 
 @dataclass(frozen=True)
@@ -149,14 +151,12 @@ def _shift_gcd_candidates(A: Poly, B: Poly) -> set:
             if j is not None and j >= 0 and j == int(j):
                 out.add(int(j))
     # degree <= 2 atoms are certainly irreducible, so the pairwise test
-    # above is complete; only fall back to brute gcds when the factorizer
-    # may have left a composite atom behind
-    if any(p.degree > 2 for p in atoms_a + atoms_b):
-        for j in range(0, 41):
-            if j in out:
-                continue
-            if poly_gcd(A, B.shift(j)).degree >= 1:
-                out.add(j)
+    # above is complete for them; a pair with an atom the factorizer may
+    # have left composite is tried by gcds over its whole shift window
+    for p in atoms_a:
+        for q in atoms_b:
+            if p.degree > 2 or q.degree > 2:
+                out |= gcd_shifts(p, q)
     return out
 
 
@@ -341,10 +341,10 @@ def _pi_laurent(phi: TowerElem, level: int, gen_name: str) -> dict:
 
 def _solve_param(tower: Tower, level: int, gamma: TowerElem, phis: list) -> list:
     # level subproblems recur identically across the search's relation
-    # solves, one per candidate block, and the later sum nodes of one
-    # compile, so memoize on (generator prefix, gamma, phis) in the memo
-    # every tower of one lineage shares; generators hash by identity and the
-    # key holds them, so no id is recycled under it
+    # solves, one per doubling of the candidate list, and the later sum
+    # nodes of one compile, so memoize on (generator prefix, gamma, phis) in
+    # the memo every tower of one lineage shares; generators hash by
+    # identity and the key holds them, so no id is recycled under it
     cache = tower._solve_cache
     key = (tower.gens[:level], gamma, tuple(phis))
     hit = cache.get(key)
@@ -763,7 +763,7 @@ def _adjoin_legal(tower: Tower, cands: list, legal: list, dim: int) -> Tower:
             name or cur.fresh_name(),
             "no relation sigma(g) - g = c_0*f + sum c_j*beta_j"
             f" over {tower!r} ends at candidate {i}"
-            f" (relation space dim {dim})",
+            f" (relation solve over {len(cands)} candidates, space dim {dim})",
         )
     return cur
 
@@ -786,12 +786,18 @@ def telescope_depth_optimal(
     sigma(g) - g = c_0*f + sum c_j*beta_j with g in T has c_0 != 0 and
     c_j = 0 for j > i, and beta_i is illegal (telescopes in the grown
     tower) exactly when a relation with c_0 = 0 ends at i.  The search
-    therefore solves these relations over T after each block of
-    candidates and adjoins only the legal candidates up to the first
-    success.  That relation also gives g: with t_j the generator for
-    beta_j, g = (g_T - sum c_j*t_j) / c_0 once the illegal candidates are
-    eliminated from it (_read_off), and g is then residual-checked in the
-    grown tower.  An in-tower answer ends the search at once: solutions
+    therefore solves these relations over T and adjoins only the legal
+    candidates up to the first success.  The candidates come in blocks,
+    one per (monomial, atom power); the relations are solved only when the
+    list has doubled since the last solve and at the end of each pass, and
+    each block's decision (give up, hit or go on) is replayed from that
+    one solve: the relations over a prefix of the candidates are exactly
+    those of the longer list that end inside the prefix, so the decision
+    is the one a solve after that block would give.  A relation ending at
+    f itself contradicts the in-tower solve and raises.  The hit relation
+    also gives g: with t_j the generator for beta_j, g = (g_T - sum
+    c_j*t_j) / c_0 once the illegal candidates are eliminated from it
+    (_read_off), and g is then residual-checked in the grown tower.  An in-tower answer ends the search at once: solutions
     are unique up to additive constants, so no extension can present a
     shallower one.  The first pass only considers shift parts of depth
     < depth(f), so a hit there is depth-optimal; a second pass allows
@@ -821,8 +827,10 @@ def telescope_depth_optimal(
     supp = _pi_degree_support(tower, f, pi_idx) if pi_idx else None
     taken = {g.shift_part for g in tower.gens if g.kind == "sigma"}
 
-    def _search():
-        cands = []  # (beta, (atom, e) for a series name, or None)
+    def _blocks(cands):
+        """Grow cands block by block, one block per (monomial, atom power);
+        yield (preserving, False) after each block that adds candidates and
+        (preserving, True) at the end of each pass."""
         for cap, preserving in ((d - 1, True), (d, False)):
             for mono_deg in range(0, max_monomial_degree + 1):
                 mus = _occurring_monomials(tower, f, mono_deg, cap, pi_idx)
@@ -842,39 +850,58 @@ def telescope_depth_optimal(
                             if beta not in taken:
                                 taken.add(beta)
                                 cands.append((beta, (atom, e) if mu == ONE else None))
-                        if len(cands) == before:
-                            continue
-                        # one relation solve per (monomial, atom power)
-                        # block keeps the candidate list short when f
-                        # telescopes early and the solves few when it does not
-                        basis = _solve_param(
-                            tower, len(tower), ONE, [f] + [b for b, _ in cands]
-                        )
-                        rows = _echelon_by_last(basis)
-                        hit = min((i for i, (_, c) in rows.items() if c[0]), default=None)
-                        # earlier blocks had no hit, so a hit lies in this one
-                        end = len(cands) if hit is None else hit - 1
-                        legal = [i for i in range(1, end + 1) if i not in rows]
-                        if len(legal) >= _ADJOIN_BUDGET:
-                            return None
-                        if hit is None:
-                            continue
-                        adjoined = legal + [hit]
-                        cur = _adjoin_legal(tower, cands, adjoined, len(basis))
-                        g = _read_off(rows, hit, adjoined, len(tower))
-                        g = _checked(cur, g, f)
-                        dg = depth(cur, g)
-                        # depth-1 shift parts are never legal, so a depth-2
-                        # answer over a depth-1 input is already as low as
-                        # it can get
-                        ok = (preserving and dg <= d) or (d <= 1 and dg <= d + 1)
-                        note = (
-                            "solved after adjoining depth-preserving generator(s)"
-                            if ok
-                            else "solved one level above the summand depth"
-                        )
-                        pruned, g2, kept = _prune_tower(cur, g, len(tower))
-                        return DepthOptResult(True, g2, pruned, kept, ok, note)
+                        if len(cands) > before:
+                            yield preserving, False
+            yield preserving, True
+
+    def _search():
+        cands = []  # (beta, (atom, e) for a series name, or None)
+        pending = []  # (candidate count, preserving) of undecided blocks
+        solved = 0  # candidate count of the last relation solve
+        for preserving, pass_end in _blocks(cands):
+            if not pass_end:
+                pending.append((len(cands), preserving))
+            # one relation solve per doubling of the candidate list keeps
+            # the solves few when f does not telescope, and the list short
+            # when it telescopes early
+            if not pending or (not pass_end and len(cands) < 2 * solved):
+                continue
+            solved = len(cands)
+            basis = _solve_param(tower, len(tower), ONE, [f] + [b for b, _ in cands])
+            rows = _echelon_by_last(basis)
+            if 0 in rows:
+                raise ResidualCheckFailed(
+                    f"a relation solve over {tower!r} telescopes the input,"
+                    " which the in-tower solve refuted"
+                )
+            hit = min((i for i, (_, c) in rows.items() if c[0]), default=None)
+            # replay each pending block's decision: the relations over its
+            # prefix of the candidates are exactly those of this solve that
+            # end inside the prefix
+            for n, pres in pending:
+                end = n if hit is None or hit > n else hit - 1
+                legal = [i for i in range(1, end + 1) if i not in rows]
+                if len(legal) >= _ADJOIN_BUDGET:
+                    return None
+                if end == n:
+                    continue
+                adjoined = legal + [hit]
+                cur = _adjoin_legal(tower, cands, adjoined, len(basis))
+                g = _read_off(rows, hit, adjoined, len(tower))
+                g = _checked(cur, g, f)
+                dg = depth(cur, g)
+                # depth-1 shift parts are never legal, so a depth-2
+                # answer over a depth-1 input is already as low as
+                # it can get
+                ok = (pres and dg <= d) or (d <= 1 and dg <= d + 1)
+                note = (
+                    "solved after adjoining depth-preserving generator(s)"
+                    if ok
+                    else "solved one level above the summand depth"
+                )
+                pruned, g2, kept = _prune_tower(cur, g, len(tower))
+                return DepthOptResult(True, g2, pruned, kept, ok, note)
+            pending = []
         return None
 
     if d >= 1 and atoms:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import nsopt.algebra
 from nsopt.algebra import (
     Poly,
     RatFunc,
@@ -10,6 +11,7 @@ from nsopt.algebra import (
     ZeroPolynomial,
     equal_degree_shift,
     factor_atoms,
+    gcd_shifts,
     nonneg_integer_roots,
     nullspace,
     poly_gcd,
@@ -17,6 +19,7 @@ from nsopt.algebra import (
     shift_class,
     squarefree_decomposition,
 )
+from nsopt.dfield import TowerElem
 
 X = Poly.from_ints(0, 1)
 ONE = Poly.from_ints(1)
@@ -295,6 +298,200 @@ def test_nullspace_randomized():
         # rank-nullity: rank + len(basis) == m
         rank = m - len(basis)
         assert 0 <= rank <= min(n, m)
+
+
+# ---------------------------------------------------------------------------
+# integer kernels against the generic field path
+# ---------------------------------------------------------------------------
+
+
+class Boxed:
+    """A rational that is not a Fraction, so poly_gcd and nullspace take
+    their generic field path on it."""
+
+    __slots__ = ("v",)
+
+    def __init__(self, v):
+        self.v = v.v if isinstance(v, Boxed) else Fraction(v)
+
+    def __add__(self, o):
+        return Boxed(self.v + Boxed(o).v)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        return Boxed(self.v - Boxed(o).v)
+
+    def __rsub__(self, o):
+        return Boxed(Boxed(o).v - self.v)
+
+    def __mul__(self, o):
+        return Boxed(self.v * Boxed(o).v)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        return Boxed(self.v / Boxed(o).v)
+
+    def __neg__(self):
+        return Boxed(-self.v)
+
+    def __eq__(self, o):
+        return self.v == Boxed(o).v
+
+    def __hash__(self):
+        return hash(self.v)
+
+    def __bool__(self):
+        return bool(self.v)
+
+
+def boxed(p: Poly) -> Poly:
+    return Poly(tuple(Boxed(c) for c in p.coeffs))
+
+
+def unboxed(cs):
+    return [c.v if isinstance(c, Boxed) else c for c in cs]
+
+
+def rand_frac(rng, size=6):
+    return Fraction(rng.randint(-size, size), rng.randint(1, size))
+
+
+def rand_frac_poly(rng, maxdeg):
+    return Poly(tuple(rand_frac(rng) for _ in range(rng.randint(0, maxdeg + 1))))
+
+
+def test_integer_gcd_matches_generic_randomized():
+    rng = random.Random(1011)
+    checked = 0
+    for _ in range(200):
+        shared = rand_frac_poly(rng, 3)
+        p = shared * rand_frac_poly(rng, 3)
+        q = shared * rand_frac_poly(rng, 3)
+        if rng.random() < 0.2:
+            q = -q  # negative leading coefficient
+        generic = unboxed(poly_gcd(boxed(p), boxed(q)).coeffs)
+        got = poly_gcd(p, q)
+        assert all(type(c) is Fraction for c in got.coeffs)
+        assert list(got.coeffs) == generic
+        checked += p.degree >= 1 and q.degree >= 1
+    assert checked > 50
+
+
+def test_integer_gcd_edge_cases():
+    cases = [
+        (Poly(()), Poly(())),
+        (Poly(()), Poly((Fraction(-3, 2),))),
+        (Poly((Fraction(5),)), Poly((Fraction(-3, 2), Fraction(7)))),
+        (Poly((Fraction(-4), Fraction(0), Fraction(-2))), Poly(())),
+        (lin(Fraction(1, 3)) * lin(-2), -lin(Fraction(1, 3)).scale(Fraction(9, 4))),
+        (X.shift(3) ** 3, X.shift(3) ** 2 * lin(5)),
+    ]
+    for p, q in cases:
+        assert list(poly_gcd(p, q).coeffs) == unboxed(poly_gcd(boxed(p), boxed(q)).coeffs)
+    assert poly_gcd(X.shift(3) ** 3, X.shift(3) ** 2 * lin(5)) == X.shift(3) ** 2
+
+
+def test_integer_nullspace_matches_generic_randomized():
+    rng = random.Random(1013)
+    for trial in range(150):
+        n, m = rng.randint(0, 6), rng.randint(1, 7)
+        rows = [[rand_frac(rng, 4) if rng.random() < 0.7 else Fraction(0)
+                 for _ in range(m)] for _ in range(n)]
+        if rows and trial % 3 == 0:
+            # rank-deficient: a zero row and a combination of two others
+            a, b = rng.choice(rows), rng.choice(rows)
+            rows.append([Fraction(0)] * m)
+            rows.append([2 * x - Fraction(1, 3) * y for x, y in zip(a, b)])
+        got = nullspace(rows, m)
+        generic = nullspace([[Boxed(c) for c in r] for r in rows], m)
+        assert [list(v) for v in got] == [unboxed(v) for v in generic]
+        assert all(type(c) is Fraction for v in got for c in v)
+        for v in got:
+            for row in rows:
+                assert sum(a * b for a, b in zip(row, v)) == 0
+
+
+def test_integer_nullspace_empty_and_zero():
+    assert nullspace([], 2) == [[1, 0], [0, 1]]
+    assert nullspace([[Fraction(0)] * 3], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert nullspace([[Fraction(-2), Fraction(4)]], 2) == [[2, 1]]
+
+
+def test_tower_coefficients_take_the_generic_path(monkeypatch):
+    # tower arithmetic normalizes its constants over Q, so the integer gcd
+    # may run, but only ever on constants; the nullspace kernel never runs
+    int_gcd = nsopt.algebra._int_gcd
+    seen = []
+
+    def recorded(a, b):
+        seen.append((len(a), len(b)))
+        return int_gcd(a, b)
+
+    def refuse(*args):
+        raise AssertionError("integer nullspace called on tower elements")
+
+    monkeypatch.setattr(nsopt.algebra, "_int_gcd", recorded)
+    monkeypatch.setattr(nsopt.algebra, "_nullspace_int", refuse)
+    h = TowerElem.gen(0)
+    one = TowerElem.const(Fraction(1))
+    # (h + 1)(h + 2) against (h + 1)(h - 3), as polynomials over Q(x)(h)
+    p = Poly((one + one, one + one + one, one))
+    q = Poly((-one - one - one, -one - one, one))
+    assert poly_gcd(p, q) == Poly((one, one))
+    assert all(sizes == (1, 1) for sizes in seen)
+    basis = nullspace([[h, one], [h * h, h]], 2)
+    assert len(basis) == 1
+    v = basis[0]
+    assert (h * v[0] + one * v[1]).is_zero()
+
+
+def test_integer_roots_use_the_root_bound():
+    # the constant term is past the divisor limit, so the roots come from a
+    # scan under the root bound, which is small for these coefficients
+    big = 10**12 + 39
+    p = lin(3) * lin(7) * Poly.from_ints(big, 0, 0, 0, 1)
+    assert nonneg_integer_roots(p) == {3, 7}
+
+
+def test_gcd_shifts_match_brute_force_randomized():
+    # windows past 251 and 257 run the residue filter
+    rng = random.Random(1017)
+    for trial in range(10):
+        a = Poly.from_ints(rng.randint(1, 900), rng.randint(-9, 9), 1)
+        j, k = rng.randint(0, 400), rng.randint(0, 400)
+        other = a.shift(-k) if trial % 2 else Poly.from_ints(rng.randint(1, 9), 1, 1)
+        b = a.shift(-j) * other
+        got = gcd_shifts(a, b)
+        assert j in got and (k in got or not trial % 2)
+        brute = range(max(got) + 300)
+        assert got == {i for i in brute if poly_gcd(a, b.shift(i)).degree >= 1}
+
+
+def test_gcd_shifts_filter_keeps_wide_windows_cheap(monkeypatch):
+    # x^3 + 10^12 + 1 is irreducible, and its self-shift window has 40005
+    # shifts; the residue filter leaves only j = 0 for an exact gcd
+    cubic = Poly.from_ints(10**12 + 1, 0, 0, 1)
+    calls = [0]
+    gcd = nsopt.algebra.poly_gcd
+
+    def counted(p, q):
+        calls[0] += 1
+        return gcd(p, q)
+
+    monkeypatch.setattr(nsopt.algebra, "poly_gcd", counted)
+    assert gcd_shifts(cubic, cubic) == {0}
+    assert calls[0] <= 5
+    assert factor_atoms(cubic) == [(cubic, 1)]
+
+
+def test_quartic_with_a_distant_shift_splits():
+    # (x^2+1)((x+45)^2+1): the shift 45 between its two factors lies far
+    # past a fixed window of 36, but inside the proven one
+    q = Poly.from_ints(1, 0, 1)
+    atoms = factor_atoms(q * q.shift(45))
+    assert atoms == [(q, 1), (Poly.from_ints(2026, 90, 1), 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,32 @@ def test_root_search_limit_exit3(argv, capsys):
     assert err == "unsupported: integer-root search out of range\n"
 
 
+# the denominator's constant term is past the divisor limit, but Fujiwara's
+# root bound keeps the integer-root scan short; the Cauchy bound did not
+def test_root_bound_scan_simplifies(capsys):
+    code, out, err = run_cli(
+        ["simplify", "sum(i,1,n,(-20*i-100)/((i^2+1)*((i+10)^2+1)))"], capsys
+    )
+    assert (code, err) == (0, "")
+    assert "depth:  2 -> 1" in out
+    assert "optimality_certified: true" in out
+    assert "verified: k = 0..60 exact" in out
+
+
+# the two quadratic factors of the denominator lie 45 shifts apart: the
+# universal denominator needs that dispersion to find the telescoper
+def test_distant_shift_telescopes(capsys):
+    code, out, err = run_cli(
+        ["simplify", "--verify-range", "5",
+         "sum(i,1,n,(-90*i-2025)/((i^2+1)*((i+45)^2+1)))"],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    assert "depth:  2 -> 1" in out
+    assert "optimality_certified: true" in out
+    assert "verified: k = 0..5 exact" in out
+
+
 def test_with_product_registers(capsys):
     code, out, _ = run_cli(
         [

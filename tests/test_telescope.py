@@ -21,7 +21,9 @@ from nsopt.telescope import (
     NotYetSupported,
     PiCriterionFails,
     ResidualCheckFailed,
+    TelescopeResult,
     UnsupportedShape,
+    _shift_gcd_candidates,
     _solve_by_slots,
     adjoin_pi,
     homogeneous_first_order,
@@ -47,6 +49,18 @@ def test_universal_denominator_chain():
     e = Poly.from_ints(0, 1) * Poly.from_ints(1, 1)
     D = universal_denominator(e, -e)
     assert D % Poly.from_ints(0, 1) == Poly(())
+
+
+def test_dispersion_beyond_a_fixed_window():
+    # E = (x^2+1)((x+45)^2+1): E(x-1) and E(x) share a factor at shift 44
+    q = Poly.from_ints(1, 0, 1)
+    E = q * q.shift(45)
+    assert _shift_gcd_candidates(E.shift(-1), E) == {44}
+    # (-90x - 2025)/E telescopes: it is u(x+1) - u(x) with u = 1/(x^2+1)
+    # summed over the 45 shifts between the two factors
+    f = RatFunc(Poly.from_ints(-2025, -90), E)
+    res = telescope_tower(Tower(), TowerElem.base(f))
+    assert res.solved
 
 
 def test_telescope_sum_of_shifts():
@@ -410,6 +424,40 @@ def test_quadratic_atom_search_work(monkeypatch, capsys):
     assert (report["input_depth"], report["output_depth"]) == (3, 3)
     assert report["optimality_certified"] is False
     assert calls[0] <= 120
+
+
+def test_quadratic_atom_relation_solves(monkeypatch, capsys):
+    # the search solves its relations once per doubling of the candidate
+    # list and at the end of each pass, not after every block (24 blocks)
+    T = nsopt.telescope
+    solve_param = T._solve_param
+    sizes = []
+
+    def counted(tw, level, gamma, phis):
+        if level == len(tw) and len(phis) > 1:
+            sizes.append(len(phis) - 1)
+        return solve_param(tw, level, gamma, phis)
+
+    monkeypatch.setattr(T, "_solve_param", counted)
+    code = nsopt.cli.main(["simplify", "--json", "--verify-range", "5",
+                           "sum(i,0,n,sum(j,1,i,3/(j^2+1)))"])
+    capsys.readouterr()
+    assert code == 0
+    assert 0 < len(sizes) <= 10
+
+
+def test_relation_ending_at_the_input_raises(monkeypatch):
+    # f telescopes in the given tower; if the in-tower solve missed that,
+    # the relation solve finds a relation ending at f itself, which must
+    # not be read as a candidate
+    t1, h = harmonic_tower()
+    f = sigma(t1, h * h) - h * h
+    monkeypatch.setattr(
+        nsopt.telescope, "telescope_tower",
+        lambda tower, f: TelescopeResult(False, None, "refuted"),
+    )
+    with pytest.raises(ResidualCheckFailed, match="in-tower solve refuted"):
+        telescope_depth_optimal(t1, f)
 
 
 def test_telescoper_is_read_off_the_relation(monkeypatch, capsys):
