@@ -286,8 +286,8 @@ def _coeff_str(c) -> str:
     return s
 
 
-def _is_rational(p: Poly) -> bool:
-    return all(type(c) is Fraction for c in p.coeffs)
+def _is_rational(cs) -> bool:
+    return all(type(c) is Fraction for c in cs)
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
@@ -298,15 +298,20 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     remainders."""
     if p.is_zero() or q.is_zero():
         return (p or q).monic()
-    if _is_rational(p) and _is_rational(q):
-        g = _int_gcd(_to_int_coeffs(p.coeffs), _to_int_coeffs(q.coeffs))
-        lc = g[-1]
-        return Poly(tuple(Fraction(c, lc) for c in g))
+    if _is_rational(p.coeffs) and _is_rational(q.coeffs):
+        ints = _int_gcd(_to_int_coeffs(p.coeffs), _to_int_coeffs(q.coeffs))
+        return _monic(ints)
     a, b = p, q
     while not b.is_zero():
         # keeping remainders monic tames coefficient growth
         a, b = b, (a % b).monic()
     return a.monic()
+
+
+def _monic(cs: list) -> Poly:
+    """The monic Fraction polynomial of a nonzero integer one."""
+    lc = cs[-1]
+    return Poly(tuple([Fraction(c, lc) for c in cs]))
 
 
 def _primitive(cs: list) -> list:
@@ -539,7 +544,10 @@ _TRIAL_LIMIT = 10**6
 
 def _to_int_coeffs(cs) -> list:
     """Scale a sequence of Fractions to primitive integers."""
-    den_lcm = math.lcm(*(c.denominator for c in cs))
+    # list arguments, not generators: a tuple built from a generator is
+    # resized, and its object then joins the interpreter's small-tuple free
+    # list, which pins memory over the thousands of calls of one solve
+    den_lcm = math.lcm(*[c.denominator for c in cs])
     return _primitive([c.numerator * (den_lcm // c.denominator) for c in cs])
 
 
@@ -586,73 +594,48 @@ def _ceil_root(m: int, k: int) -> int:
 
 def _root_bound(ints: list) -> int:
     """An integer B >= |z| for every complex root z of the integer
-    polynomial (ascending, nonzero leading coefficient): Fujiwara's bound
-    2 * max_i |a_(n-i) / a_n|^(1/i), rounded up."""
+    polynomial (ascending, nonzero leading coefficient): the smaller of
+    Cauchy's bound 1 + max_i |a_i / a_n| and Fujiwara's bound
+    2 * max_i |a_(n-i) / a_n|^(1/i), each rounded up."""
     n = len(ints) - 1
     lc = abs(ints[-1])
+    cauchy = 1 - (-max(abs(c) for c in ints[:-1]) // lc)
     r = 0
     for i in range(1, n + 1):
         c = abs(ints[n - i])
         if c:
             r = max(r, _ceil_root(-(-c // lc), i))
-    return 2 * r
+    return min(cauchy, 2 * r)
 
 
-# primes for the residue filter of gcd_shifts; two leave few false
-# candidates even in a window of 10**5
-_SHIFT_PRIMES = (251, 257)
+# widest window of shifts gcd_shifts tries; each shift costs one small
+# integer gcd, so a full window of cubics takes about 0.1 s
+_SHIFT_LIMIT = 10**4
 
 
-def gcd_shifts(a: Poly, b: Poly) -> set:
-    """Every integer j >= 0 with gcd(a(x), b(x+j)) of positive degree, for
-    nonzero Fraction-coefficient a and b.
+def gcd_shifts(a: Poly, b: Poly) -> dict:
+    """{j: gcd(a(x), b(x+j))} for every integer j >= 0 where that monic gcd
+    has positive degree, for nonzero Fraction-coefficient a and b.
 
-    Such a j is a root of b minus a root of a, so |j| is at most the sum of
-    their root bounds.  Each j in that window is confirmed by a gcd, after
-    a filter: b(x+j) mod a prime depends on j mod the prime only, and a
-    common factor over Q stays one modulo any prime that divides neither
-    leading coefficient."""
+    Such a j is a root of b minus a root of a, so it is at most the sum of
+    their root bounds; every j up to there is tried by a gcd over Z.  A
+    window past _SHIFT_LIMIT raises RootSearchLimit."""
     ai, bi = _to_int_coeffs(a.coeffs), _to_int_coeffs(b.coeffs)
-    cands = range(_root_bound(ai) + _root_bound(bi) + 1)
-    if len(cands) > _SHIFT_PRIMES[0]:  # else the gcds cost less than a filter
-        for prime in _SHIFT_PRIMES:
-            if ai[-1] % prime and bi[-1] % prime:
-                residues = _gcd_shifts_mod(ai, bi, prime)
-                cands = [j for j in cands if j % prime in residues]
-    return {j for j in cands if poly_gcd(a, b.shift(j)).degree >= 1}
-
-
-def _gcd_shifts_mod(a: list, b: list, prime: int) -> set:
-    """The residues r with gcd(a(x), b(x+r)) of positive degree over
-    GF(prime), for integer polynomials whose leading coefficients the prime
-    does not divide."""
-    a = [c % prime for c in a]
-    b = [c % prime for c in b]
-    n = len(b) - 1
-    out = set()
-    for r in range(prime):
-        if _gcd_degree_mod(a, b, prime) >= 1:
-            out.add(r)
-        for i in range(n):  # b(x) <- b(x+1) by synthetic division
+    if len(ai) < 2 or len(bi) < 2:
+        return {}
+    window = _root_bound(ai) + _root_bound(bi)
+    if window > _SHIFT_LIMIT:
+        raise RootSearchLimit("shift search out of range")
+    out = {}
+    n = len(bi) - 1
+    for j in range(window + 1):
+        g = _int_gcd(ai, bi)
+        if len(g) > 1:
+            out[j] = _monic(g)
+        for i in range(n):  # bi <- bi(x+1) by synthetic division
             for k in range(n - 1, i - 1, -1):
-                b[k] = (b[k] + b[k + 1]) % prime
+                bi[k] += bi[k + 1]
     return out
-
-
-def _gcd_degree_mod(a: list, b: list, prime: int) -> int:
-    """Degree of gcd(a, b) over GF(prime); both nonzero and reduced."""
-    while b:
-        inv = pow(b[-1], -1, prime)
-        r = list(a)
-        while len(r) >= len(b):
-            c = r[-1] * inv % prime
-            off = len(r) - len(b)
-            for i, bc in enumerate(b):
-                r[off + i] = (r[off + i] - c * bc) % prime
-            while r and not r[-1]:
-                r.pop()
-        a, b = b, r
-    return len(a) - 1
 
 
 def nonneg_integer_roots(p: Poly) -> set:
@@ -793,11 +776,10 @@ def _refine_by_shift_gcd(factors: list) -> list:
                 continue
             if a not in work or b not in work:
                 continue
-            for j in sorted(gcd_shifts(a, b) - ({0} if a is b else set())):
-                g = poly_gcd(a, b.shift(j))
+            for g in gcd_shifts(a, b).values():  # ascending shifts
                 if 0 < g.degree < a.degree:
                     work.remove(a)
-                    work.extend([g.monic(), a.exact_div(g).monic()])
+                    work.extend([g, a.exact_div(g).monic()])
                     changed = True
                     break
             if changed:
@@ -896,7 +878,7 @@ def nullspace(rows: list, ncols: int) -> list:
     over the integers; the reduced-echelon form is unique, so the basis is
     the same as over Q.
     """
-    if all(type(c) is Fraction for r in rows for c in r):
+    if all(_is_rational(r) for r in rows):
         return _nullspace_int(rows, ncols)
     mat = [list(r) for r in rows if any(not _is_zero(c) for c in r)]
     pivots = []
@@ -920,16 +902,7 @@ def nullspace(rows: list, ncols: int) -> list:
         r += 1
         if r == len(mat):
             break
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for row_i, pc in enumerate(pivots):
-            vec[pc] = -mat[row_i][fc]
-        basis.append(vec)
-    return basis
+    return _free_basis(pivots, ncols, lambda i, fc: mat[i][fc])
 
 
 def _nullspace_int(rows: list, ncols: int) -> list:
@@ -960,6 +933,14 @@ def _nullspace_int(rows: list, ncols: int) -> list:
         r += 1
         if r == len(mat):
             break
+    return _free_basis(
+        pivots, ncols, lambda i, fc: Fraction(mat[i][fc], mat[i][pivots[i]])
+    )
+
+
+def _free_basis(pivots: list, ncols: int, entry) -> list:
+    """The reduced-echelon nullspace basis, one vector per free column;
+    entry(i, fc) is pivot row i's entry at column fc over its pivot."""
     pivot_set = set(pivots)
     basis = []
     for fc in range(ncols):
@@ -967,7 +948,7 @@ def _nullspace_int(rows: list, ncols: int) -> list:
             continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for row_i, pc in enumerate(pivots):
-            vec[pc] = Fraction(-mat[row_i][fc], mat[row_i][pc])
+        for i, pc in enumerate(pivots):
+            vec[pc] = -entry(i, fc)
         basis.append(vec)
     return basis

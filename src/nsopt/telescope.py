@@ -156,7 +156,7 @@ def _shift_gcd_candidates(A: Poly, B: Poly) -> set:
     for p in atoms_a:
         for q in atoms_b:
             if p.degree > 2 or q.degree > 2:
-                out |= gcd_shifts(p, q)
+                out.update(gcd_shifts(p, q))
     return out
 
 

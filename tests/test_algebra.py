@@ -7,6 +7,7 @@ import nsopt.algebra
 from nsopt.algebra import (
     Poly,
     RatFunc,
+    RootSearchLimit,
     ZeroDenominator,
     ZeroPolynomial,
     equal_degree_shift,
@@ -453,10 +454,13 @@ def test_integer_roots_use_the_root_bound():
     big = 10**12 + 39
     p = lin(3) * lin(7) * Poly.from_ints(big, 0, 0, 0, 1)
     assert nonneg_integer_roots(p) == {3, 7}
+    # Fujiwara's bound is 1.2 * 10^6 here, past the scan limit, and the
+    # Cauchy bound 900002 is under it: the smaller bound is scanned
+    wide = Poly.from_ints(9 * 10**12 + 7, 6 * 10**12, 10**7)
+    assert nonneg_integer_roots(wide) == set()
 
 
 def test_gcd_shifts_match_brute_force_randomized():
-    # windows past 251 and 257 run the residue filter
     rng = random.Random(1017)
     for trial in range(10):
         a = Poly.from_ints(rng.randint(1, 900), rng.randint(-9, 9), 1)
@@ -465,25 +469,30 @@ def test_gcd_shifts_match_brute_force_randomized():
         b = a.shift(-j) * other
         got = gcd_shifts(a, b)
         assert j in got and (k in got or not trial % 2)
-        brute = range(max(got) + 300)
-        assert got == {i for i in brute if poly_gcd(a, b.shift(i)).degree >= 1}
+        brute = {i: poly_gcd(a, b.shift(i)) for i in range(max(got) + 300)}
+        assert got == {i: g for i, g in brute.items() if g.degree >= 1}
 
 
-def test_gcd_shifts_filter_keeps_wide_windows_cheap(monkeypatch):
-    # x^3 + 10^12 + 1 is irreducible, and its self-shift window has 40005
-    # shifts; the residue filter leaves only j = 0 for an exact gcd
-    cubic = Poly.from_ints(10**12 + 1, 0, 0, 1)
+def test_gcd_shifts_refuse_a_window_past_the_limit(monkeypatch):
+    # the roots of x^3 + 10^30*x + 1 reach 10^15 in modulus: no shift of
+    # that window is tried, and factor_atoms passes the refusal on
+    cubic = Poly.from_ints(1, 10**30, 0, 1)
     calls = [0]
-    gcd = nsopt.algebra.poly_gcd
+    int_gcd = nsopt.algebra._int_gcd
 
-    def counted(p, q):
+    def counted(a, b):
         calls[0] += 1
-        return gcd(p, q)
+        return int_gcd(a, b)
 
-    monkeypatch.setattr(nsopt.algebra, "poly_gcd", counted)
-    assert gcd_shifts(cubic, cubic) == {0}
-    assert calls[0] <= 5
-    assert factor_atoms(cubic) == [(cubic, 1)]
+    monkeypatch.setattr(nsopt.algebra, "_int_gcd", counted)
+    with pytest.raises(RootSearchLimit, match="shift search out of range"):
+        gcd_shifts(cubic, cubic)
+    with pytest.raises(RootSearchLimit):
+        factor_atoms(cubic)
+    assert calls[0] < 10
+    # a window inside the limit is tried in full
+    small = Poly.from_ints(10**6 + 1, 0, 0, 1)
+    assert gcd_shifts(small, small) == {0: small}
 
 
 def test_quartic_with_a_distant_shift_splits():

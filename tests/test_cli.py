@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -293,8 +294,20 @@ def test_root_search_limit_exit3(argv, capsys):
     assert err == "unsupported: integer-root search out of range\n"
 
 
+# the roots of i^3 + 10^30*i + 1 reach 10^15, so the window of shifts
+# between the cubic and its translates is far too wide to try; the run
+# must refuse at once instead of scanning it
+def test_shift_search_limit_exit3(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(["simplify", "sum(i,1,n,1/(i^3+10^30*i+1))"], capsys)
+    assert time.perf_counter() - start < 20
+    assert code == 3
+    assert out == ""
+    assert err == "unsupported: shift search out of range\n"
+
+
 # the denominator's constant term is past the divisor limit, but Fujiwara's
-# root bound keeps the integer-root scan short; the Cauchy bound did not
+# root bound keeps the integer-root scan short; the Cauchy bound alone did not
 def test_root_bound_scan_simplifies(capsys):
     code, out, err = run_cli(
         ["simplify", "sum(i,1,n,(-20*i-100)/((i^2+1)*((i+10)^2+1)))"], capsys
