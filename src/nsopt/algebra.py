@@ -83,7 +83,7 @@ class Poly:
     @staticmethod
     def from_ints(*cs) -> "Poly":
         """Ascending integer coefficients as Fractions: from_ints(c0, c1, ...)."""
-        return Poly(tuple(Fraction(c) for c in cs))
+        return Poly([Fraction(c) for c in cs])
 
     @staticmethod
     def constant(c) -> "Poly":
@@ -140,7 +140,7 @@ class Poly:
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly([-c for c in self.coeffs])
 
     def __mul__(self, other: "Poly") -> "Poly":
         if not self.coeffs or not other.coeffs:
@@ -156,7 +156,7 @@ class Poly:
     def scale(self, c) -> "Poly":
         if _is_zero(c):
             return Poly(())
-        return Poly(tuple(a * c for a in self.coeffs))
+        return Poly([a * c for a in self.coeffs])
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -210,10 +210,10 @@ class Poly:
         lc = self.lc()
         if lc == 1:
             return self
-        return Poly(tuple(c / lc for c in self.coeffs))
+        return Poly([c / lc for c in self.coeffs])
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(c * i for i, c in enumerate(self.coeffs) if i))
+        return Poly([c * i for i, c in enumerate(self.coeffs) if i])
 
     # -- substitution ------------------------------------------------------
 
@@ -384,7 +384,7 @@ class RatFunc:
             den = den.exact_div(g)
         lc = den.lc()
         if lc != 1:
-            num = Poly(tuple(c / lc for c in num.coeffs))
+            num = Poly([c / lc for c in num.coeffs])
             den = den.monic()
         self.num, self.den = num, den
 
@@ -702,7 +702,7 @@ def rational_roots(p: Poly) -> list:
                 for b in dds:
                     cands.add(Fraction(a, b))
                     cands.add(Fraction(-a, b))
-            work = Poly(tuple(Fraction(c) for c in ints))
+            work = Poly([Fraction(c) for c in ints])
             for r in sorted(cands):
                 mult = 0
                 while work.degree >= 1 and work.eval_at(r) == 0:
@@ -765,8 +765,9 @@ def _split_quadratic(q: Poly):
 def _refine_by_shift_gcd(factors: list) -> list:
     """Split composite factors that share irreducible parts with an integer
     shift of themselves or of another factor (u(x)*u(x+j) style products,
-    which plain root-finding cannot separate).  Linear factors and
-    quadratics without rational roots are irreducible and never split."""
+    which plain root-finding cannot separate), until any two factors are
+    coprime under every shift or shifts of one another.  Linear factors
+    and quadratics without rational roots are irreducible and never split."""
     work = list(factors)
     changed = True
     while changed:
@@ -776,7 +777,11 @@ def _refine_by_shift_gcd(factors: list) -> list:
                 continue
             if a not in work or b not in work:
                 continue
-            for g in gcd_shifts(a, b).values():  # ascending shifts
+            gcds = list(gcd_shifts(a, b).values())  # ascending shifts
+            if a != b:
+                # a factor b(x-j) of a, j > 0, shows as a gcd from b's side
+                gcds += [h.shift(-j) for j, h in gcd_shifts(b, a).items()]
+            for g in gcds:
                 if 0 < g.degree < a.degree:
                     work.remove(a)
                     work.extend([g, a.exact_div(g).monic()])

@@ -42,6 +42,7 @@ generator, so a tower is auditable after the fact.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -49,6 +50,8 @@ from math import comb
 from .algebra import (
     Poly,
     RatFunc,
+    _refine_by_shift_gcd,
+    _to_int_coeffs,
     equal_degree_shift,
     factor_atoms,
     gcd_shifts,
@@ -232,8 +235,9 @@ def solve_first_order(gamma: RatFunc, phis) -> list:
     # columns: z_0..z_N then c_1..c_k
     cols = []
     for i in range(N + 1):
-        xi = Poly.x_power(i)
-        cols.append(A2 * xi.shift(1) + B2 * xi)
+        # (x+1)^i by the binomial theorem
+        shifted = Poly([Fraction(comb(i, j)) for j in range(i + 1)])
+        cols.append(A2 * shifted + B2 * Poly.x_power(i))
     for c in C2:
         cols.append(-c)
     nz = N + 1
@@ -257,21 +261,78 @@ def homogeneous_first_order(gamma: RatFunc):
     return None
 
 
-_PI_POWERS = 6
+def _multiplicity(p, b) -> int:
+    """The largest e with b^e dividing p: polynomials or positive integers."""
+    e = 0
+    while True:
+        q, r = divmod(p, b)
+        if r:
+            return e
+        p, e = q, e + 1
+
+
+def _coprime_basis(ns) -> list:
+    """Pairwise coprime integers > 1 of which every n in ns is a product:
+    two members with a gcd g > 1 are replaced by g and their cofactors."""
+    basis, todo = set(), list(ns)
+    while todo:
+        a = todo.pop()
+        b = next((b for b in basis if math.gcd(a, b) > 1), None)
+        if b is None:
+            basis.add(a)
+        else:
+            basis.remove(b)
+            g = math.gcd(a, b)
+            todo += [g, a // g, b // g]
+    return sorted(basis - {1})
+
+
+def _exponent_rows(ratios: list) -> list:
+    """Rows e with sum_j e[j]*v_j = 0 exactly when prod ratios[j]^v_j is
+    s(u)/u times a constant +-1, for u in Q(x): one row per shift class of
+    the ratios' factors, refined together until any two are coprime under
+    every shift unless they are shifts of one another, and one row per
+    element of a coprime basis of the ratios' constant factors."""
+    atoms = dict.fromkeys(
+        a for r in ratios for p in (r.num, r.den) if p.degree >= 1
+        for a, _ in factor_atoms(p)
+    )
+    classes = {}
+    for atom in dict.fromkeys(_refine_by_shift_gcd(list(atoms))):
+        classes.setdefault(shift_class(atom)[0], []).append(atom)
+    rows = [
+        [Fraction(sum(_multiplicity(r.num, a) - _multiplicity(r.den, a) for a in cls))
+         for r in ratios]
+        for cls in classes.values()
+    ]
+    # the denominators are monic, so a ratio's constant factor is its
+    # numerator's leading coefficient
+    consts = [r.num.lc() for r in ratios]
+    for b in _coprime_basis([n for c in consts for n in (abs(c.numerator), c.denominator)]):
+        rows.append([
+            Fraction(_multiplicity(abs(c.numerator), b) - _multiplicity(c.denominator, b))
+            for c in consts
+        ])
+    return rows
 
 
 def adjoin_pi(tower: Tower, alpha: TowerElem, name: str = None) -> Tower:
     """Extend the tower by t with s(t) = alpha * t after checking Karr's
-    criterion: no nonzero g in the current field solves s(g) = alpha^m * g.
+    criterion: no nonzero g in the current field solves s(g) = alpha^m * g
+    for any m != 0.
 
     Only a base-level alpha over a tower of product-like generators p_i
     with base-level ratios alpha_i is certified; anything else raises
     NotYetSupported.  Each p_i was adjoined through this check, so every
-    such g is u * prod p_i^k_i with u in Q(x), and s(g) = alpha^m * g
-    becomes the first-order equation s(u) * alpha^-m * prod alpha_i^k_i = u.
-    It is solved for m = 1.._PI_POWERS and every |k_i| <= _PI_POWERS; a
-    witness raises PiCriterionFails, which prints g.  A relation whose m or
-    some |k_i| exceeds _PI_POWERS goes unnoticed.
+    such g is u * prod p_i^k_i with u in Q(x), and s(g) = alpha^m * g says
+    that alpha^m * prod alpha_i^-k_i = s(u)/u.  A rational function is some
+    s(u)/u exactly when its constant factor is 1 and, in every shift class
+    of its irreducible factors, the exponents sum to 0.  Both conditions
+    are linear in (m, k_1, ..., k_r) (_exponent_rows), so one integer
+    nullspace decides every m and every k_i at once; a solution whose
+    constant comes out -1 is doubled.  A solution with m != 0 is a
+    witness: one homogeneous first-order solve gives its u, and
+    PiCriterionFails prints g.
     """
     if alpha.is_zero():
         raise ValueError("pi generator needs alpha != 0")
@@ -282,26 +343,37 @@ def adjoin_pi(tower: Tower, alpha: TowerElem, name: str = None) -> Tower:
             "pi adjunction only certified over base-level product-like generators"
         )
     name = name or tower.fresh_name("p")
-    alphas = [g.shift_part.rf for g in tower.gens]
-    exponents = range(-_PI_POWERS, _PI_POWERS + 1)
-    for m in range(1, _PI_POWERS + 1):
-        for ks in itertools.product(exponents, repeat=len(alphas)):
-            gamma = alpha.rf ** (-m)
-            for a, k in zip(alphas, ks):
-                gamma = gamma * a ** k
-            u = homogeneous_first_order(gamma)
-            if u is not None:
-                g = TowerElem.base(u)
-                for i, k in enumerate(ks):
-                    g = g * TowerElem.gen(i) ** k
-                raise PiCriterionFails(name, m, g, elem_to_str(tower, g))
+    ratios = [alpha.rf] + [g.shift_part.rf for g in tower.gens]
+    rows = _exponent_rows(ratios)
+    vec = next((v for v in nullspace(rows, len(ratios)) if v[0]), None)
+    if vec is not None:
+        v = _to_int_coeffs(vec)
+        if v[0] < 0:
+            v = [-e for e in v]
+        if sum(e for e, r in zip(v, ratios) if r.num.lc() < 0) % 2:
+            v = [2 * e for e in v]
+        m, ks = v[0], [-e for e in v[1:]]
+        gamma = alpha.rf ** (-m)
+        for r, k in zip(ratios[1:], ks):
+            gamma = gamma * r ** k
+        u = homogeneous_first_order(gamma)
+        if u is None:
+            raise ResidualCheckFailed(
+                f"the relation solve for {name!r} gave m = {m}, but no u in Q(x)"
+                " solves sigma(u) * gamma = u"
+            )
+        g = TowerElem.base(u)
+        for i, k in enumerate(ks):
+            g = g * TowerElem.gen(i) ** k
+        raise PiCriterionFails(name, m, g, elem_to_str(tower, g))
     gen = Generator(
         name,
         "pi",
         alpha,
         depth(tower, alpha) + 1,
-        f"sigma(g) = alpha^m * g has no solution g != 0 for m <= {_PI_POWERS}"
-        f" and exponents of earlier products up to {_PI_POWERS}",
+        "sigma(g) = alpha^m * g has no solution g != 0 for any m != 0"
+        " (integer relation solve over the exponents of alpha and"
+        f" {len(tower)} earlier product(s), {len(rows)} rows)",
     )
     return tower.extended(gen)
 
@@ -789,21 +861,21 @@ def telescope_depth_optimal(
     therefore solves these relations over T and adjoins only the legal
     candidates up to the first success.  The candidates come in blocks,
     one per (monomial, atom power); the relations are solved only when the
-    list has doubled since the last solve and at the end of each pass, and
-    each block's decision (give up, hit or go on) is replayed from that
-    one solve: the relations over a prefix of the candidates are exactly
-    those of the longer list that end inside the prefix, so the decision
-    is the one a solve after that block would give.  A relation ending at
-    f itself contradicts the in-tower solve and raises.  The hit relation
-    also gives g: with t_j the generator for beta_j, g = (g_T - sum
-    c_j*t_j) / c_0 once the illegal candidates are eliminated from it
-    (_read_off), and g is then residual-checked in the grown tower.  An in-tower answer ends the search at once: solutions
-    are unique up to additive constants, so no extension can present a
-    shallower one.  The first pass only considers shift parts of depth
-    < depth(f), so a hit there is depth-optimal; a second pass allows
-    shift parts of depth equal to depth(f), whose solutions sit one level
-    higher and are reported uncertified (except over depth-1 input, where
-    one level up is provably the floor).  The search gives up once the
+    list has doubled since the last solve and at the end of each pass.
+    The relations over a prefix of the candidates are exactly those of the
+    longer list that end inside the prefix, so one solve's echelon rows
+    give the first hit and the legal candidates before it, as a solve after
+    each block would.  A relation ending at f itself contradicts the
+    in-tower solve and raises.  The hit relation also gives g: with t_j the
+    generator for beta_j, g = (g_T - sum c_j*t_j) / c_0 once the illegal
+    candidates are eliminated from it (_read_off), and g is then
+    residual-checked in the grown tower.  An in-tower answer ends the
+    search at once: solutions are unique up to additive constants, so no
+    extension can present a shallower one.  The first pass only considers
+    shift parts of depth < depth(f), so a hit there is depth-optimal; a
+    second pass allows shift parts of depth equal to depth(f), whose
+    solutions sit one level higher and are reported uncertified (except
+    over depth-1 input, where one level up is provably the floor).  The search gives up once the
     first success would need more than _ADJOIN_BUDGET adjunctions.  With
     allow_fallback, an exhausted search adjoins f itself.  Pruning keeps
     only the adjoined generators g actually depends on; the tower prefix
@@ -829,9 +901,9 @@ def telescope_depth_optimal(
 
     def _blocks(cands):
         """Grow cands block by block, one block per (monomial, atom power);
-        yield (preserving, False) after each block that adds candidates and
-        (preserving, True) at the end of each pass."""
-        for cap, preserving in ((d - 1, True), (d, False)):
+        yield False after each block that adds candidates and True at the
+        end of each pass."""
+        for cap in (d - 1, d):
             for mono_deg in range(0, max_monomial_degree + 1):
                 mus = _occurring_monomials(tower, f, mono_deg, cap, pi_idx)
                 # low-weight monomials first, then increasing atom power,
@@ -851,20 +923,17 @@ def telescope_depth_optimal(
                                 taken.add(beta)
                                 cands.append((beta, (atom, e) if mu == ONE else None))
                         if len(cands) > before:
-                            yield preserving, False
-            yield preserving, True
+                            yield False
+            yield True
 
     def _search():
         cands = []  # (beta, (atom, e) for a series name, or None)
-        pending = []  # (candidate count, preserving) of undecided blocks
         solved = 0  # candidate count of the last relation solve
-        for preserving, pass_end in _blocks(cands):
-            if not pass_end:
-                pending.append((len(cands), preserving))
+        for pass_end in _blocks(cands):
             # one relation solve per doubling of the candidate list keeps
             # the solves few when f does not telescope, and the list short
             # when it telescopes early
-            if not pending or (not pass_end and len(cands) < 2 * solved):
+            if len(cands) == solved or (not pass_end and len(cands) < 2 * solved):
                 continue
             solved = len(cands)
             basis = _solve_param(tower, len(tower), ONE, [f] + [b for b, _ in cands])
@@ -875,33 +944,29 @@ def telescope_depth_optimal(
                     " which the in-tower solve refuted"
                 )
             hit = min((i for i, (_, c) in rows.items() if c[0]), default=None)
-            # replay each pending block's decision: the relations over its
-            # prefix of the candidates are exactly those of this solve that
-            # end inside the prefix
-            for n, pres in pending:
-                end = n if hit is None or hit > n else hit - 1
-                legal = [i for i in range(1, end + 1) if i not in rows]
-                if len(legal) >= _ADJOIN_BUDGET:
-                    return None
-                if end == n:
-                    continue
-                adjoined = legal + [hit]
-                cur = _adjoin_legal(tower, cands, adjoined, len(basis))
-                g = _read_off(rows, hit, adjoined, len(tower))
-                g = _checked(cur, g, f)
-                dg = depth(cur, g)
-                # depth-1 shift parts are never legal, so a depth-2
-                # answer over a depth-1 input is already as low as
-                # it can get
-                ok = (pres and dg <= d) or (d <= 1 and dg <= d + 1)
-                note = (
-                    "solved after adjoining depth-preserving generator(s)"
-                    if ok
-                    else "solved one level above the summand depth"
-                )
-                pruned, g2, kept = _prune_tower(cur, g, len(tower))
-                return DepthOptResult(True, g2, pruned, kept, ok, note)
-            pending = []
+            end = solved if hit is None else hit - 1
+            legal = [i for i in range(1, end + 1) if i not in rows]
+            if len(legal) >= _ADJOIN_BUDGET:
+                return None
+            if hit is None:
+                continue
+            adjoined = legal + [hit]
+            cur = _adjoin_legal(tower, cands, adjoined, len(basis))
+            g = _read_off(rows, hit, adjoined, len(tower))
+            g = _checked(cur, g, f)
+            dg = depth(cur, g)
+            # second-pass candidates are exactly those of depth d; depth-1
+            # shift parts are never legal, so a depth-2 answer over a
+            # depth-1 input is already as low as it can get
+            first_pass = depth(tower, cands[hit - 1][0]) < d
+            ok = (first_pass and dg <= d) or (d <= 1 and dg <= d + 1)
+            note = (
+                "solved after adjoining depth-preserving generator(s)"
+                if ok
+                else "solved one level above the summand depth"
+            )
+            pruned, g2, kept = _prune_tower(cur, g, len(tower))
+            return DepthOptResult(True, g2, pruned, kept, ok, note)
         return None
 
     if d >= 1 and atoms:

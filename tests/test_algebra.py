@@ -503,6 +503,15 @@ def test_quartic_with_a_distant_shift_splits():
     assert atoms == [(q, 1), (Poly.from_ints(2026, 90, 1), 1)]
 
 
+def test_factor_shifted_backwards_splits():
+    # ((x+1)^2+1) * (x^2+1)(x^2+2): once the first factor is split off, the
+    # quartic holds it shifted by -1, a gcd seen only from the quadratic's
+    # side, and the quadratic itself is never split
+    q1, q2 = Poly.from_ints(1, 0, 1), Poly.from_ints(2, 0, 1)
+    atoms = factor_atoms(q1.shift(1) * q1 * q2)
+    assert atoms == [(q1, 1), (q2, 1), (q1.shift(1), 1)]
+
+
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------

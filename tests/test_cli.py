@@ -193,18 +193,26 @@ def test_illegal_product_exit3(knob, capsys):
 @pytest.mark.parametrize("command", ["simplify", "telescope"])
 def test_related_products_exit3(command, capsys):
     # 4^n = (2^n)^2, so the sum is identically 0: q is no product-like
-    # extension over p, and no depth claim about it may be certified
-    code, out, err = run_cli(
-        [command, "--with-product", "p:2:1", "--with-product", "q:4:1",
-         "sum(i,1,n,prod(t,1,i,4)-prod(t,1,i,2)^2)"],
-        capsys,
-    )
-    assert code == 3
-    assert out == ""
-    assert err == (
-        "unsupported: declared product 'q' is not a legal product-like"
-        " extension: sigma(g) = alpha^1 * g is solved by g = p^2\n"
-    )
+    # extension over p, and no depth claim about it may be certified; the
+    # same holds at any exponent, e.g. 128^n = (2^n)^7 either way round
+    cases = [
+        ("p:2:1", "q:4:1", "sum(i,1,n,prod(t,1,i,4)-prod(t,1,i,2)^2)",
+         "alpha^1 * g is solved by g = p^2"),
+        ("p:2:1", "q:128:1", "sum(i,1,n,prod(t,1,i,128)-prod(t,1,i,2)^7)",
+         "alpha^1 * g is solved by g = p^7"),
+        ("p:128:1", "q:2:1", "sum(i,1,n,prod(t,1,i,2)^7-prod(t,1,i,128))",
+         "alpha^7 * g is solved by g = p"),
+    ]
+    for p, q, expr, witness in cases:
+        code, out, err = run_cli(
+            [command, "--with-product", p, "--with-product", q, expr], capsys
+        )
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "unsupported: declared product 'q' is not a legal product-like"
+            f" extension: sigma(g) = {witness}\n"
+        )
 
 
 def test_unrelated_products_certify(capsys):

@@ -559,10 +559,63 @@ def test_adjoin_pi_checks_earlier_products():
     assert (exc.value.g / (p * p / (X + 1))).is_constant()
     assert "declared product 'q' is not a legal" in str(exc.value)
     assert adjoin_pi(tp, TowerElem.const(3), name="q").names() == ["p", "q"]
+    # sign: (-2)^n is no power of 2^n, but its square is 4^n = (2^n)^2
+    t2 = adjoin_pi(Tower(), TowerElem.const(2), name="p")
+    with pytest.raises(PiCriterionFails) as exc:
+        adjoin_pi(t2, TowerElem.const(-2), name="q")
+    assert exc.value.m == 2
+    assert exc.value.g == p * p
+    # composite atoms: (x^2+1)((x+3)^2+1) has one shift class, in which
+    # it has exponent 2 against 1 for x^2+1
+    sq = X * X + 1
+    tq = adjoin_pi(Tower(), sq, name="p")
+    with pytest.raises(PiCriterionFails) as exc:
+        adjoin_pi(tq, sq * sigma(tq, sigma(tq, sigma(tq, sq))), name="q")
+    assert exc.value.m == 1
+    u = sq * sigma(tq, sq) * sigma(tq, sigma(tq, sq))  # s(u)/u = sq(x+3)/sq
+    assert (exc.value.g / (u * p * p)).is_constant()
+    # factor_atoms leaves (x^2+1)(x^2+2) whole; only the atoms of all
+    # three ratios refined together see q = p*r
+    t12 = adjoin_pi(tq, X * X + 2, name="r")
+    with pytest.raises(PiCriterionFails) as exc:
+        adjoin_pi(t12, sq * (X * X + 2), name="q")
+    assert exc.value.m == 1
+    assert (exc.value.g / (p * TowerElem.gen(1))).is_constant()
+    # the same with both earlier ratios shifted by 1: a factor of the
+    # quartic is then a backward shift of an earlier atom
+    t12 = adjoin_pi(Tower(), sigma(tq, sq), name="p")
+    t12 = adjoin_pi(t12, sigma(tq, X * X + 2), name="r")
+    with pytest.raises(PiCriterionFails) as exc:
+        adjoin_pi(t12, sq * (X * X + 2), name="q")
+    assert exc.value.m == 1
+    assert (exc.value.g * sq * (X * X + 2) / (p * TowerElem.gen(1))).is_constant()
     # over a sum-like generator the criterion would need more than Q(x)
     t1, _ = harmonic_tower()
     with pytest.raises(NotYetSupported):
         adjoin_pi(t1, TowerElem.const(2))
+
+
+def test_adjoin_pi_solves_no_first_order_equation_when_legal(monkeypatch):
+    # the exponent relation solve decides legality alone; the capped loop
+    # it replaced made 6*13^r first-order solves for the (r+1)-th product
+    calls = [0]
+    solve = nsopt.telescope.solve_first_order
+
+    def counted(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(nsopt.telescope, "solve_first_order", counted)
+    tower = Tower()
+    for i, c in enumerate((2, 3, 5, 7, 11, 13)):
+        tower = adjoin_pi(tower, TowerElem.const(c), name=f"c{i}")
+    assert len(tower) == 6
+    tower = Tower()
+    for name, alpha in (("a", X + 1), ("b", (X + 1) / (2 * (2 * X + 1))),
+                        ("c", (2 * X + 1) / (X + 3))):
+        tower = adjoin_pi(tower, alpha, name=name)
+    assert tower.names() == ["a", "b", "c"]
+    assert calls[0] == 0
 
 
 def test_telescope_with_pi_generator():

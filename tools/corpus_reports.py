@@ -16,7 +16,11 @@ read and never changed: the seven acceptance fixtures at --verify-range
 inputs at range 150 and the iterated_batch inputs of seed 1 at range 20,
 all with --json.  An extra/ group, listed here in EXTRA, adds four slow
 simplify inputs from outside the benchmark at range 5: their searches
-adjoin the most generators.  A telescope/ group, listed in TELESCOPE,
+adjoin the most generators.  A products/ group, listed in PRODUCTS, runs
+simplify at range 5 under declared products: two declarations where one
+product is the 7th power of the other, and sum(i,1,n,1/i) under four
+constant products and under three rational ones, so the reports cover
+the product check.  A telescope/ group, listed in TELESCOPE,
 runs `nsopt telescope` on four summands: one solved over an adjoined
 generator, one with no solution (its certificate text), one that adjoins
 a generator over another, and one over the BINOM_PRODUCT product.
@@ -36,6 +40,13 @@ EXTRA = (
     "sum(i,0,n,sum(j,1,i,5*((3*j+4)/(j+3)^2)^2)*1/(i+3))",
     "sum(i,0,n,H(i)*1/(2*i+3))",
     "sum(i,0,n,sum(j,3,i,sum(k,2,j,5/2*H(k)*(1/(3*k+3))))*1/(3*i+2))",
+)
+# (declared products, expression)
+PRODUCTS = (
+    (("p:2:1", "q:128:1"), "sum(i,1,n,prod(t,1,i,128)-prod(t,1,i,2)^7)"),
+    (("p:128:1", "q:2:1"), "sum(i,1,n,prod(t,1,i,2)^7-prod(t,1,i,128))"),
+    (("a:2:1", "b:3:1", "c:5:1", "d:7:1"), "sum(i,1,n,1/i)"),
+    (("a:n+1:1", "b:(n+1)/(2*(2*n+1)):1", "c:(2*n+1)/(n+3):1"), "sum(i,1,n,1/i)"),
 )
 # (summand, declares BINOM_PRODUCT)
 TELESCOPE = (
@@ -70,6 +81,9 @@ def corpus(root):
             out.append((f"{workload}/{label}", simplify + list(argv) + [expr]))
     for i, expr in enumerate(EXTRA):
         out.append((f"extra/{i}", simplify + ["--verify-range", "5", expr]))
+    for i, (specs, expr) in enumerate(PRODUCTS):
+        products = [arg for spec in specs for arg in ("--with-product", spec)]
+        out.append((f"products/{i}", simplify + ["--verify-range", "5", *products, expr]))
     for i, (expr, binom) in enumerate(TELESCOPE):
         products = list(wl.BINOM_PRODUCT) if binom else []
         out.append((f"telescope/{i}", ["telescope", *products, expr]))
