@@ -552,8 +552,9 @@ def _to_int_coeffs(cs) -> list:
 
 
 def _divisors(n: int):
-    """All positive divisors of n by trial division, or None if n is too
-    hard to factor within the limits (callers must degrade gracefully)."""
+    """All positive divisors of n by trial division, or None when n is 0
+    or |n| > _DIVISOR_LIMIT (callers must degrade gracefully).  Below the
+    limit, trial division up to sqrt(|n|) always completes."""
     n = abs(n)
     if n == 0:
         return None
@@ -562,16 +563,12 @@ def _divisors(n: int):
     factors = {}
     m = n
     d = 2
-    while d * d <= m and d <= _TRIAL_LIMIT:
+    while d * d <= m:
         while m % d == 0:
             factors[d] = factors.get(d, 0) + 1
             m //= d
         d += 1 if d == 2 else 2
     if m > 1:
-        if d * d <= m:
-            # trial division hit the limit with m still composite-sized;
-            # a wrong "prime" here would silently drop divisors
-            return None
         factors[m] = factors.get(m, 0) + 1
     divs = [1]
     for prime, mult in factors.items():

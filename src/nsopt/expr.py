@@ -12,8 +12,9 @@ depth-optimally (growing the tower with certified generators as needed),
 and the sum collapses to telescoper-plus-constant, the constant fixed by an
 exact prefix evaluation.  reinterpret() walks the other way: a
 polynomial-part element splits into monomials and every generator unfolds
-into the sum (or product) of its shift part, so the printed result
-evaluates exactly like the element.
+into the sum (or product) of its shift part.  That printed form is what
+an element evaluates to: eval_field evaluates it with the same Evaluator
+the verification sweep uses.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import dataclasses
 from fractions import Fraction
 
 from .algebra import Poly, RatFunc, nonneg_integer_roots
-from .dfield import Tower, TowerElem, eval_at_point, is_polynomial_part, sigma
+from .dfield import Tower, TowerElem, is_polynomial_part, sigma
 from .telescope import (
     UnsupportedShape,
     _prune_tower,
@@ -526,27 +527,9 @@ def _h_sugar_form(e: Sum):
     return f"H({e.upper})" if o == 1 else f"H({o},{e.upper})"
 
 
-def _mono_src(c: Fraction, k: int, var: str) -> str:
-    if k == 0:
-        return str(c)
-    xpow = var if k == 1 else f"{var}^{k}"
-    if c == 1:
-        return xpow
-    if c == -1:
-        return f"-{xpow}"
-    return f"{c}*{xpow}"
-
-
 def _poly_src(p: Poly, var: str):
-    if p.is_zero():
-        return "0", _P_ATOM
-    parts = [
-        _mono_src(p.coeff(k), k, var)
-        for k in range(p.degree, -1, -1)
-        if p.coeff(k)
-    ]
-    text = _join_signed(parts)
-    if len(parts) > 1:
+    text = p.to_str(var)
+    if sum(1 for c in p.coeffs if c) > 1:
         return text, _P_PLUS
     if text.startswith("-") or "*" in text or "/" in text:
         return text, _P_TIMES
@@ -737,13 +720,11 @@ class EvalSpec:
     Sum-like generators get r = o(shift part) + 1 with c = 0; product-like
     ones r = z(ratio) + 1 with c = 1 (z also clears the ratio's poles),
     unless overridden (registered products carry their declared lower
-    bound).  Value prefixes are cached per generator object, so pruned and
-    regrown towers never collide."""
+    bound)."""
 
     def __init__(self, overrides=None):
         self.overrides = dict(overrides or {})
         self._params = {}
-        self._vals = {}
 
     def params(self, tower: Tower, index: int):
         gen = tower.gens[index]
@@ -760,28 +741,13 @@ class EvalSpec:
         self._params[gen] = rc
         return rc
 
-    def gen_value(self, tower: Tower, index: int, k: int) -> Fraction:
-        gen = tower.gens[index]
-        r, c = self.params(tower, index)
-        if k < r:
-            return c
-        vals = self._vals.setdefault(gen, [])
-        while len(vals) <= k - r:
-            i = r + len(vals)
-            prev = vals[-1] if vals else c
-            step = eval_field(tower, self, gen.shift_part, i - 1)
-            vals.append(prev + step if gen.kind == "sigma" else prev * step)
-        return vals[k - r]
-
 
 def eval_field(tower: Tower, spec: EvalSpec, f: TowerElem, k: int) -> Fraction:
-    """Canonical value of a tower element at index k.
+    """Value at index k of f's printed form, reinterpret(tower, spec, f).
 
-    A pole anywhere in f, in its denominator or in a coefficient at any
-    level, gives 0 for the whole element.  Poles occur only at k < o(f)."""
-    vals = [Fraction(k)] + [spec.gen_value(tower, i, k) for i in range(f.level)]
-    v = eval_at_point(f, vals)
-    return v if v is not None else Fraction(0)
+    f must be a polynomial-part element.  A pole zeroes only the term of
+    the printed form that has it; poles occur only at k < o(f)."""
+    return evaluate(reinterpret(tower, spec, f), k)
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +796,8 @@ def compile(e, products=(), max_atom_power: int = 6,
     Sums telescope innermost-first; identical bodies (up to the binder
     name) share one telescoping.  Product leaves must match a declared
     ProductSpec ratio.  The result tower is pruned to the generators a
-    actually uses, and lam is tightened downward by exact comparison."""
+    actually uses, and lam is tightened downward by exact comparison of
+    the input with a's printed form, evaluated as the sweep evaluates it."""
     tower = Tower()
     spec = EvalSpec()
     for p in products:
@@ -846,10 +813,8 @@ def compile(e, products=(), max_atom_power: int = 6,
     elem, lam = _compile_node(st, e, "n")
     lam = max(lam, o_function(st.tower, spec, elem))
     pruned, elem, _ = _prune_tower(st.tower, elem, 0)
-    while lam > 0:
-        k = lam - 1
-        if st.ev.eval(e, {"n": Fraction(k)}) != eval_field(pruned, spec, elem, k):
-            break
+    out, out_ev = reinterpret(pruned, spec, elem), Evaluator()
+    while lam > 0 and evaluate(e, lam - 1, st.ev) == evaluate(out, lam - 1, out_ev):
         lam -= 1
     return CompileResult(pruned, spec, elem, lam, st.certified)
 
@@ -953,9 +918,9 @@ def _compile_prod(st: _Session, e: Prod, var: str):
 
 
 def reinterpret(tower: Tower, spec: EvalSpec, a: TowerElem):
-    """Unfold a polynomial-part element into an expression in n that
-    evaluates exactly like eval_field(a) at every k.  Monomials are
-    emitted by generator index then degree, descending."""
+    """Unfold a polynomial-part element into an expression in n: the
+    printed form, whose value eval_field gives.  Monomials are emitted by
+    generator index then degree, descending."""
     if not is_polynomial_part(tower, a):
         raise NotPolynomialPart("a sum-like generator occurs in a denominator")
     return _elem_expr(tower, spec, a, "n", _GenExprs(tower, spec))

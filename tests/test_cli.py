@@ -407,6 +407,28 @@ def test_simplify_weighted_outer_level(expression, capsys):
     assert "verified: k = 0..60 exact" in out
 
 
+@pytest.mark.parametrize(
+    "expression, lam",
+    [
+        # outputs with a pole just below lambda: lambda is read off the
+        # printed output, whose pole zeroes only its own term
+        ("sum(i,1,n,1/i) - 3/2 + sum(i,4,n,1/((i-3)*(i-2)))", 3),
+        ("H(n) + sum(i,4,n,3/((i-4)*(i-4+3))) - 11/6", 4),
+        # input and output are both -1 at k = 1, a pole of the output
+        ("sum(i,3,n,sum(j,1,i,1/((j-3)*(j-3+1)))) - 1", 1),
+    ],
+)
+def test_simplify_lambda_from_printed_output(expression, lam, capsys):
+    code, out, _ = run_cli(
+        ["simplify", "--json", "--verify-range", "8", expression], capsys
+    )
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["lambda"] == lam
+    assert [row[0] for row in rep["verification"]] == list(range(lam, lam + 9))
+    assert all(row[3] is True for row in rep["verification"])
+
+
 def test_simplify_negative_range_exit2(capsys):
     code, out, err = run_cli(
         ["simplify", "sum(i,1,n,1/i)", "--verify-range", "-3"], capsys

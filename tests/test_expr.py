@@ -288,6 +288,17 @@ def test_gen_value_harmonic():
         assert eval_field(t, spec, h, k) == harm(k)
 
 
+def test_eval_field_is_printed_form_value():
+    # poles included: 1/(x - 2) zeroes only its own term at k = 2
+    t, h = harmonic_tower()
+    spec = EvalSpec()
+    f = h + ONE / (X - 2)
+    out = reinterpret(t, spec, f)
+    for k in range(0, 11):
+        assert eval_field(t, spec, f, k) == evaluate(out, k)
+    assert eval_field(t, spec, f, 2) == harm(2)
+
+
 def test_gen_value_product():
     from math import comb
 

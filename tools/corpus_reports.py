@@ -23,7 +23,10 @@ constant products and under three rational ones, so the reports cover
 the product check.  A telescope/ group, listed in TELESCOPE,
 runs `nsopt telescope` on four summands: one solved over an adjoined
 generator, one with no solution (its certificate text), one that adjoins
-a generator over another, and one over the BINOM_PRODUCT product.
+a generator over another, and one over the BINOM_PRODUCT product.  A
+lambda/ group, listed in LAMBDA, runs simplify at range 8 on three inputs
+whose printed outputs have poles at small k, so the reports cover where
+lambda is read off the printed output.
 """
 
 import argparse
@@ -47,6 +50,11 @@ PRODUCTS = (
     (("p:128:1", "q:2:1"), "sum(i,1,n,prod(t,1,i,2)^7-prod(t,1,i,128))"),
     (("a:2:1", "b:3:1", "c:5:1", "d:7:1"), "sum(i,1,n,1/i)"),
     (("a:n+1:1", "b:(n+1)/(2*(2*n+1)):1", "c:(2*n+1)/(n+3):1"), "sum(i,1,n,1/i)"),
+)
+LAMBDA = (
+    "sum(i,1,n,1/i) - 3/2 + sum(i,4,n,1/((i-3)*(i-2)))",
+    "H(n) + sum(i,4,n,3/((i-4)*(i-4+3))) - 11/6",
+    "sum(i,3,n,sum(j,1,i,1/((j-3)*(j-3+1)))) - 1",
 )
 # (summand, declares BINOM_PRODUCT)
 TELESCOPE = (
@@ -87,6 +95,8 @@ def corpus(root):
     for i, (expr, binom) in enumerate(TELESCOPE):
         products = list(wl.BINOM_PRODUCT) if binom else []
         out.append((f"telescope/{i}", ["telescope", *products, expr]))
+    for i, expr in enumerate(LAMBDA):
+        out.append((f"lambda/{i}", simplify + ["--verify-range", "8", expr]))
     return out
 
 
