@@ -10,6 +10,12 @@ Conventions used throughout:
   their own element type as coefficients).
 * A rational function ``RatFunc`` keeps numerator and denominator coprime
   with a *monic* denominator, so equality is structural comparison.
+* Q[x] arithmetic runs on integers: when every coefficient is a Fraction,
+  products, divisions, shifts, gcds and the ``RatFunc`` normal form work on
+  integer vectors over one common denominator (``_to_ints``) and build
+  Fractions once, for the result (``_from_ints``).  Polynomials with other
+  coefficients (tower elements) take plain loops over their own field
+  operations.  Shifts are defined for Q[x] only.
 
 The factorization helpers at the bottom split denominators into monic
 "atoms".  Atoms are true irreducibles for everything built from linear
@@ -145,6 +151,9 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if not self.coeffs or not other.coeffs:
             return Poly(())
+        if _is_rational(self.coeffs) and _is_rational(other.coeffs):
+            (a, da), (b, db) = _to_ints(self.coeffs), _to_ints(other.coeffs)
+            return _from_ints(_int_mul(a, b), da * db)
         out = [self.coeffs[0] * 0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if _is_zero(a):
@@ -177,6 +186,11 @@ class Poly:
     def __divmod__(self, other: "Poly"):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        if _is_rational(self.coeffs) and _is_rational(other.coeffs):
+            (p, dp), (q, dq) = _to_ints(self.coeffs), _to_ints(other.coeffs)
+            t, r, s = _int_divmod(p, q)
+            # s*p = t*q + r, with p = dp*self and q = dq*other
+            return _from_ints([c * dq for c in t], s * dp), _from_ints(r, s * dp)
         rem = list(self.coeffs)
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
@@ -227,19 +241,20 @@ class Poly:
             acc = acc * v + c
         return acc
 
-    def compose(self, inner: "Poly") -> "Poly":
-        """self(inner(x)) by Horner."""
-        acc = Poly(())
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly((c,))
-        return acc
-
     def shift(self, j) -> "Poly":
-        """p(x + j) for a Fraction/integer j."""
+        """p(x + j) for a Q[x] polynomial p and a Fraction/integer j, by a
+        Taylor shift over Z; for j = a/b, x is scaled by b first."""
         if not j or self.degree < 1:
             return self
-        one = self.lc() / self.lc()
-        return self.compose(Poly((one * j, one)))
+        p, den = _to_ints(self.coeffs)
+        j = Fraction(j)
+        a, b = j.numerator, j.denominator
+        if b == 1:
+            return _from_ints(_int_shift(p, a), den)
+        # b^n * p(y/b) is integral; shift it by a, then put y = b*x
+        n = len(p) - 1
+        p = _int_shift([c * b**(n - i) for i, c in enumerate(p)], a)
+        return _from_ints([c * b**i for i, c in enumerate(p)], den * b**n)
 
     # -- printing ----------------------------------------------------------
 
@@ -287,7 +302,74 @@ def _coeff_str(c) -> str:
 
 
 def _is_rational(cs) -> bool:
-    return all(type(c) is Fraction for c in cs)
+    for c in cs:  # a plain loop: about twice as fast as all() on short tuples
+        if type(c) is not Fraction:
+            return False
+    return True
+
+
+def _to_ints(cs) -> tuple:
+    """(ints, den) with cs[i] == ints[i] / den, for Fraction (or int)
+    coefficients cs; den > 0 is the lcm of their denominators."""
+    # list arguments, not generators: a tuple built from a generator is
+    # resized, and its object then joins the interpreter's small-tuple free
+    # list, which pins memory over the thousands of calls of one solve
+    den = math.lcm(*[c.denominator for c in cs])
+    if den == 1:
+        return [c.numerator for c in cs], 1
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def _from_ints(ints: list, den: int) -> Poly:
+    """The Q[x] polynomial with coefficients ints[i] / den, den != 0."""
+    if den == 1:
+        return Poly([Fraction(c) for c in ints])
+    return Poly([Fraction(c, den) for c in ints])
+
+
+def _int_mul(a: list, b: list) -> list:
+    """Product of two nonzero integer polynomials (ascending)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _int_divmod(p: list, q: list) -> tuple:
+    """(t, r, s) with s*p == t*q + r over Z, len(r) < len(q) and s > 0, for
+    integer polynomials (ascending) with q nonzero.  Fraction-free: a step
+    scales by lc(q) / gcd(lc(q), c) only where lc(q) does not divide the
+    leading coefficient c, so an exact division by a primitive divisor
+    keeps s == 1 (Gauss's lemma)."""
+    r, t, s = list(p), [0] * max(len(p) - len(q) + 1, 0), 1
+    lq, dq = q[-1], len(q) - 1
+    for k in range(len(t) - 1, -1, -1):
+        c = r[k + dq]
+        if not c:
+            continue
+        v, m = divmod(c, lq)
+        if m:
+            g = math.gcd(c, lq)
+            u, v = lq // g, c // g
+            r = [u * x for x in r]
+            t = [u * x for x in t]
+            s *= u
+        t[k] = v
+        for i, qc in enumerate(q):
+            r[k + i] -= v * qc
+    return t, r[:dq], s
+
+
+def _int_shift(p: list, a: int) -> list:
+    """p(x + a) over Z by Horner's Taylor shift: n(n+1)/2 multiply-adds."""
+    p = list(p)
+    n = len(p) - 1
+    for i in range(n):
+        for k in range(n - 1, i - 1, -1):
+            p[k] += a * p[k + 1]
+    return p
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
@@ -299,19 +381,14 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     if p.is_zero() or q.is_zero():
         return (p or q).monic()
     if _is_rational(p.coeffs) and _is_rational(q.coeffs):
-        ints = _int_gcd(_to_int_coeffs(p.coeffs), _to_int_coeffs(q.coeffs))
-        return _monic(ints)
+        a, b = _to_ints(p.coeffs)[0], _to_ints(q.coeffs)[0]
+        ints = _int_gcd(_primitive(a), _primitive(b))
+        return _from_ints(ints, ints[-1])
     a, b = p, q
     while not b.is_zero():
         # keeping remainders monic tames coefficient growth
         a, b = b, (a % b).monic()
     return a.monic()
-
-
-def _monic(cs: list) -> Poly:
-    """The monic Fraction polynomial of a nonzero integer one."""
-    lc = cs[-1]
-    return Poly(tuple([Fraction(c, lc) for c in cs]))
 
 
 def _primitive(cs: list) -> list:
@@ -377,6 +454,18 @@ class RatFunc:
         if num.is_zero():
             self.num = Poly(())
             self.den = Poly((den.lc() / den.lc(),))
+            return
+        if _is_rational(num.coeffs) and _is_rational(den.coeffs):
+            (n, dn), (d, dd) = _to_ints(num.coeffs), _to_ints(den.coeffs)
+            g = _int_gcd(_primitive(n), _primitive(d))
+            if len(g) > 1:
+                # g is primitive, so by Gauss's lemma both quotients are
+                # integral and the division never scales (s == 1)
+                n, d = _int_divmod(n, g)[0], _int_divmod(d, g)[0]
+            # num/den = (n/dn) / (d/dd), made monic by d's leading coefficient
+            lc = d[-1]
+            self.num = _from_ints([c * dd for c in n], dn * lc)
+            self.den = _from_ints(d, lc)
             return
         g = poly_gcd(num, den)
         if g.degree > 0:
@@ -465,9 +554,19 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o.is_constant():
+            return self._scaled(o.constant_value())
+        if self.is_constant():
+            return o._scaled(self.constant_value())
         return RatFunc(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
+
+    def _scaled(self, c) -> "RatFunc":
+        """self * c for a constant c: a nonzero c keeps the normal form."""
+        if not c:
+            return RatFunc.from_const(c)
+        return RatFunc(self.num.scale(c), self.den, _normalized=True)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -496,10 +595,10 @@ class RatFunc:
     # -- substitution & misc ----------------------------------------------
 
     def shift(self, j) -> "RatFunc":
-        """f(x + j)."""
+        """f(x + j); a shift keeps num and den coprime and den monic."""
         if not j:
             return self
-        return RatFunc(self.num.shift(j), self.den.shift(j))
+        return RatFunc(self.num.shift(j), self.den.shift(j), _normalized=True)
 
     def eval_at(self, v: Fraction):
         """Exact value at v, or None if v is a pole."""
@@ -540,15 +639,6 @@ RatFunc.X = RatFunc.from_poly(Poly.from_ints(0, 1))
 
 _DIVISOR_LIMIT = 10**12
 _TRIAL_LIMIT = 10**6
-
-
-def _to_int_coeffs(cs) -> list:
-    """Scale a sequence of Fractions to primitive integers."""
-    # list arguments, not generators: a tuple built from a generator is
-    # resized, and its object then joins the interpreter's small-tuple free
-    # list, which pins memory over the thousands of calls of one solve
-    den_lcm = math.lcm(*[c.denominator for c in cs])
-    return _primitive([c.numerator * (den_lcm // c.denominator) for c in cs])
 
 
 def _divisors(n: int):
@@ -609,6 +699,12 @@ def _root_bound(ints: list) -> int:
 # integer gcd, so a full window of cubics takes about 0.1 s
 _SHIFT_LIMIT = 10**4
 
+# largest dispersion (the largest j >= 0 with gcd(a(x), b(x+j)) nontrivial)
+# a first-order solve accepts: its denominator bound multiplies j+1 shifted
+# factors and the ansatz grows with it, so the solve costs about j^3;
+# sum(i,1,n,1/(i+251)), at dispersion 250, takes about 15 s end to end
+_DISPERSION_LIMIT = 250
+
 
 def gcd_shifts(a: Poly, b: Poly) -> dict:
     """{j: gcd(a(x), b(x+j))} for every integer j >= 0 where that monic gcd
@@ -617,21 +713,18 @@ def gcd_shifts(a: Poly, b: Poly) -> dict:
     Such a j is a root of b minus a root of a, so it is at most the sum of
     their root bounds; every j up to there is tried by a gcd over Z.  A
     window past _SHIFT_LIMIT raises RootSearchLimit."""
-    ai, bi = _to_int_coeffs(a.coeffs), _to_int_coeffs(b.coeffs)
+    ai, bi = _primitive(_to_ints(a.coeffs)[0]), _primitive(_to_ints(b.coeffs)[0])
     if len(ai) < 2 or len(bi) < 2:
         return {}
     window = _root_bound(ai) + _root_bound(bi)
     if window > _SHIFT_LIMIT:
         raise RootSearchLimit("shift search out of range")
     out = {}
-    n = len(bi) - 1
     for j in range(window + 1):
         g = _int_gcd(ai, bi)
         if len(g) > 1:
-            out[j] = _monic(g)
-        for i in range(n):  # bi <- bi(x+1) by synthetic division
-            for k in range(n - 1, i - 1, -1):
-                bi[k] += bi[k + 1]
+            out[j] = _from_ints(g, g[-1])
+        bi = _int_shift(bi, 1)
     return out
 
 
@@ -647,7 +740,7 @@ def nonneg_integer_roots(p: Poly) -> set:
         raise ZeroPolynomial("nonneg_integer_roots of the zero polynomial")
     if p.degree == 0:
         return set()
-    ints = _to_int_coeffs(p.coeffs)
+    ints = _primitive(_to_ints(p.coeffs)[0])
     roots = set()
     low = 0
     while low < len(ints) and ints[low] == 0:
@@ -682,7 +775,7 @@ def rational_roots(p: Poly) -> list:
     sorted by root."""
     if p.is_zero():
         raise ZeroPolynomial("rational_roots of the zero polynomial")
-    ints = _to_int_coeffs(p.coeffs)
+    ints = _primitive(_to_ints(p.coeffs)[0])
     found = {}
     low = 0
     while low < len(ints) and ints[low] == 0:
@@ -699,7 +792,7 @@ def rational_roots(p: Poly) -> list:
                 for b in dds:
                     cands.add(Fraction(a, b))
                     cands.add(Fraction(-a, b))
-            work = Poly([Fraction(c) for c in ints])
+            work = _from_ints(ints, 1)
             for r in sorted(cands):
                 mult = 0
                 while work.degree >= 1 and work.eval_at(r) == 0:
@@ -911,7 +1004,7 @@ def _nullspace_int(rows: list, ncols: int) -> list:
     """nullspace of a Fraction matrix by Gauss-Jordan on primitive integer
     rows: each combined row is divided by its content, and the reduced
     echelon entries are read off as ratios to the pivots."""
-    mat = [_to_int_coeffs(r) for r in rows if any(r)]
+    mat = [_primitive(_to_ints(r)[0]) for r in rows if any(r)]
     pivots = []
     r = 0
     for col in range(ncols):

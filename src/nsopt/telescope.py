@@ -50,8 +50,11 @@ from math import comb
 from .algebra import (
     Poly,
     RatFunc,
+    RootSearchLimit,
+    _DISPERSION_LIMIT,
+    _primitive,
     _refine_by_shift_gcd,
-    _to_int_coeffs,
+    _to_ints,
     equal_degree_shift,
     factor_atoms,
     gcd_shifts,
@@ -165,11 +168,17 @@ def _shift_gcd_candidates(A: Poly, B: Poly) -> set:
 
 def universal_denominator(a: Poly, b: Poly) -> Poly:
     """Denominator bound for rational solutions of a*u(x+1) + b*u(x) = C
-    with polynomial C (Abramov's construction on a(x-1) and b(x))."""
+    with polynomial C (Abramov's construction on a(x-1) and b(x)).  A
+    dispersion past _DISPERSION_LIMIT raises RootSearchLimit."""
     A = a.shift(-1)
     B = b
     D = _PONE
-    for j in sorted(_shift_gcd_candidates(A, B), reverse=True):
+    shifts = sorted(_shift_gcd_candidates(A, B), reverse=True)
+    if shifts and shifts[0] > _DISPERSION_LIMIT:
+        raise RootSearchLimit(
+            f"dispersion {shifts[0]} past the limit of {_DISPERSION_LIMIT}"
+        )
+    for j in shifts:
         d = poly_gcd(A, B.shift(j))
         if d.degree < 1:
             continue
@@ -347,7 +356,7 @@ def adjoin_pi(tower: Tower, alpha: TowerElem, name: str = None) -> Tower:
     rows = _exponent_rows(ratios)
     vec = next((v for v in nullspace(rows, len(ratios)) if v[0]), None)
     if vec is not None:
-        v = _to_int_coeffs(vec)
+        v = _primitive(_to_ints(vec)[0])
         if v[0] < 0:
             v = [-e for e in v]
         if sum(e for e, r in zip(v, ratios) if r.num.lc() < 0) % 2:

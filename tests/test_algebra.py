@@ -420,6 +420,96 @@ def test_integer_nullspace_empty_and_zero():
     assert nullspace([[Fraction(-2), Fraction(4)]], 2) == [[2, 1]]
 
 
+def assert_rational_equal(got: Poly, generic: Poly):
+    assert all(type(c) is Fraction for c in got.coeffs)
+    assert list(got.coeffs) == unboxed(generic.coeffs)
+
+
+def test_integer_product_and_division_match_generic_randomized():
+    rng = random.Random(1019)
+    for trial in range(300):
+        p, q = rand_frac_poly(rng, 6), rand_frac_poly(rng, 4)
+        if trial % 4 == 0:
+            q = q.scale(Fraction(-rng.randint(2, 9), rng.randint(1, 5)))
+        assert_rational_equal(p * q, boxed(p) * boxed(q))
+        if q.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                divmod(p, q)
+            continue
+        quo, rem = divmod(p, q)
+        gquo, grem = divmod(boxed(p), boxed(q))
+        assert_rational_equal(quo, gquo)
+        assert_rational_equal(rem, grem)
+        assert quo * q + rem == p
+        assert_rational_equal((p * q).exact_div(q), boxed(p))
+        if not rem.is_zero():
+            with pytest.raises(ValueError, match="remainder"):
+                p.exact_div(q)
+
+
+def test_integer_division_edge_cases():
+    # a negative, non-monic leading coefficient scales the fraction-free
+    # steps; a divisor of higher degree leaves the dividend as remainder
+    p = Poly((Fraction(7, 3), Fraction(-1), Fraction(5, 2), Fraction(3)))
+    q = Poly((Fraction(1, 2), Fraction(4), Fraction(-6, 5)))
+    quo, rem = divmod(p, q)
+    gquo, grem = divmod(boxed(p), boxed(q))
+    assert_rational_equal(quo, gquo)
+    assert_rational_equal(rem, grem)
+    assert quo * q + rem == p and rem.degree < q.degree
+    assert divmod(q, p) == (Poly(()), q)
+    assert divmod(Poly(()), q) == (Poly(()), Poly(()))
+    assert (p * q).exact_div(q.scale(Fraction(-2, 7))) == p.scale(Fraction(-7, 2))
+    with pytest.raises(ValueError, match="remainder"):
+        (p * q + ONE).exact_div(q)
+    with pytest.raises(ValueError, match="remainder"):
+        q.exact_div(p)
+
+
+def generic_shift(p: Poly, j) -> Poly:
+    """p(x + j) by Horner over boxed coefficients: the reference."""
+    inner = Poly((Boxed(j), Boxed(1)))
+    acc = Poly(())
+    for c in reversed(p.coeffs):
+        acc = acc * inner + Poly((Boxed(c),))
+    return acc
+
+
+def test_integer_shift_matches_generic_randomized():
+    rng = random.Random(1021)
+    for trial in range(200):
+        p = rand_frac_poly(rng, 7)
+        j = -rng.randint(1, 40) if trial % 2 else rand_frac(rng, 9)
+        got = p.shift(j)
+        if not j:
+            assert got is p
+            continue
+        assert_rational_equal(got, generic_shift(p, j))
+        assert got.shift(-j) == p
+        v = rand_frac(rng)
+        assert got.eval_at(v) == p.eval_at(v + j)
+
+
+def test_ratfunc_normal_form_matches_generic_randomized():
+    rng = random.Random(1023)
+    checked = 0
+    for _ in range(200):
+        shared = rand_frac_poly(rng, 3)
+        num = shared * rand_frac_poly(rng, 3)
+        den = shared * rand_frac_poly(rng, 3)
+        if num.is_zero() or den.is_zero():
+            continue
+        f = RatFunc(num, den)
+        g = RatFunc(boxed(num), boxed(den))
+        assert_rational_equal(f.num, g.num)
+        assert_rational_equal(f.den, g.den)
+        assert f.den.lc() == 1
+        assert poly_gcd(f.num, f.den).degree == 0
+        assert f.num * den == num * f.den
+        checked += shared.degree >= 1
+    assert checked > 50
+
+
 def test_tower_coefficients_take_the_generic_path(monkeypatch):
     # tower arithmetic normalizes its constants over Q, so the integer gcd
     # may run, but only ever on constants; the nullspace kernel never runs

@@ -314,6 +314,18 @@ def test_shift_search_limit_exit3(capsys):
     assert err == "unsupported: shift search out of range\n"
 
 
+# 1/(i+100000) reaches 1/(i+1) at dispersion 99999; the universal
+# denominator would multiply 10^5 shifted factors, so the solve must refuse
+# before building any of them
+def test_dispersion_limit_exit3(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(["simplify", "sum(i,1,n,1/(i+100000))"], capsys)
+    assert time.perf_counter() - start < 5
+    assert code == 3
+    assert out == ""
+    assert err == "unsupported: dispersion 99999 past the limit of 250\n"
+
+
 # the denominator's constant term is past the divisor limit, but Fujiwara's
 # root bound keeps the integer-root scan short; the Cauchy bound alone did not
 def test_root_bound_scan_simplifies(capsys):

@@ -1,5 +1,6 @@
 """Seeded fuzz of `nsopt simplify` over nested sums with poles at small
-indices, each exit-0 report checked by the independent oracle in
+indices, and over quadratic and squared-linear atoms under rational outer
+weights, each exit-0 report checked by the independent oracle in
 perfbench/oracle.py."""
 
 import importlib.util
@@ -16,6 +17,8 @@ _spec.loader.exec_module(oracle)
 
 SEED = 2
 COUNT = 100
+ATOM_SEED = 3
+ATOM_COUNT = 40
 VERIFY_RANGE = 8
 # 0 is success, 3 an unsupported shape; 4 (the sweep found a mismatch)
 # must never happen
@@ -49,10 +52,30 @@ def _expression(rng):
     return text
 
 
-def test_fuzz_pole_sums_verify(capsys):
-    rng = random.Random(SEED)
-    for _ in range(COUNT):
-        expression = _expression(rng)
+def _atom(rng, v):
+    a, c = rng.randint(0, 3), rng.randint(1, 3)
+    return rng.choice((
+        f"1/({v}^2+{c})",
+        # telescopes: the difference of 1/(v^2+c) and its shift
+        f"(2*{v}+1)/(({v}^2+{c})*(({v}+1)^2+{c}))",
+        f"1/({v}+{a})^2",
+        f"({c}*{v}+1)/({v}+{a})^2",
+    ))
+
+
+def _weighted_expression(rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return f"sum(i,{rng.randint(0, 3)},n,{_atom(rng, 'i')})"
+    inner = f"sum(j,{rng.randint(0, 3)},i,{_atom(rng, 'j')})"
+    if kind == 1:
+        return f"sum(i,{rng.randint(0, 3)},n,{inner})"
+    weight = f"{rng.randint(1, 5)}/({rng.randint(1, 2)}*i+{rng.randint(1, 3)})"
+    return f"sum(i,{rng.randint(0, 3)},n,{inner}*{weight})"
+
+
+def _check_all(expressions, capsys):
+    for expression in expressions:
         try:
             code = main(["simplify", "--json", "--verify-range",
                          str(VERIFY_RANGE), expression])
@@ -64,3 +87,13 @@ def test_fuzz_pole_sums_verify(capsys):
             report = json.loads(out)
             assert oracle.check_report(expression, VERIFY_RANGE, report) == [], \
                 expression
+
+
+def test_fuzz_pole_sums_verify(capsys):
+    rng = random.Random(SEED)
+    _check_all([_expression(rng) for _ in range(COUNT)], capsys)
+
+
+def test_fuzz_atoms_and_weights_verify(capsys):
+    rng = random.Random(ATOM_SEED)
+    _check_all([_weighted_expression(rng) for _ in range(ATOM_COUNT)], capsys)
