@@ -16,6 +16,9 @@ Conventions used throughout:
   Fractions once, for the result (``_from_ints``).  Polynomials with other
   coefficients (tower elements) take plain loops over their own field
   operations.  Shifts are defined for Q[x] only.
+* Rational roots are tested over Z as well: a candidate a/b is a root of
+  the integer polynomial p of degree n when b^n * p(a/b), a homogeneous
+  Horner sum, vanishes, and it is divided out as the factor b*x - a.
 
 The factorization helpers at the bottom split denominators into monic
 "atoms".  Atoms are true irreducibles for everything built from linear
@@ -243,9 +246,11 @@ class Poly:
 
     def shift(self, j) -> "Poly":
         """p(x + j) for a Q[x] polynomial p and a Fraction/integer j, by a
-        Taylor shift over Z; for j = a/b, x is scaled by b first."""
+        Taylor shift over Z; for j = a/b, x is scaled by b first.  A degree
+        past _DEGREE_LIMIT raises RootSearchLimit."""
         if not j or self.degree < 1:
             return self
+        _check_degree(self.degree)
         p, den = _to_ints(self.coeffs)
         j = Fraction(j)
         a, b = j.numerator, j.denominator
@@ -705,6 +710,18 @@ _SHIFT_LIMIT = 10**4
 # sum(i,1,n,1/(i+251)), at dispersion 250, takes about 15 s end to end
 _DISPERSION_LIMIT = 250
 
+# largest degree of a polynomial Poly.shift accepts, and of the polynomial
+# unknown a first-order solve sets up: a shift costs about n^2 integer
+# operations and an ansatz of degree n about n^3; sum(i,1,n,i^499), whose
+# telescoper has degree 500, takes about 15 s end to end
+_DEGREE_LIMIT = 500
+
+
+def _check_degree(n: int):
+    """Raise RootSearchLimit for a degree n past _DEGREE_LIMIT."""
+    if n > _DEGREE_LIMIT:
+        raise RootSearchLimit(f"degree {n} past the limit of {_DEGREE_LIMIT}")
+
 
 def gcd_shifts(a: Poly, b: Poly) -> dict:
     """{j: gcd(a(x), b(x+j))} for every integer j >= 0 where that monic gcd
@@ -769,6 +786,16 @@ def nonneg_integer_roots(p: Poly) -> set:
     return roots
 
 
+def _int_eval_scaled(ints: list, a: int, b: int) -> int:
+    """b^n * p(a/b) for the integer polynomial p = ints of degree n, by a
+    homogeneous Horner scheme over Z."""
+    acc, bpow = ints[-1], 1
+    for c in reversed(ints[:-1]):
+        bpow *= b
+        acc = acc * a + c * bpow
+    return acc
+
+
 def rational_roots(p: Poly) -> list:
     """Rational roots with multiplicities, best effort (complete for the
     coefficient sizes this pipeline produces).  Returns [(root, mult), ...]
@@ -792,11 +819,13 @@ def rational_roots(p: Poly) -> list:
                 for b in dds:
                     cands.add(Fraction(a, b))
                     cands.add(Fraction(-a, b))
-            work = _from_ints(ints, 1)
+            work = ints
             for r in sorted(cands):
+                a, b = r.numerator, r.denominator
                 mult = 0
-                while work.degree >= 1 and work.eval_at(r) == 0:
-                    work = work.exact_div(Poly((-r, Fraction(1))))
+                while len(work) > 1 and _int_eval_scaled(work, a, b) == 0:
+                    # b*x - a is primitive, so the quotient is integral
+                    work = _int_divmod(work, [-a, b])[0]
                     mult += 1
                 if mult:
                     found[r] = found.get(r, 0) + mult

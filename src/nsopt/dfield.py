@@ -69,7 +69,11 @@ class Tower:
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")
         self._sigma_cache = {}
-        # telescope's solve memo, shared by every tower grown from one root
+        # telescope's solve memo, shared by every tower grown from one root;
+        # it holds two kinds of key: (generator prefix, gamma, phis) for a
+        # parameterized solve at a level, and the pair (gamma, E) for the
+        # base field's denominator analysis at ratio gamma and common
+        # denominator E of the right-hand sides
         self._solve_cache = {} if solve_cache is None else solve_cache
 
     def __len__(self):

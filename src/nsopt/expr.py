@@ -19,7 +19,6 @@ the verification sweep uses.
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
 from .algebra import Poly, RatFunc, nonneg_integer_roots
@@ -84,49 +83,75 @@ class NotPolynomialPart(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class Const:
-    value: Fraction
+class _Node:
+    """An immutable syntax node over the fields its subclass names in
+    __slots__.  Nodes compare by exact type and fields, so Plus((a,)) !=
+    Times((a,)), and hash once, at construction: the Evaluator's memo
+    lookups then never walk a subtree."""
+
+    __slots__ = ("_hash",)
+
+    def __init__(self, *values):
+        fields = self.__slots__
+        if len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} fields")
+        for name, v in zip(fields, values):
+            object.__setattr__(self, name, v)
+        object.__setattr__(self, "_hash", hash((type(self).__name__, *values)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._hash == other._hash and all(
+            getattr(self, f) == getattr(other, f) for f in self.__slots__
+        )
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, never through setattr
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
 
 
-@dataclasses.dataclass(frozen=True)
-class Base:
+class Const(_Node):
+    __slots__ = ("value",)
+
+
+class Base(_Node):
     """A rational function of a single index."""
 
-    rf: RatFunc
-    var: str
+    __slots__ = ("rf", "var")
 
 
-@dataclasses.dataclass(frozen=True)
-class Plus:
-    terms: tuple
+class Plus(_Node):
+    __slots__ = ("terms",)
 
 
-@dataclasses.dataclass(frozen=True)
-class Times:
-    factors: tuple
+class Times(_Node):
+    __slots__ = ("factors",)
 
 
-@dataclasses.dataclass(frozen=True)
-class Power:
-    base: object
-    exp: int
+class Power(_Node):
+    __slots__ = ("base", "exp")
 
 
-@dataclasses.dataclass(frozen=True)
-class Sum:
-    idx: str
-    lower: int
-    upper: str
-    body: object
+class Sum(_Node):
+    __slots__ = ("idx", "lower", "upper", "body")
 
 
-@dataclasses.dataclass(frozen=True)
-class Prod:
-    idx: str
-    lower: int
-    upper: str
-    body: object
+class Prod(_Node):
+    __slots__ = ("idx", "lower", "upper", "body")
 
 
 # ---------------------------------------------------------------------------
@@ -755,23 +780,23 @@ def eval_field(tower: Tower, spec: EvalSpec, f: TowerElem, k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
 class ProductSpec:
     """A hypergeometric product atom declared up front: the generator
     `name` has shift ratio alpha and its product starts at `lower`."""
 
-    name: str
-    alpha: RatFunc
-    lower: int = 1
+    __slots__ = ("name", "alpha", "lower")
+
+    def __init__(self, name: str, alpha: RatFunc, lower: int = 1):
+        self.name, self.alpha, self.lower = name, alpha, lower
 
 
-@dataclasses.dataclass(frozen=True)
 class CompileResult:
-    tower: Tower
-    spec: EvalSpec
-    elem: TowerElem
-    lam: int
-    optimality_certified: bool
+    __slots__ = ("tower", "spec", "elem", "lam", "optimality_certified")
+
+    def __init__(self, tower: Tower, spec: EvalSpec, elem: TowerElem, lam: int,
+                 optimality_certified: bool):
+        self.tower, self.spec, self.elem = tower, spec, elem
+        self.lam, self.optimality_certified = lam, optimality_certified
 
 
 class _Session:

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -52,6 +51,7 @@ from .algebra import (
     RatFunc,
     RootSearchLimit,
     _DISPERSION_LIMIT,
+    _check_degree,
     _primitive,
     _refine_by_shift_gcd,
     _to_ints,
@@ -120,21 +120,20 @@ class ResidualCheckFailed(ArithmeticError):
     an input the in-tower solve refuted; never expected."""
 
 
-@dataclass(frozen=True)
 class TelescopeResult:
-    solved: bool
-    g: TowerElem = None
-    certificate: str = ""
+    __slots__ = ("solved", "g", "certificate")
+
+    def __init__(self, solved: bool, g: TowerElem = None, certificate: str = ""):
+        self.solved, self.g, self.certificate = solved, g, certificate
 
 
-@dataclass(frozen=True)
 class DepthOptResult:
-    solved: bool
-    g: TowerElem
-    tower: Tower
-    adjoined: tuple
-    optimality_certified: bool
-    note: str = ""
+    __slots__ = ("solved", "g", "tower", "adjoined", "optimality_certified", "note")
+
+    def __init__(self, solved: bool, g: TowerElem, tower: Tower, adjoined: tuple,
+                 optimality_certified: bool, note: str = ""):
+        self.solved, self.g, self.tower, self.adjoined = solved, g, tower, adjoined
+        self.optimality_certified, self.note = optimality_certified, note
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +143,14 @@ class DepthOptResult:
 _PONE = Poly.from_ints(1)
 
 
-def _shift_gcd_candidates(A: Poly, B: Poly) -> set:
-    """All j >= 0 with gcd(A(x), B(x+j)) nontrivial."""
+def _atoms(p: Poly) -> list:
+    return [q for q, _ in factor_atoms(p)] if p.degree >= 1 else []
+
+
+def _shift_gcd_candidates(atoms_a: list, atoms_b: list) -> set:
+    """All j >= 0 with gcd(A(x), B(x+j)) nontrivial, for A and B given by
+    their atoms."""
     out = set()
-    atoms_a = [p for p, _ in factor_atoms(A)] if A.degree >= 1 else []
-    atoms_b = [q for q, _ in factor_atoms(B)] if B.degree >= 1 else []
     for p in atoms_a:
         for q in atoms_b:
             if p.degree != q.degree:
@@ -173,7 +175,11 @@ def universal_denominator(a: Poly, b: Poly) -> Poly:
     A = a.shift(-1)
     B = b
     D = _PONE
-    shifts = sorted(_shift_gcd_candidates(A, B), reverse=True)
+    # the atoms of a(x-1) are a's atoms shifted, and for telescoping
+    # (gamma = 1) a = -b, so one factorization serves both sides
+    atoms_b = _atoms(b)
+    atoms_a = [p.shift(-1) for p in (atoms_b if a == -b else _atoms(a))]
+    shifts = sorted(_shift_gcd_candidates(atoms_a, atoms_b), reverse=True)
     if shifts and shifts[0] > _DISPERSION_LIMIT:
         raise RootSearchLimit(
             f"dispersion {shifts[0]} past the limit of {_DISPERSION_LIMIT}"
@@ -208,9 +214,15 @@ def _degree_bound(A2: Poly, B2: Poly, rhs_deg: int) -> int:
     return max(cands)
 
 
-def solve_first_order(gamma: RatFunc, phis) -> list:
+def solve_first_order(gamma: RatFunc, phis, memo: dict = None) -> list:
     """Basis of the (u, c) solution space of sigma(u)*gamma - u = sum c_k phi_k
-    with u in Q(x); entries are (RatFunc, tuple-of-Fraction) pairs."""
+    with u in Q(x); entries are (RatFunc, tuple-of-Fraction) pairs.
+
+    The denominator analysis depends only on gamma and the right-hand
+    sides' common denominator E; `memo` (a tower lineage's solve memo)
+    keeps it under the key (gamma, E) for the later solves that share it.
+    A polynomial unknown of degree past _DEGREE_LIMIT raises
+    RootSearchLimit before its ansatz is built."""
     if gamma.is_zero():
         raise ValueError("gamma must be nonzero")
     phis = list(phis)
@@ -220,10 +232,8 @@ def solve_first_order(gamma: RatFunc, phis) -> list:
     # clear denominators: gn*u(x+1) - gd*u = gd * sum c_k phi_k, then * E
     rhs = [phi * RatFunc.from_poly(gd) for phi in phis]
     E = _PONE
-    for r in rhs:
-        E = poly_lcm(E, r.den)
-    a = gn * E
-    b = -(gd * E)
+    for den in dict.fromkeys(r.den for r in rhs):
+        E = poly_lcm(E, den)
     Cs = []
     for r in rhs:
         q, rem = divmod(E, r.den)
@@ -231,15 +241,22 @@ def solve_first_order(gamma: RatFunc, phis) -> list:
             raise ArithmeticError("common denominator failed to clear a right-hand side")
         Cs.append(q * r.num)
 
-    D = universal_denominator(a, b)
-    Dup = D.shift(1)
-    L = poly_lcm(D, Dup)
-    A2 = a * L.exact_div(Dup)
-    B2 = b * L.exact_div(D)
+    memo = {} if memo is None else memo
+    key = (gamma, E)
+    hit = memo.get(key)
+    if hit is None:
+        a = gn * E
+        b = -(gd * E)
+        D = universal_denominator(a, b)
+        Dup = D.shift(1)
+        L = poly_lcm(D, Dup)
+        hit = memo[key] = (D, L, a * L.exact_div(Dup), b * L.exact_div(D))
+    D, L, A2, B2 = hit
     C2 = [c * L for c in Cs]
 
     rhs_deg = max([c.degree for c in C2], default=-1)
     N = _degree_bound(A2, B2, rhs_deg)
+    _check_degree(N)
 
     # columns: z_0..z_N then c_1..c_k
     cols = []
@@ -446,7 +463,7 @@ def _solve_param_impl(tower: Tower, level: int, gamma: TowerElem, phis: list) ->
             if phi.level != 0:
                 raise ValueError(f"right-hand side {phi!r} is not in the tower")
             base_phis.append(phi.rf)
-        res = solve_first_order(gamma.rf, base_phis)
+        res = solve_first_order(gamma.rf, base_phis, tower._solve_cache)
         return [(TowerElem.base(u), c) for u, c in res]
 
     gen = tower.gens[level - 1]

@@ -162,6 +162,34 @@ def test_rational_roots_with_multiplicity():
     assert rational_roots(p) == [(Fraction(-3), 1), (Fraction(1, 2), 2)]
 
 
+def test_rational_roots_randomized():
+    # products of linear factors with rational roots (numerators and
+    # denominators up to 999, repeated roots, sometimes a root at 0) times
+    # an irreducible quadratic, scaled; every root and multiplicity is
+    # checked against exact Fraction evaluation.  At most three nonzero
+    # roots keep the end coefficients under the divisor limit.
+    rng = random.Random(1011)
+    for _ in range(40):
+        want = {}
+        for _ in range(rng.randint(1, 2)):
+            r = Fraction(rng.choice((-1, 1)) * rng.randint(1, 999), rng.randint(1, 999))
+            want[r] = want.get(r, 0) + 1
+        if rng.random() < 0.5:  # a repeated root
+            want[rng.choice(list(want))] += 1
+        if rng.random() < 0.3:
+            want[Fraction(0)] = rng.randint(1, 2)
+        scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 50), rng.randint(1, 50))
+        p = Poly.from_ints(rng.randint(1, 9), 0, 1).scale(scale)
+        for r, m in want.items():
+            p = p * lin(r) ** m
+        got = rational_roots(p)
+        assert got == sorted(want.items())
+        for r, m in got:
+            assert p.eval_at(r) == 0
+            assert p.exact_div(lin(r) ** m).eval_at(r) != 0
+        assert p.degree == 2 + sum(m for _, m in got)
+
+
 # ---------------------------------------------------------------------------
 # factorization into atoms
 # ---------------------------------------------------------------------------

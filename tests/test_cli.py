@@ -326,6 +326,19 @@ def test_dispersion_limit_exit3(capsys):
     assert err == "unsupported: dispersion 99999 past the limit of 250\n"
 
 
+# a summand of degree past the limit is refused at its first shift, before
+# the compiler's sigma: i^800 took 93 s without the limit, and i^100000 ran
+# for minutes in the Taylor shift alone
+@pytest.mark.parametrize("degree", [800, 100000])
+def test_degree_limit_exit3(capsys, degree):
+    start = time.perf_counter()
+    code, out, err = run_cli(["simplify", f"sum(i,1,n,i^{degree})"], capsys)
+    assert time.perf_counter() - start < 5
+    assert code == 3
+    assert out == ""
+    assert err == f"unsupported: degree {degree} past the limit of 500\n"
+
+
 # the denominator's constant term is past the divisor limit, but Fujiwara's
 # root bound keeps the integer-root scan short; the Cauchy bound alone did not
 def test_root_bound_scan_simplifies(capsys):

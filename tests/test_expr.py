@@ -1,5 +1,7 @@
 """Surface language: parsing, printing, evaluation, compile, reinterpret."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -16,9 +18,11 @@ from nsopt.expr import (
     NotPolynomialPart,
     ParseError,
     Plus,
+    Prod,
     ProductSpec,
     ScopeError,
     Sum,
+    Times,
     ZeroElement,
     compile,
     eval_field,
@@ -49,6 +53,60 @@ def rf(num, den=(1,)):
 
 def harm(n, o=1):
     return sum(Fraction(1, k**o) for k in range(1, n + 1))
+
+
+# -- syntax nodes -------------------------------------------------------------
+
+
+def test_syntax_node_hashes_once(monkeypatch):
+    e = parse("sum(i,1,n,sum(j,1,i,1/(j+2))*1/(i+1))")
+    assert isinstance(e, Sum)
+    calls = [0]
+    rf_hash = RatFunc.__hash__
+
+    def counted(self):
+        calls[0] += 1
+        return rf_hash(self)
+
+    monkeypatch.setattr(RatFunc, "__hash__", counted)
+    h = hash(e)
+    assert hash(e) == h and {e: 1}[e] == 1
+    assert calls[0] == 0
+    # building a node hashes its leaf, so the counter counts; equal nodes
+    # hash alike
+    leaf = Base(rf((1,), (2, 1)), "j")
+    assert calls[0] == 1
+    assert hash(leaf) == hash(Base(rf((1,), (2, 1)), "j"))
+
+
+def test_syntax_nodes_compare_by_type_and_fields():
+    a = Base(rf((0, 1)), "i")
+    b = Base(rf((1,), (1, 1)), "i")
+    assert Plus((a, b)) == Plus((a, b))
+    assert Plus((a, b)) != Times((a, b))
+    assert Plus((a, b)) != Plus((b, a))
+    assert Sum("i", 1, "n", a) != Prod("i", 1, "n", a)
+    assert Sum("i", 1, "n", a) != Sum("i", 2, "n", a)
+    assert len({Sum("i", 1, "n", a), Prod("i", 1, "n", a), Sum("i", 1, "n", a)}) == 2
+
+
+def test_syntax_nodes_are_immutable():
+    e = Const(Fraction(1, 2))
+    with pytest.raises(AttributeError):
+        e.value = Fraction(1)
+    with pytest.raises(AttributeError):
+        del e.value
+    with pytest.raises(AttributeError):
+        e.extra = 1
+    assert e.value == HALF
+    f = parse("sum(i,1,n,1/(i+1))")
+    assert copy.deepcopy(f) == f and pickle.loads(pickle.dumps(f)) == f
+
+
+def test_syntax_node_repr_names_class_and_fields():
+    assert repr(Const(HALF)) == "Const(value=Fraction(1, 2))"
+    s = repr(Sum("i", 1, "n", Const(HALF)))
+    assert s == "Sum(idx='i', lower=1, upper='n', body=Const(value=Fraction(1, 2)))"
 
 
 # -- parsing ------------------------------------------------------------------

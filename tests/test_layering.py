@@ -6,6 +6,9 @@ function, where a deferred import would hide the cycle from a reader.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import nsopt
@@ -44,3 +47,16 @@ def test_no_module_imports_from_above():
                 if mod in ORDER and ORDER.index(mod) > rank:
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_cli_import_adds_neither_dataclasses_nor_inspect():
+    # both cost most of the import of nsopt.cli, which every CLI run pays
+    code = (
+        "import sys; before = set(sys.modules); import nsopt.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    src = str(Path(nsopt.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True).stdout
+    assert out.strip() == "[]"

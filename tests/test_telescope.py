@@ -23,6 +23,7 @@ from nsopt.telescope import (
     ResidualCheckFailed,
     TelescopeResult,
     UnsupportedShape,
+    _atoms,
     _shift_gcd_candidates,
     _solve_by_slots,
     adjoin_pi,
@@ -55,7 +56,7 @@ def test_dispersion_beyond_a_fixed_window():
     # E = (x^2+1)((x+45)^2+1): E(x-1) and E(x) share a factor at shift 44
     q = Poly.from_ints(1, 0, 1)
     E = q * q.shift(45)
-    assert _shift_gcd_candidates(E.shift(-1), E) == {44}
+    assert _shift_gcd_candidates(_atoms(E.shift(-1)), _atoms(E)) == {44}
     # (-90x - 2025)/E telescopes: it is u(x+1) - u(x) with u = 1/(x^2+1)
     # summed over the 45 shifts between the two factors
     f = RatFunc(Poly.from_ints(-2025, -90), E)
@@ -272,6 +273,35 @@ def test_solve_memo_is_shared_along_a_lineage(monkeypatch):
     assert res.tower._solve_cache is root._solve_cache  # pruning keeps it
     # a fresh root starts empty
     assert base_solves(Tower(), beta) > 0
+
+
+def test_denominator_analysis_once_per_gamma_and_denominator(monkeypatch):
+    # a weighted outer level (WEIGHTED[1] of the search benchmark) poses 31
+    # base solves over 12 distinct (gamma, E); the denominator analysis runs
+    # once for each, and a second compile starts from an empty memo
+    from nsopt.expr import compile, parse
+
+    T = nsopt.telescope
+    solve, bound = T.solve_first_order, T.universal_denominator
+    solves, bounds = [0], []
+
+    def counted_solve(*args):
+        solves[0] += 1
+        return solve(*args)
+
+    def counted_bound(a, b):
+        bounds.append((a, b))
+        return bound(a, b)
+
+    monkeypatch.setattr(T, "solve_first_order", counted_solve)
+    monkeypatch.setattr(T, "universal_denominator", counted_bound)
+    e = parse("sum(i,0,n,sum(j,0,i,(2*j+1)/(j+2)^2)*3/(i+1))")
+    for _ in range(2):
+        solves[0], bounds[:] = 0, []
+        compile(e)
+        # (a, b) = (gn*E, -gd*E) determines (gamma, E)
+        assert len(bounds) == len(set(bounds)) == 12
+        assert solves[0] == 31
 
 
 # -- the relation-space search against the one-at-a-time loop ---------------

@@ -26,7 +26,9 @@ generator, one with no solution (its certificate text), one that adjoins
 a generator over another, and one over the BINOM_PRODUCT product.  A
 lambda/ group, listed in LAMBDA, runs simplify at range 8 on three inputs
 whose printed outputs have poles at small k, so the reports cover where
-lambda is read off the printed output.
+lambda is read off the printed output.  A budget/ group, listed in
+BUDGET, runs simplify at range 5 on two summands of degree past the
+degree limit, so the reports cover the refusal (exit 3).
 """
 
 import argparse
@@ -56,6 +58,9 @@ LAMBDA = (
     "H(n) + sum(i,4,n,3/((i-4)*(i-4+3))) - 11/6",
     "sum(i,3,n,sum(j,1,i,1/((j-3)*(j-3+1)))) - 1",
 )
+# past algebra._DEGREE_LIMIT: i^800 took 93 s without the limit, and
+# i^100000 was still running after 300 s
+BUDGET = ("sum(i,1,n,i^800)", "sum(i,1,n,i^100000)")
 # (summand, declares BINOM_PRODUCT)
 TELESCOPE = (
     ("H(n+1)/(n+1)", False),
@@ -97,6 +102,8 @@ def corpus(root):
         out.append((f"telescope/{i}", ["telescope", *products, expr]))
     for i, expr in enumerate(LAMBDA):
         out.append((f"lambda/{i}", simplify + ["--verify-range", "8", expr]))
+    for i, expr in enumerate(BUDGET):
+        out.append((f"budget/{i}", simplify + ["--verify-range", "5", expr]))
     return out
 
 
