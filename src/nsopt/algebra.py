@@ -3,22 +3,28 @@
 Conventions used throughout:
 
 * Rationals are ``fractions.Fraction`` (always reduced, denominator > 0).
-* A polynomial is a dense ascending coefficient tuple; ``Poly((1, 0, 2))``
-  is 1 + 2*x^2 and the zero polynomial is the empty tuple (degree -1).
-  Coefficients may be Fractions or any field-like objects supporting
-  +, -, *, /, == and truth testing (the tower layers reuse Poly with
-  their own element type as coefficients).
-* A rational function ``RatFunc`` keeps numerator and denominator coprime
-  with a *monic* denominator, so equality is structural comparison.
-* Q[x] arithmetic runs on integers: when every coefficient is a Fraction,
-  products, divisions, shifts, gcds and the ``RatFunc`` normal form work on
-  integer vectors over one common denominator (``_to_ints``) and build
-  Fractions once, for the result (``_from_ints``).  Polynomials with other
+* A polynomial is dense and ascending; ``Poly((1, 0, 2))`` is 1 + 2*x^2 and
+  the zero polynomial has no coefficients (degree -1).  Coefficients may be
+  Fractions or ints, or any field-like objects supporting +, -, *, /, ==
+  and truth testing (the tower layers reuse Poly with their own element
+  type as coefficients).
+* A Q[x] polynomial (every coefficient a Fraction or an int) is stored as
+  integers over one denominator: a tuple of ints and a positive int den,
+  with gcd(content, den) = 1 and no trailing zero, so the form is unique.
+  ``_from_ints`` builds it.  ``Poly.coeffs`` is a read-only tuple of
+  Fractions, built from that form on first read for printing and for the
+  tower code; arithmetic, comparison and hashing read the integer form.
+* Every Q[x] operation runs on integers, and its result is built by
+  ``_from_ints``: sums, products, divisions, shifts, gcds, evaluation at a
+  rational point and the ``RatFunc`` normal form.  Polynomials with other
   coefficients (tower elements) take plain loops over their own field
   operations.  Shifts are defined for Q[x] only.
-* Rational roots are tested over Z as well: a candidate a/b is a root of
-  the integer polynomial p of degree n when b^n * p(a/b), a homogeneous
-  Horner sum, vanishes, and it is divided out as the factor b*x - a.
+* A rational function ``RatFunc`` keeps numerator and denominator coprime
+  with a *monic* denominator, so equality is structural comparison.
+* Rational points are evaluated over Z as well: for the integer polynomial
+  p of degree n, b^n * p(a/b) is a homogeneous Horner sum
+  (``_int_eval_scaled``), so a value costs one Fraction, and a candidate
+  root a/b is divided out as the factor b*x - a.
 
 The factorization helpers at the bottom split denominators into monic
 "atoms".  Atoms are true irreducibles for everything built from linear
@@ -72,6 +78,10 @@ def _is_zero(c) -> bool:
 class Poly:
     """Dense univariate polynomial with field coefficients.
 
+    A Q[x] polynomial keeps integers over one denominator (``_ints``,
+    ``_den``; ``_coeffs`` caches the Fraction view); any other keeps its
+    coefficient tuple in ``_coeffs`` and has ``_ints`` None.
+
     >>> p = Poly((Fraction(1), Fraction(0), Fraction(2)))
     >>> p.degree
     2
@@ -81,18 +91,24 @@ class Poly:
     'x^2 - 1'
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_ints", "_den", "_coeffs")
 
     def __init__(self, coeffs=()):
         cs = list(coeffs)
-        while cs and _is_zero(cs[-1]):
+        while cs and not cs[-1]:
             cs.pop()
-        self.coeffs = tuple(cs)
+        if _is_rational(cs):
+            # reduced Fractions over the lcm of their denominators already
+            # have gcd(content, den) = 1
+            ints, den = _to_ints(cs)
+            self._ints, self._den, self._coeffs = tuple(ints), den, None
+        else:
+            self._ints, self._den, self._coeffs = None, None, tuple(cs)
 
     @staticmethod
     def from_ints(*cs) -> "Poly":
-        """Ascending integer coefficients as Fractions: from_ints(c0, c1, ...)."""
-        return Poly([Fraction(c) for c in cs])
+        """Ascending integer coefficients: from_ints(c0, c1, ...)."""
+        return Poly(cs)
 
     @staticmethod
     def constant(c) -> "Poly":
@@ -102,41 +118,66 @@ class Poly:
     def x_power(k: int, one=Fraction(1)) -> "Poly":
         return Poly((one * 0,) * k + (one,))
 
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients, ascending; for Q[x] a tuple of Fractions."""
+        cs = self._coeffs
+        if cs is None:
+            den = self._den
+            cs = self._coeffs = tuple([Fraction(c, den) for c in self._ints])
+        return cs
+
     # -- structure ---------------------------------------------------------
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        ints = self._ints
+        return len(self._coeffs if ints is None else ints) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        # the zero polynomial has no coefficients, so it is always a Q[x] one
+        return self._ints == ()
 
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == 1
+        ints = self._ints
+        if ints is not None:
+            return ints == (1,) and self._den == 1
+        return len(self._coeffs) == 1 and self._coeffs[0] == 1
 
     def lc(self):
         """Leading coefficient; raises on the zero polynomial."""
-        if not self.coeffs:
+        if not self:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        ints = self._ints
+        return self._coeffs[-1] if ints is None else Fraction(ints[-1], self._den)
 
     def coeff(self, i: int):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        ints = self._ints
+        if ints is None:
+            cs = self._coeffs
+            return cs[i] if 0 <= i < len(cs) else Fraction(0)
+        return Fraction(ints[i], self._den) if 0 <= i < len(ints) else Fraction(0)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return self._ints != ()
 
     def __eq__(self, other):
         if isinstance(other, Poly):
+            if self._ints is not None and other._ints is not None:
+                return self._ints == other._ints and self._den == other._den
             return self.coeffs == other.coeffs
         return NotImplemented
 
     def __hash__(self):
-        return hash(("Poly", self.coeffs))
+        ints = self._ints
+        return hash(self._coeffs) if ints is None else hash((ints, self._den))
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
+        a, b = self._ints, other._ints
+        if a is not None and b is not None:
+            return _int_add(a, self._den, b, other._den)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -149,25 +190,35 @@ class Poly:
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        ints = self._ints
+        if ints is None:
+            return Poly([-c for c in self._coeffs])
+        return _int_poly(tuple([-c for c in ints]), self._den)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if not self.coeffs or not other.coeffs:
-            return Poly(())
-        if _is_rational(self.coeffs) and _is_rational(other.coeffs):
-            (a, da), (b, db) = _to_ints(self.coeffs), _to_ints(other.coeffs)
-            return _from_ints(_int_mul(a, b), da * db)
-        out = [self.coeffs[0] * 0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if _is_zero(a):
+        a, b = self._ints, other._ints
+        if a is not None and b is not None:
+            if not a or not b:
+                return _ZERO
+            return _from_ints(_int_mul(a, b), self._den * other._den)
+        xs, ys = self.coeffs, other.coeffs
+        if not xs or not ys:
+            return _ZERO
+        out = [xs[0] * 0] * (len(xs) + len(ys) - 1)
+        for i, x in enumerate(xs):
+            if not x:
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
+            for j, y in enumerate(ys):
+                out[i + j] = out[i + j] + x * y
         return Poly(out)
 
     def scale(self, c) -> "Poly":
         if _is_zero(c):
-            return Poly(())
+            return _ZERO
+        ints = self._ints
+        if ints is not None and (type(c) is Fraction or type(c) is int):
+            n = c.numerator
+            return _from_ints([n * a for a in ints], self._den * c.denominator)
         return Poly([a * c for a in self.coeffs])
 
     def __pow__(self, n: int) -> "Poly":
@@ -183,21 +234,22 @@ class Poly:
                 break
             base = base * base
         if result is None:
-            return Poly((self.lc() / self.lc(),)) if self.coeffs else Poly.from_ints(1)
+            return Poly((self.lc() / self.lc(),)) if self else _ONE
         return result
 
     def __divmod__(self, other: "Poly"):
-        if other.is_zero():
+        if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        if _is_rational(self.coeffs) and _is_rational(other.coeffs):
-            (p, dp), (q, dq) = _to_ints(self.coeffs), _to_ints(other.coeffs)
+        p, q = self._ints, other._ints
+        if p is not None and q is not None:
             t, r, s = _int_divmod(p, q)
             # s*p = t*q + r, with p = dp*self and q = dq*other
-            return _from_ints([c * dq for c in t], s * dp), _from_ints(r, s * dp)
+            d = s * self._den
+            return _from_ints([c * other._den for c in t], d), _from_ints(r, d)
         rem = list(self.coeffs)
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
-            return Poly(()), self
+            return _ZERO, self
         inv_lc = other.lc()
         quo = [None] * (dq + 1)
         for k in range(dq, -1, -1):
@@ -217,30 +269,43 @@ class Poly:
 
     def exact_div(self, other: "Poly") -> "Poly":
         q, r = divmod(self, other)
-        if not r.is_zero():
+        if r:
             raise ValueError("exact_div: division left a remainder")
         return q
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        if not self:
             return self
-        lc = self.lc()
+        ints = self._ints
+        if ints is not None:
+            # the leading coefficient ints[-1] / den is 1 when they agree
+            return self if ints[-1] == self._den else _from_ints(ints, ints[-1])
+        lc = self._coeffs[-1]
         if lc == 1:
             return self
-        return Poly([c / lc for c in self.coeffs])
+        return Poly([c / lc for c in self._coeffs])
 
     def derivative(self) -> "Poly":
-        return Poly([c * i for i, c in enumerate(self.coeffs) if i])
+        ints = self._ints
+        if ints is not None:
+            return _from_ints([i * ints[i] for i in range(1, len(ints))], self._den)
+        return Poly([c * i for i, c in enumerate(self._coeffs) if i])
 
     # -- substitution ------------------------------------------------------
 
     def eval_at(self, v):
         """Horner evaluation; v may be any ring element compatible with
         the coefficients (a Fraction, a RatFunc, a tower element...)."""
-        if not self.coeffs:
+        if not self:
             return v * 0
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
+        ints = self._ints
+        if ints is not None and (type(v) is Fraction or type(v) is int):
+            b = v.denominator
+            return Fraction(_int_eval_scaled(ints, v.numerator, b),
+                            self._den * b ** (len(ints) - 1))
+        cs = self.coeffs
+        acc = cs[-1]
+        for c in reversed(cs[:-1]):
             acc = acc * v + c
         return acc
 
@@ -251,7 +316,7 @@ class Poly:
         if not j or self.degree < 1:
             return self
         _check_degree(self.degree)
-        p, den = _to_ints(self.coeffs)
+        p, den = self._ints, self._den
         j = Fraction(j)
         a, b = j.numerator, j.denominator
         if b == 1:
@@ -264,11 +329,12 @@ class Poly:
     # -- printing ----------------------------------------------------------
 
     def to_str(self, var: str = "x") -> str:
-        if not self.coeffs:
+        cs = self.coeffs
+        if not cs:
             return "0"
         parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        for i in range(len(cs) - 1, -1, -1):
+            c = cs[i]
             if _is_zero(c):
                 continue
             if i == 0:
@@ -307,8 +373,9 @@ def _coeff_str(c) -> str:
 
 
 def _is_rational(cs) -> bool:
+    """True when every entry of cs is a Fraction or an int."""
     for c in cs:  # a plain loop: about twice as fast as all() on short tuples
-        if type(c) is not Fraction:
+        if type(c) is not Fraction and type(c) is not int:
             return False
     return True
 
@@ -325,14 +392,48 @@ def _to_ints(cs) -> tuple:
     return [c.numerator * (den // c.denominator) for c in cs], den
 
 
-def _from_ints(ints: list, den: int) -> Poly:
-    """The Q[x] polynomial with coefficients ints[i] / den, den != 0."""
-    if den == 1:
-        return Poly([Fraction(c) for c in ints])
-    return Poly([Fraction(c, den) for c in ints])
+def _int_poly(ints: tuple, den: int) -> Poly:
+    """The Q[x] polynomial of an integer form already canonical."""
+    p = object.__new__(Poly)
+    p._ints, p._den, p._coeffs = ints, den, None
+    return p
 
 
-def _int_mul(a: list, b: list) -> list:
+def _from_ints(ints, den: int) -> Poly:
+    """The Q[x] polynomial with coefficients ints[i] / den, den != 0, in
+    canonical form: trailing zeros dropped, den > 0 and gcd(content, den)
+    = 1."""
+    n = len(ints)
+    while n and not ints[n - 1]:
+        n -= 1
+    if den < 0:
+        den, ints = -den, [-c for c in ints[:n]]
+    elif n < len(ints):
+        ints = ints[:n]
+    g = math.gcd(den, *ints)
+    if g != 1:
+        return _int_poly(tuple([c // g for c in ints]), den // g)
+    return _int_poly(tuple(ints), den)
+
+
+_ZERO = _int_poly((), 1)
+_ONE = _int_poly((1,), 1)
+
+
+def _int_add(a, da: int, b, db: int) -> Poly:
+    """a/da + b/db for integer coefficient sequences a and b."""
+    if da != db:
+        l = da // math.gcd(da, db) * db
+        a, b, da = [c * (l // da) for c in a], [c * (l // db) for c in b], l
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _from_ints(out, da)
+
+
+def _int_mul(a, b) -> list:
     """Product of two nonzero integer polynomials (ascending)."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -385,9 +486,8 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     remainders."""
     if p.is_zero() or q.is_zero():
         return (p or q).monic()
-    if _is_rational(p.coeffs) and _is_rational(q.coeffs):
-        a, b = _to_ints(p.coeffs)[0], _to_ints(q.coeffs)[0]
-        ints = _int_gcd(_primitive(a), _primitive(b))
+    if p._ints is not None and q._ints is not None:
+        ints = _int_gcd(_primitive(p._ints), _primitive(q._ints))
         return _from_ints(ints, ints[-1])
     a, b = p, q
     while not b.is_zero():
@@ -396,7 +496,9 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     return a.monic()
 
 
-def _primitive(cs: list) -> list:
+def _primitive(cs):
+    """The integer sequence cs divided by its content (cs itself when the
+    content is 1)."""
     g = math.gcd(*cs)
     return [c // g for c in cs] if g > 1 else cs
 
@@ -450,18 +552,19 @@ class RatFunc:
 
     def __init__(self, num: Poly, den: Poly = None, _normalized: bool = False):
         if den is None:
-            den = Poly((num.lc() / num.lc(),)) if num else Poly.from_ints(1)
+            den = Poly((num.lc() / num.lc(),)) if num else _ONE
         if _normalized:
             self.num, self.den = num, den
             return
         if den.is_zero():
             raise ZeroDenominator("rational function with zero denominator")
         if num.is_zero():
-            self.num = Poly(())
-            self.den = Poly((den.lc() / den.lc(),))
+            self.num = _ZERO
+            self.den = _ONE if den._ints is not None else Poly((den.lc() / den.lc(),))
             return
-        if _is_rational(num.coeffs) and _is_rational(den.coeffs):
-            (n, dn), (d, dd) = _to_ints(num.coeffs), _to_ints(den.coeffs)
+        n, d = num._ints, den._ints
+        if n is not None and d is not None:
+            dn, dd = num._den, den._den
             g = _int_gcd(_primitive(n), _primitive(d))
             if len(g) > 1:
                 # g is primitive, so by Gauss's lemma both quotients are
@@ -486,18 +589,20 @@ class RatFunc:
 
     @staticmethod
     def from_const(c) -> "RatFunc":
-        return RatFunc(Poly((c,)) if c else Poly(()), Poly((Fraction(1),)), _normalized=True)
+        """The constant c, a Fraction or an int."""
+        num = _int_poly((c.numerator,), c.denominator) if c else _ZERO
+        return RatFunc(num, _ONE, _normalized=True)
 
     @staticmethod
     def from_poly(p: Poly) -> "RatFunc":
-        return RatFunc(p, Poly((Fraction(1),)), _normalized=True)
+        return RatFunc(p, _ONE, _normalized=True)
 
     X = None  # set after class definition
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return self.num._ints == ()
 
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
@@ -508,10 +613,10 @@ class RatFunc:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("not a constant")
-        return self.num.coeff(0) if self.num else Fraction(0)
+        return self.num.coeff(0)
 
     def __bool__(self):
-        return not self.num.is_zero()
+        return self.num._ints != ()
 
     def __eq__(self, other):
         if isinstance(other, RatFunc):
@@ -521,7 +626,7 @@ class RatFunc:
         return NotImplemented
 
     def __hash__(self):
-        return hash(("RatFunc", self.num.coeffs, self.den.coeffs))
+        return hash((self.num, self.den))
 
     # -- field operations --------------------------------------------------
 
@@ -560,18 +665,19 @@ class RatFunc:
         if o is None:
             return NotImplemented
         if o.is_constant():
-            return self._scaled(o.constant_value())
+            return self._scaled(o.num)
         if self.is_constant():
-            return o._scaled(self.constant_value())
+            return o._scaled(self.num)
         return RatFunc(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
-    def _scaled(self, c) -> "RatFunc":
-        """self * c for a constant c: a nonzero c keeps the normal form."""
+    def _scaled(self, c: Poly) -> "RatFunc":
+        """self * c for a constant polynomial c: a nonzero c keeps the
+        normal form."""
         if not c:
-            return RatFunc.from_const(c)
-        return RatFunc(self.num.scale(c), self.den, _normalized=True)
+            return RatFunc(_ZERO, _ONE, _normalized=True)
+        return RatFunc(self.num * c, self.den, _normalized=True)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -607,10 +713,26 @@ class RatFunc:
 
     def eval_at(self, v: Fraction):
         """Exact value at v, or None if v is a pole."""
-        d = self.den.eval_at(v)
-        if d == 0:
+        num, den = self.num, self.den
+        n, d = num._ints, den._ints
+        if n is None or d is None or not (type(v) is Fraction or type(v) is int):
+            dv = den.eval_at(v)
+            if dv == 0:
+                return None
+            return num.eval_at(v) / dv
+        # num(a/b) / den(a/b) from the scaled integer values b^deg * p(a/b)
+        a, b = v.numerator, v.denominator
+        dv = _int_eval_scaled(d, a, b)
+        if not dv:
             return None
-        return self.num.eval_at(v) / d
+        if not n:
+            return Fraction(0)
+        e = len(d) - len(n)  # b^deg(den) / b^deg(num)
+        nv = _int_eval_scaled(n, a, b) * den._den
+        dv *= num._den
+        if e >= 0:
+            return Fraction(nv * b**e, dv)
+        return Fraction(nv, dv * b**-e)
 
     def poly_part(self) -> Poly:
         """Quotient of num by den (the polynomial component)."""
@@ -730,7 +852,7 @@ def gcd_shifts(a: Poly, b: Poly) -> dict:
     Such a j is a root of b minus a root of a, so it is at most the sum of
     their root bounds; every j up to there is tried by a gcd over Z.  A
     window past _SHIFT_LIMIT raises RootSearchLimit."""
-    ai, bi = _primitive(_to_ints(a.coeffs)[0]), _primitive(_to_ints(b.coeffs)[0])
+    ai, bi = _primitive(a._ints), _primitive(b._ints)
     if len(ai) < 2 or len(bi) < 2:
         return {}
     window = _root_bound(ai) + _root_bound(bi)
@@ -757,7 +879,7 @@ def nonneg_integer_roots(p: Poly) -> set:
         raise ZeroPolynomial("nonneg_integer_roots of the zero polynomial")
     if p.degree == 0:
         return set()
-    ints = _primitive(_to_ints(p.coeffs)[0])
+    ints = _primitive(p._ints)
     roots = set()
     low = 0
     while low < len(ints) and ints[low] == 0:
@@ -786,10 +908,15 @@ def nonneg_integer_roots(p: Poly) -> set:
     return roots
 
 
-def _int_eval_scaled(ints: list, a: int, b: int) -> int:
-    """b^n * p(a/b) for the integer polynomial p = ints of degree n, by a
-    homogeneous Horner scheme over Z."""
-    acc, bpow = ints[-1], 1
+def _int_eval_scaled(ints, a: int, b: int) -> int:
+    """b^n * p(a/b) for the nonzero integer polynomial p = ints of degree
+    n, by a homogeneous Horner scheme over Z."""
+    acc = ints[-1]
+    if b == 1:
+        for c in reversed(ints[:-1]):
+            acc = acc * a + c
+        return acc
+    bpow = 1
     for c in reversed(ints[:-1]):
         bpow *= b
         acc = acc * a + c * bpow
@@ -802,7 +929,7 @@ def rational_roots(p: Poly) -> list:
     sorted by root."""
     if p.is_zero():
         raise ZeroPolynomial("rational_roots of the zero polynomial")
-    ints = _primitive(_to_ints(p.coeffs)[0])
+    ints = _primitive(p._ints)
     found = {}
     low = 0
     while low < len(ints) and ints[low] == 0:
@@ -942,9 +1069,8 @@ def factor_atoms(p: Poly) -> list:
         split = _refine_by_shift_gcd(split)
         parts.extend(split)
         for atom in parts:
-            key = atom.coeffs
-            atoms[key] = atoms.get(key, 0) + mult
-    out = [(Poly(k), m) for k, m in atoms.items()]
+            atoms[atom] = atoms.get(atom, 0) + mult
+    out = list(atoms.items())
     out.sort(key=lambda am: (am[0].degree, am[0].coeffs))
     return out
 
@@ -995,12 +1121,12 @@ def equal_degree_shift(p: Poly, q: Poly):
 def nullspace(rows: list, ncols: int) -> list:
     """Basis of the right nullspace of a matrix over a field.
 
-    ``rows`` is a list of length-ncols lists of field elements (Fractions
-    or anything with field arithmetic).  Basis vectors come back in the
-    canonical reduced-echelon order, one per free column, so callers get a
-    deterministic result.  A matrix of Fractions is eliminated fraction-free
-    over the integers; the reduced-echelon form is unique, so the basis is
-    the same as over Q.
+    ``rows`` is a list of length-ncols lists of field elements (Fractions,
+    ints, or anything with field arithmetic).  Basis vectors come back in
+    the canonical reduced-echelon order, one per free column, so callers get
+    a deterministic result.  A matrix of Fractions and ints is eliminated
+    fraction-free over the integers; the reduced-echelon form is unique,
+    so the basis is the same as over Q.
     """
     if all(_is_rational(r) for r in rows):
         return _nullspace_int(rows, ncols)
@@ -1030,9 +1156,9 @@ def nullspace(rows: list, ncols: int) -> list:
 
 
 def _nullspace_int(rows: list, ncols: int) -> list:
-    """nullspace of a Fraction matrix by Gauss-Jordan on primitive integer
-    rows: each combined row is divided by its content, and the reduced
-    echelon entries are read off as ratios to the pivots."""
+    """nullspace of a Fraction or int matrix by Gauss-Jordan on primitive
+    integer rows: each combined row is divided by its content, and the
+    reduced echelon entries are read off as ratios to the pivots."""
     mat = [_primitive(_to_ints(r)[0]) for r in rows if any(r)]
     pivots = []
     r = 0
@@ -1060,6 +1186,16 @@ def _nullspace_int(rows: list, ncols: int) -> list:
     return _free_basis(
         pivots, ncols, lambda i, fc: Fraction(mat[i][fc], mat[i][pivots[i]])
     )
+
+
+def _int_rows(polys: list) -> list:
+    """The integer matrix whose row d holds the x^d coefficients of the Q[x]
+    polynomials: each row is scaled by the lcm of their denominators, which
+    leaves its right nullspace unchanged."""
+    den = math.lcm(*[p._den for p in polys])
+    cols = [[c * (den // p._den) for c in p._ints] for p in polys]
+    height = max([len(col) for col in cols], default=0)
+    return [[col[d] if d < len(col) else 0 for col in cols] for d in range(height)]
 
 
 def _free_basis(pivots: list, ncols: int, entry) -> list:

@@ -61,19 +61,22 @@ class Generator:
 class Tower:
     """Immutable ordered list of generators over Q(x)."""
 
-    __slots__ = ("gens", "_sigma_cache", "_solve_cache")
+    __slots__ = ("gens", "_solve_cache")
 
     def __init__(self, gens=(), solve_cache=None):
         self.gens = tuple(gens)
         names = [g.name for g in self.gens]
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")
-        self._sigma_cache = {}
-        # telescope's solve memo, shared by every tower grown from one root;
-        # it holds two kinds of key: (generator prefix, gamma, phis) for a
-        # parameterized solve at a level, and the pair (gamma, E) for the
-        # base field's denominator analysis at ratio gamma and common
-        # denominator E of the right-hand sides
+        # the memo shared by every tower grown from one root; it holds four
+        # kinds of key.  telescope's solves: (generator prefix, gamma, phis)
+        # for a parameterized solve at a level, and the pair (gamma, E) for
+        # the base field's denominator analysis at ratio gamma and common
+        # denominator E of the right-hand sides.  This module's shifts:
+        # (generator prefix, f, step) for sigma^step(f), the prefix ending
+        # at f's level, and (generator prefix, step) for the image of the
+        # prefix's last generator.  A shift depends only on the generators
+        # up to its level, so towers that share them share its result.
         self._solve_cache = {} if solve_cache is None else solve_cache
 
     def __len__(self):
@@ -143,7 +146,9 @@ class TowerElem:
 
     @staticmethod
     def const(c) -> "TowerElem":
-        return TowerElem(0, RatFunc.from_const(Fraction(c)))
+        if type(c) is not Fraction and type(c) is not int:
+            c = Fraction(c)
+        return TowerElem(0, RatFunc.from_const(c))
 
     @staticmethod
     def base(rf: RatFunc) -> "TowerElem":
@@ -450,9 +455,14 @@ def sigma(tower: Tower, f: TowerElem, j: int = 1) -> TowerElem:
     return f
 
 
+# a shift of an element is stored in the lineage memo only while the memo
+# holds fewer entries than this
+_SIGMA_MEMO_LIMIT = 200000
+
+
 def _sigma_step(tower: Tower, f: TowerElem, step: int) -> TowerElem:
-    cache = tower._sigma_cache
-    key = (f, step)
+    cache = tower._solve_cache
+    key = (tower.gens[:f.level], f, step)
     hit = cache.get(key)
     if hit is not None:
         return hit
@@ -463,15 +473,15 @@ def _sigma_step(tower: Tower, f: TowerElem, step: int) -> TowerElem:
         num = _subst_poly(tower, f.rf.num, t_image, step)
         den = _subst_poly(tower, f.rf.den, t_image, step)
         out = num / den
-    if len(cache) < 200000:
+    if len(cache) < _SIGMA_MEMO_LIMIT:
         cache[key] = out
     return out
 
 
 def _gen_image(tower: Tower, index: int, step: int) -> TowerElem:
     """sigma^step of generator t_{index+1} as an element."""
-    key = ("gen", index, step)
-    cached = tower._sigma_cache.get(key)
+    key = (tower.gens[:index + 1], step)
+    cached = tower._solve_cache.get(key)
     if cached is not None:
         return cached
     gen = tower.gens[index]
@@ -486,7 +496,7 @@ def _gen_image(tower: Tower, index: int, step: int) -> TowerElem:
             out = gen.shift_part * t
         else:
             out = t / _sigma_step(tower, gen.shift_part, -1)
-    tower._sigma_cache[key] = out
+    tower._solve_cache[key] = out
     return out
 
 

@@ -52,6 +52,7 @@ from .algebra import (
     RootSearchLimit,
     _DISPERSION_LIMIT,
     _check_degree,
+    _int_rows,
     _primitive,
     _refine_by_shift_gcd,
     _to_ints,
@@ -262,14 +263,12 @@ def solve_first_order(gamma: RatFunc, phis, memo: dict = None) -> list:
     cols = []
     for i in range(N + 1):
         # (x+1)^i by the binomial theorem
-        shifted = Poly([Fraction(comb(i, j)) for j in range(i + 1)])
+        shifted = Poly.from_ints(*[comb(i, j) for j in range(i + 1)])
         cols.append(A2 * shifted + B2 * Poly.x_power(i))
     for c in C2:
         cols.append(-c)
     nz = N + 1
-    maxdeg = max([p.degree for p in cols], default=-1)
-    rows = [[col.coeff(d) for col in cols] for d in range(maxdeg + 1)]
-    basis = nullspace(rows, nz + k)
+    basis = nullspace(_int_rows(cols), nz + k)
 
     out = []
     for vec in basis:
@@ -486,7 +485,8 @@ def _solve_by_slots(level: int, k: int, slots, solve_slot) -> list:
     parameters, so both maps are re-expressed in that basis.  Only the
     nonzero d[p] and cmap[p][k0] are combined: the parameter spaces are
     sparse, and exact sums do not depend on skipped zero terms."""
-    cmap = [tuple(Fraction(int(i == j)) for j in range(k)) for i in range(k)]
+    zero, one = Fraction(0), Fraction(1)
+    cmap = [tuple([one if i == j else zero for j in range(k)]) for i in range(k)]
     umap = {}
     for slot in slots:
         sub = solve_slot(slot, cmap, umap)
@@ -496,7 +496,7 @@ def _solve_by_slots(level: int, k: int, slots, solve_slot) -> list:
         new_umap = {j: [] for j in umap}
         for _, d in sub:
             nonzero = [(p, dp) for p, dp in enumerate(d) if dp]
-            row = [Fraction(0)] * k
+            row = [zero] * k
             for p, dp in nonzero:
                 for k0, c in enumerate(cmap[p]):
                     if c:

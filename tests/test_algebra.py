@@ -538,6 +538,125 @@ def test_ratfunc_normal_form_matches_generic_randomized():
     assert checked > 50
 
 
+def unboxed_value(v):
+    return None if v is None else unboxed([v])[0]
+
+
+def test_integer_form_matches_generic_randomized():
+    rng = random.Random(1031)
+    points = [Fraction(-3), Fraction(0), Fraction(2), Fraction(-5, 3), Fraction(7, 4)]
+    poles = 0
+    for trial in range(250):
+        p, q = rand_frac_poly(rng, 5), rand_frac_poly(rng, 4)
+        bp, bq = boxed(p), boxed(q)
+        c = rand_frac(rng, 9)
+        assert_rational_equal(p + q, bp + bq)
+        assert_rational_equal(p - q, bp - bq)
+        assert_rational_equal(p - p, bp - bp)
+        assert_rational_equal(-p, -bp)
+        assert_rational_equal(p * q, bp * bq)
+        assert_rational_equal(p.scale(c), bp.scale(Boxed(c)))
+        assert_rational_equal(p.monic(), bp.monic())
+        assert_rational_equal(p.derivative(), bp.derivative())
+        if not q.is_zero():
+            quo, rem = divmod(p, q)
+            gquo, grem = divmod(bp, bq)
+            assert_rational_equal(quo, gquo)
+            assert_rational_equal(rem, grem)
+            assert_rational_equal((p * q).exact_div(q), bp)
+        j = rng.choice([-rng.randint(1, 9), rng.randint(1, 9), rand_frac(rng, 5)])
+        assert_rational_equal(p.shift(j), generic_shift(p, j))
+        for v in points + [rand_frac(rng, 9)]:
+            got = p.eval_at(v)
+            assert type(got) is Fraction
+            assert got == unboxed_value(bp.eval_at(v))
+        if p.is_zero() or q.is_zero():
+            continue
+        # a pole at r: q has no root r, or one that the normal form cancels
+        r = rng.choice(points)
+        f = RatFunc(p, q * lin(r))
+        g = RatFunc(bp, bq * boxed(lin(r)))
+        assert_rational_equal(f.num, g.num)
+        assert_rational_equal(f.den, g.den)
+        for v in points + [rand_frac(rng, 9)]:
+            got = f.eval_at(v)
+            assert got == unboxed_value(g.eval_at(v))
+            assert got is None or type(got) is Fraction
+        if f.den.eval_at(r) == 0:
+            assert f.eval_at(r) is None
+            poles += 1
+    assert poles > 100
+
+
+def test_integer_form_hash_agrees_with_equality():
+    from nsopt.algebra import _from_ints
+
+    half = Fraction(1, 2)
+    p = Poly((half, Fraction(0), Fraction(3)))
+    q = Poly.from_ints(5, -1, 2)
+    ways = [
+        Poly((half, 0, 3)),  # plain ints mixed in
+        Poly((half, 0, Fraction(6, 2), Fraction(0))),  # trailing zero
+        Poly.from_ints(1, 0, 6).scale(half),
+        _from_ints([2, 0, 12], 4),
+        _from_ints((-1, 0, -6, 0), -2),
+        (p * q).exact_div(q),
+        p + q - q,
+        -(-p),
+        (p * q).exact_div(q.monic()).scale(1 / q.lc()),
+        p.shift(3).shift(-3),
+        p.shift(half).shift(-half),
+    ]
+    for w in ways:
+        assert w == p and hash(w) == hash(p)
+        assert type(w.coeffs) is tuple
+        assert all(type(c) is Fraction for c in w.coeffs)
+        assert w.coeffs == (half, 0, 3)
+    assert len(set(ways + [p])) == 1
+    assert {p: "p"}[ways[-1]] == "p"
+    assert Poly((2, 1)) == Poly((Fraction(2), Fraction(1))) == X + ONE + ONE
+    assert hash(Poly((2, 1))) == hash(X + ONE + ONE)
+    assert Poly(()) == Poly((0, Fraction(0))) == X - X and not (X - X).coeffs
+    with pytest.raises(AttributeError):
+        p.coeffs = (Fraction(1),)
+
+    f = RatFunc(p, q)
+    rat_ways = [
+        RatFunc(p * lin(3), q * lin(3)),
+        RatFunc(p.scale(Fraction(-2, 7)), q.scale(Fraction(-2, 7))),
+        RatFunc(Poly((1, 0, 6)), Poly((10, -2, 4))),
+        RatFunc(p, q.monic()).__mul__(RatFunc.from_const(Fraction(1, 2))),
+        RatFunc.from_poly(p) / RatFunc.from_poly(q),
+        (f + RatFunc.from_const(3)) - 3,
+        (f * RatFunc(q, lin(3))) / RatFunc(q, lin(3)),
+    ]
+    for g in rat_ways:
+        assert g == f and hash(g) == hash(f)
+        assert all(type(c) is Fraction for c in g.num.coeffs + g.den.coeffs)
+    assert len(set(rat_ways + [f])) == 1
+    assert RatFunc.from_const(3) == RatFunc.from_const(Fraction(3)) == 3
+    assert hash(RatFunc.from_const(3)) == hash(RatFunc(Poly((6,)), Poly((2,))))
+    assert RatFunc.from_const(Fraction(-2, 3)).constant_value() == Fraction(-2, 3)
+
+
+def test_parsed_base_node_copies_and_pickles_its_integer_form():
+    import copy
+    import pickle
+
+    from nsopt.expr import Base, parse
+
+    e = parse("sum(i,1,n,(2*i+1)/(3*(i+1)*(i+5/2)))")
+    base = e.body
+    assert isinstance(base, Base)
+    for clone in (copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+        assert clone == e and hash(clone) == hash(e)
+        rf = clone.body.rf
+        assert rf == base.rf and hash(rf) == hash(base.rf)
+        assert rf.num.coeffs == base.rf.num.coeffs
+        assert rf.eval_at(Fraction(7, 2)) == base.rf.eval_at(Fraction(7, 2))
+        assert rf.eval_at(Fraction(-5, 2)) is None
+
+
 def test_tower_coefficients_take_the_generic_path(monkeypatch):
     # tower arithmetic normalizes its constants over Q, so the integer gcd
     # may run, but only ever on constants; the nullspace kernel never runs

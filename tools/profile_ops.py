@@ -1,7 +1,7 @@
-"""cProfile of one benchmark workload's operations, all in one process.
+"""cProfile or timing of one benchmark workload's operations, all in one process.
 
     python3 tools/profile_ops.py WORKLOAD [--sort tottime|cumulative] [--limit N]
-                                          [--root CHECKOUT]
+                                          [--root CHECKOUT] [--time N]
 
 Builds the operations of WORKLOAD (search_heavy, sweep_long or
 iterated_batch) for seed 1 from CHECKOUT/perfbench/workloads.py, which is
@@ -11,6 +11,12 @@ CHECKOUT/src first on the import path (default: the checkout holding this
 file).  Per-operation deadlines are not applied.  Prints each operation's
 exit code and wall time on standard error, then the profile's top LIMIT
 functions by the chosen sort.
+
+With --time N there is no profiler: each operation runs N times in a row,
+and the median of its wall times is printed, then the total of the
+medians.  nsopt is imported once, before the first run, so the figures
+are compute time, without the interpreter start-up and imports that each
+operation of the benchmark pays in its own process.
 """
 
 import argparse
@@ -20,6 +26,7 @@ import importlib.util
 import io
 import os
 import pstats
+import statistics
 import sys
 import time
 
@@ -35,14 +42,27 @@ def _workloads(root):
 
 
 def _run(main, op):
-    label, expr, argv, _deadline, _closed = op
+    """(exit code, wall seconds) of one operation."""
+    _label, expr, argv, _deadline, _closed = op
     t0 = time.perf_counter()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(["simplify", "--json", *argv, expr])
         except SystemExit as exc:
             code = exc.code
-    print(f"{label}: exit {code}, {time.perf_counter() - t0:.2f} s", file=sys.stderr)
+    return code, time.perf_counter() - t0
+
+
+def _time(main, ops, repeats):
+    total = 0.0
+    for op in ops:
+        runs = [_run(main, op) for _ in range(repeats)]
+        median = statistics.median(t for _, t in runs)
+        total += median
+        codes = sorted({code for code, _ in runs})
+        print(f"{op[0]:<16} exit {','.join(map(str, codes))}  median {median:.3f} s"
+              f"  ({repeats} runs)")
+    print(f"{'total':<16} {total:.3f} s")
 
 
 def main(argv=None):
@@ -52,9 +72,13 @@ def main(argv=None):
     ap.add_argument("--limit", type=int, default=30)
     ap.add_argument("--root", default=os.path.dirname(HERE),
                     help="checkout whose src and perfbench/workloads.py are used")
+    ap.add_argument("--time", type=int, metavar="N",
+                    help="time each operation N times without the profiler")
     args = ap.parse_args(argv)
     if args.limit < 1:
         ap.error("--limit must be positive")
+    if args.time is not None and args.time < 1:
+        ap.error("--time must be positive")
     root = os.path.abspath(args.root)
     wl = _workloads(root)
     if args.workload not in wl.WORKLOADS:
@@ -63,10 +87,14 @@ def main(argv=None):
     from nsopt.cli import main as nsopt_main
 
     ops = wl.WORKLOADS[args.workload](1)
+    if args.time is not None:
+        _time(nsopt_main, ops, args.time)
+        return 0
     profiler = cProfile.Profile()
     profiler.enable()
     for op in ops:
-        _run(nsopt_main, op)
+        code, seconds = _run(nsopt_main, op)
+        print(f"{op[0]}: exit {code}, {seconds:.2f} s", file=sys.stderr)
     profiler.disable()
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.sort_stats(args.sort).print_stats(args.limit)
