@@ -1,24 +1,20 @@
-"""Exact arithmetic foundation: polynomials and rational functions over a field.
+"""Exact arithmetic foundation: polynomials and rational functions over Q.
 
 Conventions used throughout:
 
 * Rationals are ``fractions.Fraction`` (always reduced, denominator > 0).
 * A polynomial is dense and ascending; ``Poly((1, 0, 2))`` is 1 + 2*x^2 and
-  the zero polynomial has no coefficients (degree -1).  Coefficients may be
-  Fractions or ints, or any field-like objects supporting +, -, *, /, ==
-  and truth testing (the tower layers reuse Poly with their own element
-  type as coefficients).
-* A Q[x] polynomial (every coefficient a Fraction or an int) is stored as
-  integers over one denominator: a tuple of ints and a positive int den,
-  with gcd(content, den) = 1 and no trailing zero, so the form is unique.
-  ``_from_ints`` builds it.  ``Poly.coeffs`` is a read-only tuple of
-  Fractions, built from that form on first read for printing and for the
-  tower code; arithmetic, comparison and hashing read the integer form.
-* Every Q[x] operation runs on integers, and its result is built by
+  the zero polynomial has no coefficients (degree -1).  Its coefficients
+  are Fractions or ints: polynomials over tower elements are dfield's
+  ``ElemPoly``.
+* A ``Poly`` is stored as integers over one denominator: a tuple of ints
+  and a positive int den, with gcd(content, den) = 1 and no trailing zero,
+  so the form is unique.  ``_from_ints`` builds it.  ``Poly.coeffs`` is a
+  read-only tuple of Fractions, built from that form on first read for
+  printing; arithmetic, comparison and hashing read the integer form.
+* Every operation runs on integers, and its result is built by
   ``_from_ints``: sums, products, divisions, shifts, gcds, evaluation at a
-  rational point and the ``RatFunc`` normal form.  Polynomials with other
-  coefficients (tower elements) take plain loops over their own field
-  operations.  Shifts are defined for Q[x] only.
+  rational point and the ``RatFunc`` normal form.
 * A rational function ``RatFunc`` keeps numerator and denominator coprime
   with a *monic* denominator, so equality is structural comparison.
 * Rational points are evaluated over Z as well: for the integer polynomial
@@ -71,16 +67,9 @@ class RootSearchLimit(ArithmeticError):
     """The exact integer-root search would scan past its trial limit."""
 
 
-def _is_zero(c) -> bool:
-    return not c
-
-
 class Poly:
-    """Dense univariate polynomial with field coefficients.
-
-    A Q[x] polynomial keeps integers over one denominator (``_ints``,
-    ``_den``; ``_coeffs`` caches the Fraction view); any other keeps its
-    coefficient tuple in ``_coeffs`` and has ``_ints`` None.
+    """Dense univariate polynomial over Q, kept as integers over one
+    denominator (``_ints``, ``_den``; ``_coeffs`` caches the Fraction view).
 
     >>> p = Poly((Fraction(1), Fraction(0), Fraction(2)))
     >>> p.degree
@@ -97,13 +86,10 @@ class Poly:
         cs = list(coeffs)
         while cs and not cs[-1]:
             cs.pop()
-        if _is_rational(cs):
-            # reduced Fractions over the lcm of their denominators already
-            # have gcd(content, den) = 1
-            ints, den = _to_ints(cs)
-            self._ints, self._den, self._coeffs = tuple(ints), den, None
-        else:
-            self._ints, self._den, self._coeffs = None, None, tuple(cs)
+        # reduced Fractions over the lcm of their denominators already have
+        # gcd(content, den) = 1
+        ints, den = _to_ints(cs)
+        self._ints, self._den, self._coeffs = tuple(ints), den, None
 
     @staticmethod
     def from_ints(*cs) -> "Poly":
@@ -111,16 +97,12 @@ class Poly:
         return Poly(cs)
 
     @staticmethod
-    def constant(c) -> "Poly":
-        return Poly((c,))
-
-    @staticmethod
-    def x_power(k: int, one=Fraction(1)) -> "Poly":
-        return Poly((one * 0,) * k + (one,))
+    def x_power(k: int) -> "Poly":
+        return _int_poly((0,) * k + (1,), 1)
 
     @property
     def coeffs(self) -> tuple:
-        """The coefficients, ascending; for Q[x] a tuple of Fractions."""
+        """The coefficients, ascending, as a tuple of Fractions."""
         cs = self._coeffs
         if cs is None:
             den = self._den
@@ -131,31 +113,22 @@ class Poly:
 
     @property
     def degree(self) -> int:
-        ints = self._ints
-        return len(self._coeffs if ints is None else ints) - 1
+        return len(self._ints) - 1
 
     def is_zero(self) -> bool:
-        # the zero polynomial has no coefficients, so it is always a Q[x] one
         return self._ints == ()
 
     def is_one(self) -> bool:
-        ints = self._ints
-        if ints is not None:
-            return ints == (1,) and self._den == 1
-        return len(self._coeffs) == 1 and self._coeffs[0] == 1
+        return self._ints == (1,) and self._den == 1
 
-    def lc(self):
+    def lc(self) -> Fraction:
         """Leading coefficient; raises on the zero polynomial."""
         if not self:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        ints = self._ints
-        return self._coeffs[-1] if ints is None else Fraction(ints[-1], self._den)
+        return Fraction(self._ints[-1], self._den)
 
-    def coeff(self, i: int):
+    def coeff(self, i: int) -> Fraction:
         ints = self._ints
-        if ints is None:
-            cs = self._coeffs
-            return cs[i] if 0 <= i < len(cs) else Fraction(0)
         return Fraction(ints[i], self._den) if 0 <= i < len(ints) else Fraction(0)
 
     def __bool__(self):
@@ -163,63 +136,35 @@ class Poly:
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            if self._ints is not None and other._ints is not None:
-                return self._ints == other._ints and self._den == other._den
-            return self.coeffs == other.coeffs
+            return self._ints == other._ints and self._den == other._den
         return NotImplemented
 
     def __hash__(self):
-        ints = self._ints
-        return hash(self._coeffs) if ints is None else hash((ints, self._den))
+        return hash((self._ints, self._den))
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self._ints, other._ints
-        if a is not None and b is not None:
-            return _int_add(a, self._den, b, other._den)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        cs = list(a)
-        for i, c in enumerate(b):
-            cs[i] = cs[i] + c
-        return Poly(cs)
+        return _int_add(self._ints, self._den, other._ints, other._den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        ints = self._ints
-        if ints is None:
-            return Poly([-c for c in self._coeffs])
-        return _int_poly(tuple([-c for c in ints]), self._den)
+        return _int_poly(tuple([-c for c in self._ints]), self._den)
 
     def __mul__(self, other: "Poly") -> "Poly":
         a, b = self._ints, other._ints
-        if a is not None and b is not None:
-            if not a or not b:
-                return _ZERO
-            return _from_ints(_int_mul(a, b), self._den * other._den)
-        xs, ys = self.coeffs, other.coeffs
-        if not xs or not ys:
+        if not a or not b:
             return _ZERO
-        out = [xs[0] * 0] * (len(xs) + len(ys) - 1)
-        for i, x in enumerate(xs):
-            if not x:
-                continue
-            for j, y in enumerate(ys):
-                out[i + j] = out[i + j] + x * y
-        return Poly(out)
+        return _from_ints(_int_mul(a, b), self._den * other._den)
 
     def scale(self, c) -> "Poly":
-        if _is_zero(c):
+        """self * c for a Fraction or an int c."""
+        if not c:
             return _ZERO
-        ints = self._ints
-        if ints is not None and (type(c) is Fraction or type(c) is int):
-            n = c.numerator
-            return _from_ints([n * a for a in ints], self._den * c.denominator)
-        return Poly([a * c for a in self.coeffs])
+        n = c.numerator
+        return _from_ints([n * a for a in self._ints], self._den * c.denominator)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -233,33 +178,15 @@ class Poly:
             if not n:
                 break
             base = base * base
-        if result is None:
-            return Poly((self.lc() / self.lc(),)) if self else _ONE
-        return result
+        return _ONE if result is None else result
 
     def __divmod__(self, other: "Poly"):
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        p, q = self._ints, other._ints
-        if p is not None and q is not None:
-            t, r, s = _int_divmod(p, q)
-            # s*p = t*q + r, with p = dp*self and q = dq*other
-            d = s * self._den
-            return _from_ints([c * other._den for c in t], d), _from_ints(r, d)
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return _ZERO, self
-        inv_lc = other.lc()
-        quo = [None] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / inv_lc
-            quo[k] = c
-            if not _is_zero(c):
-                for i, oc in enumerate(other.coeffs):
-                    rem[k + i] = rem[k + i] - c * oc
-        zero = inv_lc * 0
-        return Poly([zero if q is None else q for q in quo]), Poly(rem[: other.degree])
+        t, r, s = _int_divmod(self._ints, other._ints)
+        # s*p = t*q + r, with p = dp*self and q = dq*other
+        d = s * self._den
+        return _from_ints([c * other._den for c in t], d), _from_ints(r, d)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -274,45 +201,32 @@ class Poly:
         return q
 
     def monic(self) -> "Poly":
-        if not self:
-            return self
         ints = self._ints
-        if ints is not None:
-            # the leading coefficient ints[-1] / den is 1 when they agree
-            return self if ints[-1] == self._den else _from_ints(ints, ints[-1])
-        lc = self._coeffs[-1]
-        if lc == 1:
+        # the leading coefficient ints[-1] / den is 1 when they agree
+        if not ints or ints[-1] == self._den:
             return self
-        return Poly([c / lc for c in self._coeffs])
+        return _from_ints(ints, ints[-1])
 
     def derivative(self) -> "Poly":
         ints = self._ints
-        if ints is not None:
-            return _from_ints([i * ints[i] for i in range(1, len(ints))], self._den)
-        return Poly([c * i for i, c in enumerate(self._coeffs) if i])
+        return _from_ints([i * ints[i] for i in range(1, len(ints))], self._den)
 
     # -- substitution ------------------------------------------------------
 
-    def eval_at(self, v):
-        """Horner evaluation; v may be any ring element compatible with
-        the coefficients (a Fraction, a RatFunc, a tower element...)."""
-        if not self:
-            return v * 0
+    def eval_at(self, v) -> Fraction:
+        """The value at a Fraction or an int v, by one homogeneous integer
+        Horner sum."""
         ints = self._ints
-        if ints is not None and (type(v) is Fraction or type(v) is int):
-            b = v.denominator
-            return Fraction(_int_eval_scaled(ints, v.numerator, b),
-                            self._den * b ** (len(ints) - 1))
-        cs = self.coeffs
-        acc = cs[-1]
-        for c in reversed(cs[:-1]):
-            acc = acc * v + c
-        return acc
+        if not ints:
+            return Fraction(0)
+        b = v.denominator
+        return Fraction(_int_eval_scaled(ints, v.numerator, b),
+                        self._den * b ** (len(ints) - 1))
 
     def shift(self, j) -> "Poly":
-        """p(x + j) for a Q[x] polynomial p and a Fraction/integer j, by a
-        Taylor shift over Z; for j = a/b, x is scaled by b first.  A degree
-        past _DEGREE_LIMIT raises RootSearchLimit."""
+        """p(x + j) for a Fraction or an integer j, by a Taylor shift over
+        Z; for j = a/b, x is scaled by b first.  A degree past
+        _DEGREE_LIMIT raises RootSearchLimit."""
         if not j or self.degree < 1:
             return self
         _check_degree(self.degree)
@@ -335,10 +249,10 @@ class Poly:
         parts = []
         for i in range(len(cs) - 1, -1, -1):
             c = cs[i]
-            if _is_zero(c):
+            if not c:
                 continue
             if i == 0:
-                term = _coeff_str(c)
+                term = str(c)
             else:
                 xpow = var if i == 1 else f"{var}^{i}"
                 if c == 1:
@@ -346,7 +260,7 @@ class Poly:
                 elif c == -1:
                     term = "-" + xpow
                 else:
-                    term = f"{_coeff_str(c)}*{xpow}"
+                    term = f"{c}*{xpow}"
             if not parts:
                 parts.append(term)
             elif term.startswith("-"):
@@ -360,24 +274,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly('{self.to_str()}')"
-
-
-def _coeff_str(c) -> str:
-    s = str(c)
-    if "/" in s or " " in s:
-        num, _, den = s.partition("/")
-        if " " in num or "(" in s:
-            return f"({s})"
-        return s
-    return s
-
-
-def _is_rational(cs) -> bool:
-    """True when every entry of cs is a Fraction or an int."""
-    for c in cs:  # a plain loop: about twice as fast as all() on short tuples
-        if type(c) is not Fraction and type(c) is not int:
-            return False
-    return True
 
 
 def _to_ints(cs) -> tuple:
@@ -479,21 +375,12 @@ def _int_shift(p: list, a: int) -> list:
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic greatest common divisor; gcd(0, 0) = 0.
-
-    Over Q it runs a primitive PRS on the primitive integer parts (Brown,
-    JACM 1971); over other coefficient fields, Euclid with monic
-    remainders."""
+    """Monic greatest common divisor; gcd(0, 0) = 0.  A primitive PRS on
+    the primitive integer parts (Brown, JACM 1971)."""
     if p.is_zero() or q.is_zero():
         return (p or q).monic()
-    if p._ints is not None and q._ints is not None:
-        ints = _int_gcd(_primitive(p._ints), _primitive(q._ints))
-        return _from_ints(ints, ints[-1])
-    a, b = p, q
-    while not b.is_zero():
-        # keeping remainders monic tames coefficient growth
-        a, b = b, (a % b).monic()
-    return a.monic()
+    ints = _int_gcd(_primitive(p._ints), _primitive(q._ints))
+    return _from_ints(ints, ints[-1])
 
 
 def _primitive(cs):
@@ -539,7 +426,11 @@ def poly_lcm(p: Poly, q: Poly) -> Poly:
 
 
 class RatFunc:
-    """Reduced rational function num/den with monic den.
+    """Reduced rational function num/den over Q with monic den.
+
+    The tower levels of dfield reuse it as the (num, den) pair of two
+    ElemPolys: there it is only built with ``_normalized=True``, and only
+    ``==``, ``hash`` and unary ``-`` are used.
 
     >>> f = RatFunc(Poly.from_ints(2, 2), Poly.from_ints(-2, 0, 2))
     >>> str(f)
@@ -550,40 +441,25 @@ class RatFunc:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly = None, _normalized: bool = False):
-        if den is None:
-            den = Poly((num.lc() / num.lc(),)) if num else _ONE
+    def __init__(self, num: Poly, den: Poly = _ONE, _normalized: bool = False):
         if _normalized:
             self.num, self.den = num, den
             return
         if den.is_zero():
             raise ZeroDenominator("rational function with zero denominator")
         if num.is_zero():
-            self.num = _ZERO
-            self.den = _ONE if den._ints is not None else Poly((den.lc() / den.lc(),))
+            self.num, self.den = _ZERO, _ONE
             return
         n, d = num._ints, den._ints
-        if n is not None and d is not None:
-            dn, dd = num._den, den._den
-            g = _int_gcd(_primitive(n), _primitive(d))
-            if len(g) > 1:
-                # g is primitive, so by Gauss's lemma both quotients are
-                # integral and the division never scales (s == 1)
-                n, d = _int_divmod(n, g)[0], _int_divmod(d, g)[0]
-            # num/den = (n/dn) / (d/dd), made monic by d's leading coefficient
-            lc = d[-1]
-            self.num = _from_ints([c * dd for c in n], dn * lc)
-            self.den = _from_ints(d, lc)
-            return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        lc = den.lc()
-        if lc != 1:
-            num = Poly([c / lc for c in num.coeffs])
-            den = den.monic()
-        self.num, self.den = num, den
+        g = _int_gcd(_primitive(n), _primitive(d))
+        if len(g) > 1:
+            # g is primitive, so by Gauss's lemma both quotients are
+            # integral and the division never scales (s == 1)
+            n, d = _int_divmod(n, g)[0], _int_divmod(d, g)[0]
+        # num/den = (n/dn) / (d/dd), made monic by d's leading coefficient
+        lc = d[-1]
+        self.num = _from_ints([c * den._den for c in n], num._den * lc)
+        self.den = _from_ints(d, lc)
 
     # -- constructors ------------------------------------------------------
 
@@ -711,15 +587,10 @@ class RatFunc:
             return self
         return RatFunc(self.num.shift(j), self.den.shift(j), _normalized=True)
 
-    def eval_at(self, v: Fraction):
-        """Exact value at v, or None if v is a pole."""
+    def eval_at(self, v):
+        """Exact value at a Fraction or an int v, or None if v is a pole."""
         num, den = self.num, self.den
         n, d = num._ints, den._ints
-        if n is None or d is None or not (type(v) is Fraction or type(v) is int):
-            dv = den.eval_at(v)
-            if dv == 0:
-                return None
-            return num.eval_at(v) / dv
         # num(a/b) / den(a/b) from the scaled integer values b^deg * p(a/b)
         a, b = v.numerator, v.denominator
         dv = _int_eval_scaled(d, a, b)
@@ -733,10 +604,6 @@ class RatFunc:
         if e >= 0:
             return Fraction(nv * b**e, dv)
         return Fraction(nv, dv * b**-e)
-
-    def poly_part(self) -> Poly:
-        """Quotient of num by den (the polynomial component)."""
-        return self.num // self.den
 
     def to_str(self, var: str = "x") -> str:
         num, den = self.num, self.den
@@ -1119,46 +986,15 @@ def equal_degree_shift(p: Poly, q: Poly):
 
 
 def nullspace(rows: list, ncols: int) -> list:
-    """Basis of the right nullspace of a matrix over a field.
+    """Basis of the right nullspace of a matrix over Q.
 
-    ``rows`` is a list of length-ncols lists of field elements (Fractions,
-    ints, or anything with field arithmetic).  Basis vectors come back in
-    the canonical reduced-echelon order, one per free column, so callers get
-    a deterministic result.  A matrix of Fractions and ints is eliminated
-    fraction-free over the integers; the reduced-echelon form is unique,
-    so the basis is the same as over Q.
+    ``rows`` is a list of length-ncols lists of Fractions and ints.  Basis
+    vectors come back in the canonical reduced-echelon order, one per free
+    column, so callers get a deterministic result.  Gauss-Jordan runs on
+    primitive integer rows: each combined row is divided by its content,
+    and the reduced echelon entries are read off as ratios to the pivots.
+    The reduced-echelon form is unique, so the basis is the same as over Q.
     """
-    if all(_is_rational(r) for r in rows):
-        return _nullspace_int(rows, ncols)
-    mat = [list(r) for r in rows if any(not _is_zero(c) for c in r)]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(mat)):
-            if not _is_zero(mat[i][col]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][col]
-        mat[r] = [c / inv for c in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not _is_zero(mat[i][col]):
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    return _free_basis(pivots, ncols, lambda i, fc: mat[i][fc])
-
-
-def _nullspace_int(rows: list, ncols: int) -> list:
-    """nullspace of a Fraction or int matrix by Gauss-Jordan on primitive
-    integer rows: each combined row is divided by its content, and the
-    reduced echelon entries are read off as ratios to the pivots."""
     mat = [_primitive(_to_ints(r)[0]) for r in rows if any(r)]
     pivots = []
     r = 0
@@ -1183,9 +1019,17 @@ def _nullspace_int(rows: list, ncols: int) -> list:
         r += 1
         if r == len(mat):
             break
-    return _free_basis(
-        pivots, ncols, lambda i, fc: Fraction(mat[i][fc], mat[i][pivots[i]])
-    )
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -Fraction(mat[i][fc], mat[i][pc])
+        basis.append(vec)
+    return basis
 
 
 def _int_rows(polys: list) -> list:
@@ -1196,19 +1040,3 @@ def _int_rows(polys: list) -> list:
     cols = [[c * (den // p._den) for c in p._ints] for p in polys]
     height = max([len(col) for col in cols], default=0)
     return [[col[d] if d < len(col) else 0 for col in cols] for d in range(height)]
-
-
-def _free_basis(pivots: list, ncols: int, entry) -> list:
-    """The reduced-echelon nullspace basis, one vector per free column;
-    entry(i, fc) is pivot row i's entry at column fc over its pivot."""
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -entry(i, fc)
-        basis.append(vec)
-    return basis

@@ -9,9 +9,11 @@ below it, and carries the depth assigned at adjunction time:
 
 A TowerElem is the recursive rational normal form: at level 0 a reduced
 RatFunc over Q, at level L a reduced rational function in t_L whose
-coefficients are TowerElems of strictly lower level.  Elements are always
-stored at the *minimal* possible level (an element whose top generator
-cancels is demoted), so equality is plain structural comparison.
+numerator and denominator are ElemPolys, dense polynomials in t_L whose
+coefficients are TowerElems of strictly lower level; the denominator is
+monic.  Elements are always stored at the *minimal* possible level (an
+element whose top generator cancels is demoted), so equality is plain
+structural comparison.
 
 This module adjoins generators without checking them; telescope certifies
 every adjunction and stores its certificate on the generator.
@@ -22,9 +24,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebra import Poly, RatFunc, poly_gcd
+from .algebra import Poly, RatFunc, ZeroPolynomial, poly_gcd
 
 __all__ = [
+    "ElemPoly",
     "Generator",
     "Tower",
     "TowerElem",
@@ -118,9 +121,10 @@ class Tower:
 class TowerElem:
     """Element of the tower field in recursive rational normal form.
 
-    level 0 wraps a RatFunc over Q; level L wraps a RatFunc whose Poly
-    coefficients are TowerElems of level < L.  Instances are produced by
-    the factories below, which enforce demotion to minimal level.
+    level 0 wraps a RatFunc over Q; level L wraps a RatFunc whose num and
+    den are ElemPolys over TowerElems of level < L, with den monic.
+    Instances are produced by the factories below, which enforce demotion
+    to minimal level.
     """
 
     __slots__ = ("level", "rf")
@@ -137,11 +141,8 @@ class TowerElem:
             if rf.num.is_zero():
                 return ZERO
             # monic degree-0 denominator is exactly the lower-level one
-            inner = rf.num.coeff(0)
-            if isinstance(inner, TowerElem):
-                level, rf = inner.level, inner.rf
-            else:  # pragma: no cover - coefficients at level >= 1 are elems
-                level, rf = 0, RatFunc.from_const(inner)
+            inner = rf.num.coeffs[0]
+            level, rf = inner.level, inner.rf
         return TowerElem(level, rf)
 
     @staticmethod
@@ -161,15 +162,8 @@ class TowerElem:
     @staticmethod
     def gen(index: int) -> "TowerElem":
         """The generator t_{index+1} as an element (level index+1)."""
-        level = index + 1
-        t = Poly((ZERO, ONE))
-        return TowerElem(level, RatFunc(t, _one_poly(), _normalized=True))
-
-    @staticmethod
-    def from_poly(level: int, p: Poly) -> "TowerElem":
-        if level == 0:
-            return TowerElem(0, RatFunc.from_poly(p))
-        return TowerElem._make(level, RatFunc(p, _one_poly()))
+        t = ElemPoly((ZERO, ONE))
+        return TowerElem(index + 1, RatFunc(t, _ELEM_ONE, _normalized=True))
 
     # -- structure ---------------------------------------------------------
 
@@ -296,27 +290,135 @@ class TowerElem:
         return result
 
     def __repr__(self):
-        return f"TowerElem(level={self.level}, {self.rf!r})"
+        if self.level == 0:
+            return f"TowerElem(level=0, {self.rf!r})"
+        return (f"TowerElem(level={self.level}, num={self.rf.num.coeffs!r},"
+                f" den={self.rf.den.coeffs!r})")
 
 
 ZERO = TowerElem(0, RatFunc.from_const(Fraction(0)))
 ONE = TowerElem(0, RatFunc.from_const(Fraction(1)))
 
 
-def _one_poly() -> Poly:
-    return Poly((ONE,))
+class ElemPoly:
+    """Dense polynomial over tower elements, ascending in one generator:
+    the numerator or denominator of a TowerElem at level >= 1.  The zero
+    polynomial has no coefficients; a zero coefficient is ZERO."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = list(coeffs)
+        while cs and cs[-1].is_zero():
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def is_one(self) -> bool:
+        return len(self.coeffs) == 1 and self.coeffs[0] == ONE
+
+    def lc(self) -> TowerElem:
+        """Leading coefficient; raises on the zero polynomial."""
+        if not self.coeffs:
+            raise ZeroPolynomial("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    def coeff(self, i: int) -> TowerElem:
+        cs = self.coeffs
+        return cs[i] if 0 <= i < len(cs) else ZERO
+
+    def __eq__(self, other):
+        if isinstance(other, ElemPoly):
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __add__(self, other: "ElemPoly") -> "ElemPoly":
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        cs = list(a)
+        for i, c in enumerate(b):
+            cs[i] = cs[i] + c
+        return ElemPoly(cs)
+
+    def __sub__(self, other: "ElemPoly") -> "ElemPoly":
+        return self + (-other)
+
+    def __neg__(self) -> "ElemPoly":
+        return ElemPoly([-c for c in self.coeffs])
+
+    def __mul__(self, other: "ElemPoly") -> "ElemPoly":
+        xs, ys = self.coeffs, other.coeffs
+        if not xs or not ys:
+            return _ELEM_ZERO
+        out = [ZERO] * (len(xs) + len(ys) - 1)
+        for i, x in enumerate(xs):
+            if x.is_zero():
+                continue
+            for j, y in enumerate(ys):
+                out[i + j] = out[i + j] + x * y
+        return ElemPoly(out)
+
+    def scale(self, c: TowerElem) -> "ElemPoly":
+        if c.is_zero():
+            return _ELEM_ZERO
+        return ElemPoly([a * c for a in self.coeffs])
+
+    def __divmod__(self, other: "ElemPoly"):
+        if not other.coeffs:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem, oc = list(self.coeffs), other.coeffs
+        dq = len(rem) - len(oc)
+        if dq < 0:
+            return _ELEM_ZERO, self
+        lc, d = oc[-1], len(oc) - 1
+        quo = [ZERO] * (dq + 1)
+        for k in range(dq, -1, -1):
+            c = quo[k] = rem[k + d] / lc
+            if not c.is_zero():
+                for i, o in enumerate(oc):
+                    rem[k + i] = rem[k + i] - c * o
+        return ElemPoly(quo), ElemPoly(rem[:d])
+
+    def exact_div(self, other: "ElemPoly") -> "ElemPoly":
+        q, r = divmod(self, other)
+        if not r.is_zero():
+            raise ValueError("exact_div: division left a remainder")
+        return q
+
+    def monic(self) -> "ElemPoly":
+        cs = self.coeffs
+        if not cs or cs[-1] == ONE:
+            return self
+        return ElemPoly([c / cs[-1] for c in cs])
+
+
+_ELEM_ZERO = ElemPoly()
+_ELEM_ONE = ElemPoly((ONE,))
+
+
+def _elem_gcd(a: ElemPoly, b: ElemPoly) -> ElemPoly:
+    """Monic gcd of two ElemPolys by Euclid; gcd(0, 0) = 0.  Keeping the
+    remainders monic tames coefficient growth."""
+    while not b.is_zero():
+        a, b = b, divmod(a, b)[1].monic()
+    return a.monic()
 
 
 def _lift_rf(e: TowerElem, level: int) -> RatFunc:
     """View a lower element as a degree-0 rational function at `level`."""
     if e.level >= level:
         raise ArithmeticError(f"cannot lift a level-{e.level} element to level {level}")
-    return RatFunc(Poly((e,)), _one_poly(), _normalized=True)
-
-
-def _coeff_elems(p: Poly):
-    """Coefficients of a tower-level Poly as TowerElems."""
-    return [c if isinstance(c, TowerElem) else TowerElem.const(c) for c in p.coeffs]
+    return RatFunc(ElemPoly((e,)), _ELEM_ONE, _normalized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -345,28 +447,28 @@ def eval_at_point(f: TowerElem, vals) -> Fraction:
     return n / d
 
 
-def _eval_poly_point(p: Poly, level: int, vals) -> Fraction:
+def _eval_poly_point(p: ElemPoly, level: int, vals) -> Fraction:
     acc = Fraction(0)
     v = vals[level]
     for c in reversed(p.coeffs):
-        cv = eval_at_point(c, vals) if isinstance(c, TowerElem) else Fraction(c)
+        cv = eval_at_point(c, vals)
         if cv is None:
             return None
         acc = acc * v + cv
     return acc
 
 
-def _specialize_coeffs(p: Poly, vals) -> Poly:
+def _specialize_coeffs(p: ElemPoly, vals) -> Poly:
     out = []
     for c in p.coeffs:
-        cv = eval_at_point(c, vals) if isinstance(c, TowerElem) else Fraction(c)
+        cv = eval_at_point(c, vals)
         if cv is None:
             return None
         out.append(cv)
     return Poly(tuple(out))
 
 
-def _provably_coprime(num: Poly, den: Poly, level: int) -> bool:
+def _provably_coprime(num: ElemPoly, den: ElemPoly, level: int) -> bool:
     rng = random.Random(0xC0FFEE ^ level)
     for _ in range(4):
         vals = [Fraction(rng.randint(19, 9973), rng.randint(1, 89)) for _ in range(level)]
@@ -381,27 +483,24 @@ def _provably_coprime(num: Poly, den: Poly, level: int) -> bool:
     return False
 
 
-def _gcd_level(level: int, p: Poly, q: Poly) -> Poly:
+def _gcd_level(level: int, p: ElemPoly, q: ElemPoly) -> ElemPoly:
     """gcd of two nonzero tower-level polys; degree 0 means coprime."""
-    if p.degree <= 0 or q.degree <= 0:
-        return _one_poly()
-    if _provably_coprime(p, q, level):
-        return _one_poly()
-    return poly_gcd(p, q)
+    if p.degree <= 0 or q.degree <= 0 or _provably_coprime(p, q, level):
+        return _ELEM_ONE
+    return _elem_gcd(p, q)
 
 
-def _make_reduced(level: int, num: Poly, den: Poly) -> TowerElem:
+def _make_reduced(level: int, num: ElemPoly, den: ElemPoly) -> TowerElem:
     """Finish a *known coprime* num/den pair: monic denominator, demote."""
     if num.is_zero():
         return ZERO
     lc = den.lc()
-    lc = lc if isinstance(lc, TowerElem) else TowerElem.const(lc)
     if lc != ONE:
         inv = lc.inverse()
         num = num.scale(inv)
         den = den.scale(inv)
     if den.degree == 0:
-        den = _one_poly()
+        den = _ELEM_ONE
     return TowerElem._make(level, RatFunc(num, den, _normalized=True))
 
 
@@ -500,10 +599,10 @@ def _gen_image(tower: Tower, index: int, step: int) -> TowerElem:
     return out
 
 
-def _subst_poly(tower: Tower, p: Poly, t_image: TowerElem, step: int) -> TowerElem:
+def _subst_poly(tower: Tower, p: ElemPoly, t_image: TowerElem, step: int) -> TowerElem:
     """Horner: apply sigma^step to coefficients, substitute t -> t_image."""
     acc = ZERO
-    for c in reversed(_coeff_elems(p)):
+    for c in reversed(p.coeffs):
         acc = acc * t_image + _sigma_step(tower, c, step)
     return acc
 
@@ -569,11 +668,8 @@ def constant_component(tower: Tower, f: TowerElem) -> Fraction:
     while f.level > 0:
         if f.rf.den.degree >= 1:
             return Fraction(0)
-        c0 = f.rf.num.coeff(0)
-        f = c0 if isinstance(c0, TowerElem) else TowerElem.const(c0)
-    if f.rf.is_zero():
-        return Fraction(0)
-    return f.rf.poly_part().coeff(0) if f.rf.den.is_one() else Fraction(0)
+        f = f.rf.num.coeff(0)
+    return f.rf.num.coeff(0) if f.rf.den.is_one() else Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -610,19 +706,14 @@ def elem_to_str(tower: Tower, f: TowerElem) -> str:
     return f"{num}/({den})"
 
 
-def _poly_to_str(tower: Tower, p: Poly, level: int) -> str:
+def _poly_to_str(tower: Tower, p: ElemPoly, level: int) -> str:
     name = tower.gens[level - 1].name
     parts = []
     for i in range(p.degree, -1, -1):
-        c = p.coeff(i)
-        if isinstance(c, TowerElem):
-            if c.is_zero():
-                continue
-            cs = elem_to_str(tower, c)
-        else:
-            if not c:
-                continue
-            cs = str(c)
+        c = p.coeffs[i]
+        if c.is_zero():
+            continue
+        cs = elem_to_str(tower, c)
         tpow = "" if i == 0 else (name if i == 1 else f"{name}^{i}")
         if tpow:
             if cs == "1":

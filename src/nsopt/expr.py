@@ -727,10 +727,8 @@ def o_function(tower: Tower, spec: "EvalSpec", f: TowerElem) -> int:
     out = 0
     if f.rf.num.degree >= 1 or f.rf.den.degree >= 1:
         out = spec.params(tower, f.level - 1)[0] - 1
-    for p in (f.rf.num, f.rf.den):
-        for c in p.coeffs:
-            if isinstance(c, TowerElem):
-                out = max(out, o_function(tower, spec, c))
+    for c in f.rf.num.coeffs + f.rf.den.coeffs:
+        out = max(out, o_function(tower, spec, c))
     return out
 
 
@@ -1030,8 +1028,4 @@ def _collect_monomials(tower, f: TowerElem, degs, scale: RatFunc, out: dict):
         if not c:
             continue
         nd = degs[:li] + (degs[li] + j - m,) + degs[li + 1:]
-        if isinstance(c, TowerElem):
-            _collect_monomials(tower, c, nd, scale, out)
-        else:
-            rf = scale * Fraction(c)
-            out[nd] = out[nd] + rf if nd in out else rf
+        _collect_monomials(tower, c, nd, scale, out)

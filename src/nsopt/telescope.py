@@ -67,11 +67,11 @@ from .algebra import (
 from .dfield import (
     ONE,
     ZERO,
+    ElemPoly,
     Generator,
     Tower,
     TowerElem,
     _adjoin_sigma_star_unchecked,
-    _coeff_elems,
     constant_component,
     depth,
     elem_to_str,
@@ -415,7 +415,7 @@ def _sigma_level_coeffs(phi: TowerElem, level: int, gen_name: str):
         return [phi]
     if phi.rf.den.degree >= 1:
         raise UnsupportedShape(f"sum-like generator {gen_name} occurs in a denominator")
-    return _coeff_elems(phi.rf.num)
+    return phi.rf.num.coeffs
 
 
 def _pi_laurent(phi: TowerElem, level: int, gen_name: str) -> dict:
@@ -430,9 +430,9 @@ def _pi_laurent(phi: TowerElem, level: int, gen_name: str) -> dict:
         )
     m = nonzero[0]
     out = {}
-    for i, c in enumerate(_coeff_elems(phi.rf.num)):
+    for i, c in enumerate(phi.rf.num.coeffs):
         if not c.is_zero():
-            out[i - m] = c / _coeff_elems(den)[m]
+            out[i - m] = c / den.coeffs[m]
     return out
 
 
@@ -613,12 +613,8 @@ def _collect_base_dens(f: TowerElem, acc: list):
         if f.rf.den.degree >= 1:
             acc.append(f.rf.den)
         return
-    for c in f.rf.num.coeffs:
-        if isinstance(c, TowerElem):
-            _collect_base_dens(c, acc)
-    for c in f.rf.den.coeffs:
-        if isinstance(c, TowerElem):
-            _collect_base_dens(c, acc)
+    for c in f.rf.num.coeffs + f.rf.den.coeffs:
+        _collect_base_dens(c, acc)
 
 
 def _candidate_atoms(f: TowerElem) -> list:
@@ -670,12 +666,12 @@ def _pi_degree_support(tower: Tower, f: TowerElem, pi_idx: tuple):
     pos = {i: p for p, i in enumerate(pi_idx)}
     zero = (0,) * len(pi_idx)
 
-    def poly_set(p: Poly, li: int):
+    def poly_set(p: ElemPoly, li: int):
         out = set()
         for j, c in enumerate(p.coeffs):
             if not c:
                 continue
-            sub = elem_set(c) if isinstance(c, TowerElem) else {zero}
+            sub = elem_set(c)
             if sub is None:
                 return None
             if li in pos and j:
@@ -748,11 +744,8 @@ def _dependency_closure(tower: Tower, indices: set) -> set:
     return out
 
 
-def _remap_poly(p: Poly, level_map: dict) -> Poly:
-    return Poly(tuple(
-        _remap_elem(c, level_map) if isinstance(c, TowerElem) else c
-        for c in p.coeffs
-    ))
+def _remap_poly(p: ElemPoly, level_map: dict) -> ElemPoly:
+    return ElemPoly([_remap_elem(c, level_map) for c in p.coeffs])
 
 
 def _remap_elem(f: TowerElem, level_map: dict) -> TowerElem:

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from nsopt.algebra import RatFunc
+from nsopt.algebra import Poly, RatFunc
 from nsopt.dfield import (
+    ElemPoly,
     Generator,
     Tower,
     TowerElem,
@@ -21,6 +22,8 @@ from nsopt.dfield import (
     sigma,
     tower_to_json,
 )
+
+from nsopt.expr import ProductSpec, compile, parse
 
 from conftest import X, ONE, harmonic_tower, nested_tower, rand_elem
 
@@ -215,3 +218,33 @@ def test_lift_rejects_element_at_or_above_level():
     assert _lift_rf(X, 1).num.coeffs == (X,)
     with pytest.raises(ArithmeticError):
         _lift_rf(h, 1)
+
+
+def _walk_normal_form(f: TowerElem, levels: list):
+    """Assert the stored form of f and every coefficient below it: Q[x]
+    polynomials at level 0, ElemPolys over lower-level TowerElems with a
+    monic denominator above it."""
+    levels.append(f.level)
+    num, den = f.rf.num, f.rf.den
+    if f.level == 0:
+        assert type(num) is Poly and type(den) is Poly
+        return
+    assert type(num) is ElemPoly and type(den) is ElemPoly
+    assert den.lc() == ONE
+    for c in num.coeffs + den.coeffs:
+        assert type(c) is TowerElem and c.level < f.level
+        _walk_normal_form(c, levels)
+
+
+def test_compiled_fixtures_keep_elem_poly_form():
+    import test_acceptance as acc
+
+    products = (ProductSpec("b", acc.BINOM_RATIO, 1),)
+    levels = []
+    for name in ("FLAGSHIP", "A4", "A5", "B_DEPTH7", "BINOM_A1", "BINOM_A2", "BINOM_B"):
+        res = compile(parse(getattr(acc, name)),
+                      products=products if name.startswith("BINOM") else ())
+        _walk_normal_form(res.elem, levels)
+        for g in res.tower.gens:
+            _walk_normal_form(g.shift_part, levels)
+    assert max(levels) >= 3 and levels.count(0) > 0

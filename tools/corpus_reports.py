@@ -1,5 +1,5 @@
 """Byte-identity corpus: every report of `nsopt simplify` and `nsopt
-telescope` on a fixed set of inputs, one process each.
+telescope` on a fixed set of inputs, 103 invocations, one process each.
 
     python3 tools/corpus_reports.py run OUT.json [--root CHECKOUT]
     python3 tools/corpus_reports.py diff A.json B.json
@@ -28,7 +28,11 @@ lambda/ group, listed in LAMBDA, runs simplify at range 8 on three inputs
 whose printed outputs have poles at small k, so the reports cover where
 lambda is read off the printed output.  A budget/ group, listed in
 BUDGET, runs simplify at range 5 on two summands of degree past the
-degree limit, so the reports cover the refusal (exit 3).
+degree limit, so the reports cover the refusal (exit 3).  A planted/
+group runs simplify on the 30 planted-answer draws of tests/test_fuzz.py
+(`planted_draws`, read from the checkout holding this file), at range 8
+for a planted depth of 2 and 6 for a depth of 3, so a change to the
+search shows as listed report changes.
 """
 
 import argparse
@@ -70,9 +74,8 @@ TELESCOPE = (
 )
 
 
-def _workloads(root):
-    path = os.path.join(root, "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("corpus_workloads", path)
+def _load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
@@ -80,7 +83,8 @@ def _workloads(root):
 
 def corpus(root):
     """(label, argv after `nsopt`) for every invocation, in a fixed order."""
-    wl = _workloads(root)
+    wl = _load(os.path.join(root, "perfbench", "workloads.py"), "corpus_workloads")
+    fuzz = _load(os.path.join(os.path.dirname(HERE), "tests", "test_fuzz.py"), "corpus_fuzz")
     simplify = ["simplify", "--json"]
     out = []
     for name in FIXTURES:
@@ -104,6 +108,9 @@ def corpus(root):
         out.append((f"lambda/{i}", simplify + ["--verify-range", "8", expr]))
     for i, expr in enumerate(BUDGET):
         out.append((f"budget/{i}", simplify + ["--verify-range", "5", expr]))
+    for i, (expr, planted) in enumerate(fuzz.planted_draws()):
+        vrange = str(fuzz.PLANTED_RANGE[planted])
+        out.append((f"planted/{i}", simplify + ["--verify-range", vrange, expr]))
     return out
 
 
