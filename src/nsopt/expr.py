@@ -20,6 +20,7 @@ the verification sweep uses.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .algebra import Poly, RatFunc, nonneg_integer_roots
 from .dfield import Tower, TowerElem, is_polynomial_part, sigma
@@ -615,74 +616,161 @@ def _rename_var(e, old: str, new: str):
 # ---------------------------------------------------------------------------
 
 
-class Evaluator:
-    """Exact evaluation with running-prefix memoization.
+def _add(n1: int, d1: int, n2: int, d2: int) -> tuple:
+    """n1/d1 + n2/d2 as a canonical pair, from canonical pairs, by the
+    steps of fractions.Fraction._add: divide by the gcd of the
+    denominators before multiplying."""
+    g = gcd(d1, d2)
+    if g == 1:
+        return n1 * d2 + d1 * n2, d1 * d2
+    s = d1 // g
+    t = n1 * (d2 // g) + n2 * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return t, s * d2
+    return t // g2, s * (d2 // g2)
 
-    Quantifier nodes whose body depends only on their own index keep a
-    growing prefix of partial sums/products, so sweeping k over a range is
-    linear instead of quadratic.  Poles evaluate to zero, an empty sum to
+
+def _mul(n1: int, d1: int, n2: int, d2: int) -> tuple:
+    """n1/d1 * n2/d2 as a canonical pair, from canonical pairs, by the
+    cross-cancelling steps of fractions.Fraction._mul."""
+    g1 = gcd(n1, d2)
+    if g1 > 1:
+        n1 //= g1
+        d2 //= g1
+    g2 = gcd(n2, d1)
+    if g2 > 1:
+        n2 //= g2
+        d1 //= g2
+    return n1 * n2, d1 * d2
+
+
+def _base_value(num: tuple, nscale: int, den: tuple, dscale: int, k: int) -> tuple:
+    """The canonical pair of num(k) * nscale / (den(k) * dscale), or
+    (0, 1) at a pole.  num and den are integer coefficients, highest
+    degree first, each evaluated by one Horner sum."""
+    dv = 0
+    for c in den:
+        dv = dv * k + c
+    if not dv:
+        return 0, 1
+    nv = 0
+    for c in num:
+        nv = nv * k + c
+    nv *= nscale
+    dv *= dscale
+    g = gcd(nv, dv)
+    if dv < 0:
+        g = -g
+    return nv // g, dv // g
+
+
+def _index_int(v) -> int:
+    """An index value, an int or a Fraction, as an int."""
+    if v.denominator != 1:
+        raise ValueError(f"index value {v} is not an integer")
+    return v.numerator
+
+
+class Evaluator:
+    """Exact evaluation of syntax trees at integer index values.
+
+    Each node is compiled once per Evaluator, and memoised by node, into a
+    closure over Python ints.  A closure maps the index values to a
+    (numerator, denominator) pair in Fraction's canonical form
+    (denominator > 0, gcd 1); sums and products combine pairs by
+    Fraction's own gcd-saving steps, and a Base leaf is one integer Horner
+    sum each on its numerator and denominator.  eval builds a single
+    Fraction from the pair.
+
+    The closure of a quantifier node whose body depends only on its own
+    index keeps a growing prefix of partial sums/products, so sweeping k
+    over a range is linear instead of quadratic; bodies that read an outer
+    binder are looped in full.  Poles evaluate to zero, an empty sum to
     zero, an empty product to one."""
 
     def __init__(self):
-        self._prefix = {}
-        self._free = {}
+        self._code = {}  # node -> (closure, free indices)
 
     def eval(self, e, env: dict) -> Fraction:
+        """The value of e with the indices bound as in env; an index value
+        that is not an integer raises ValueError."""
+        ints = {name: _index_int(v) for name, v in env.items()}
+        n, d = self._compiled(e)[0](ints)
+        return Fraction(n, d)
+
+    def _compiled(self, e) -> tuple:
+        got = self._code.get(e)
+        if got is None:
+            got = self._code[e] = self._compile(e)
+        return got
+
+    def _compile(self, e) -> tuple:
         if isinstance(e, Const):
-            return e.value
+            value = (e.value.numerator, e.value.denominator)
+            return (lambda env: value), frozenset()
         if isinstance(e, Base):
-            v = e.rf.eval_at(env[e.var])
-            return v if v is not None else Fraction(0)
-        if isinstance(e, Plus):
-            return sum(self.eval(t, env) for t in e.terms)
-        if isinstance(e, Times):
-            out = Fraction(1)
-            for f in e.factors:
-                out *= self.eval(f, env)
-            return out
+            var, num, den = e.var, e.rf.num, e.rf.den
+            ni, ns, di, ds = num._ints[::-1], den._den, den._ints[::-1], num._den
+
+            # _base_value is looked up each time a leaf runs, so a test can
+            # count the leaf work
+            def leaf(env):
+                return _base_value(ni, ns, di, ds, env[var])
+
+            return leaf, frozenset((var,))
+        if isinstance(e, (Plus, Times)):
+            plus = isinstance(e, Plus)
+            op = _add if plus else _mul
+            parts = [self._compiled(t) for t in (e.terms if plus else e.factors)]
+            first, rest = parts[0][0], [fn for fn, _ in parts[1:]]
+
+            def fold(env):
+                n, d = first(env)
+                for fn in rest:
+                    n, d = op(n, d, *fn(env))
+                return n, d
+
+            return fold, frozenset().union(*(free for _, free in parts))
         if isinstance(e, Power):
-            return self.eval(e.base, env) ** e.exp
+            base, free = self._compiled(e.base)
+            exp = e.exp
+
+            def power(env):
+                n, d = base(env)
+                return n ** exp, d ** exp
+
+            return power, free
         if isinstance(e, (Sum, Prod)):
-            ub = int(env[e.upper])
-            empty = Fraction(0) if isinstance(e, Sum) else Fraction(1)
-            if ub < e.lower:
-                return empty
-            if self._free_vars(e.body) <= {e.idx}:
-                return self._prefix_eval(e, ub, empty)
-            out = empty
-            for k in range(e.lower, ub + 1):
-                val = self.eval(e.body, {**env, e.idx: Fraction(k)})
-                out = out + val if isinstance(e, Sum) else out * val
-            return out
+            return self._compile_quantifier(e)
         raise TypeError(f"not an expression node: {e!r}")
 
-    def _free_vars(self, e) -> frozenset:
-        got = self._free.get(e)
-        if got is not None:
-            return got
-        if isinstance(e, Const):
-            out = frozenset()
-        elif isinstance(e, Base):
-            out = frozenset((e.var,))
-        elif isinstance(e, Plus):
-            out = frozenset().union(*(self._free_vars(t) for t in e.terms))
-        elif isinstance(e, Times):
-            out = frozenset().union(*(self._free_vars(t) for t in e.factors))
-        elif isinstance(e, Power):
-            out = self._free_vars(e.base)
-        else:
-            out = (self._free_vars(e.body) - {e.idx}) | {e.upper}
-        self._free[e] = out
-        return out
+    def _compile_quantifier(self, e) -> tuple:
+        body, body_free = self._compiled(e.body)
+        idx, lower, upper = e.idx, e.lower, e.upper
+        op, empty = (_add, (0, 1)) if isinstance(e, Sum) else (_mul, (1, 1))
+        free = (body_free - {idx}) | {upper}
+        if body_free <= {idx}:
+            vals = []  # the running prefix: value pairs from lower on
 
-    def _prefix_eval(self, e, ub: int, empty: Fraction) -> Fraction:
-        vals = self._prefix.setdefault(e, [])
-        while len(vals) <= ub - e.lower:
-            k = e.lower + len(vals)
-            prev = vals[-1] if vals else empty
-            step = self.eval(e.body, {e.idx: Fraction(k)})
-            vals.append(prev + step if isinstance(e, Sum) else prev * step)
-        return vals[ub - e.lower]
+            def prefix(env):
+                i = env[upper] - lower
+                if i < 0:
+                    return empty
+                while len(vals) <= i:
+                    prev = vals[-1] if vals else empty
+                    vals.append(op(*prev, *body({idx: lower + len(vals)})))
+                return vals[i]
+
+            return prefix, free
+
+        def loop(env):
+            n, d = empty
+            for k in range(lower, env[upper] + 1):
+                n, d = op(n, d, *body({**env, idx: k}))
+            return n, d
+
+        return loop, free
 
 
 def evaluate(e, k: int, ev: Evaluator | None = None) -> Fraction:

@@ -10,7 +10,6 @@ import pytest
 
 import nsopt
 from nsopt import cli, telescope
-from nsopt.algebra import RatFunc
 from nsopt.cli import main
 from nsopt.dfield import ONE, sigma
 from nsopt.expr import NotPolynomialPart
@@ -380,15 +379,16 @@ def test_with_product_registers(capsys):
     assert "optimality_certified: true" in out
 
 
-def _sweep_eval_at_calls(monkeypatch, capsys, n):
-    """RatFunc.eval_at calls made inside the verification sweep's evaluate."""
+def _sweep_leaf_calls(monkeypatch, capsys, n):
+    """Base-leaf evaluations made inside the verification sweep's evaluate:
+    a compiled leaf calls nsopt.expr._base_value once each time it runs."""
     calls, inside = 0, False
-    eval_at, evaluate = RatFunc.eval_at, cli.evaluate
+    base_value, evaluate = nsopt.expr._base_value, cli.evaluate
 
-    def counting_eval_at(self, v):
+    def counting_base_value(*args):
         nonlocal calls
         calls += inside
-        return eval_at(self, v)
+        return base_value(*args)
 
     def sweep_evaluate(*args):
         nonlocal inside
@@ -398,7 +398,7 @@ def _sweep_eval_at_calls(monkeypatch, capsys, n):
         finally:
             inside = False
 
-    monkeypatch.setattr(RatFunc, "eval_at", counting_eval_at)
+    monkeypatch.setattr(nsopt.expr, "_base_value", counting_base_value)
     monkeypatch.setattr(cli, "evaluate", sweep_evaluate)
     code, _, _ = run_cli(
         ["simplify", "sum(l,1,n,H(l)/l)", "--verify-range", str(n)], capsys
@@ -410,8 +410,8 @@ def _sweep_eval_at_calls(monkeypatch, capsys, n):
 def test_simplify_sweep_work_is_linear(monkeypatch, capsys):
     # a fresh Evaluator per point makes the work quadratic (ratio near 4);
     # one per side keeps it linear (ratio 2)
-    ratio = (_sweep_eval_at_calls(monkeypatch, capsys, 80)
-             / _sweep_eval_at_calls(monkeypatch, capsys, 40))
+    ratio = (_sweep_leaf_calls(monkeypatch, capsys, 80)
+             / _sweep_leaf_calls(monkeypatch, capsys, 40))
     assert ratio < 2.5
 
 

@@ -18,6 +18,7 @@ from nsopt.expr import (
     NotPolynomialPart,
     ParseError,
     Plus,
+    Power,
     Prod,
     ProductSpec,
     ScopeError,
@@ -293,6 +294,100 @@ def test_shared_evaluator_sweeps_compiled_output(src, products):
         lhs = evaluate(e, k, ev_in)
         rhs = evaluate(out, k, ev_out)
         assert lhs == evaluate(e, k) == rhs == evaluate(out, k), k
+
+
+class _FractionEvaluator:
+    """The recursive Fraction evaluator that the compiled Evaluator
+    replaced, kept here as its reference: one Fraction operation per node
+    visit, the same prefix memo for bodies in their own index only, poles
+    zero, empty sums zero and empty products one."""
+
+    def __init__(self):
+        self._prefix = {}
+
+    def eval(self, e, env):
+        if isinstance(e, Const):
+            return e.value
+        if isinstance(e, Base):
+            v = e.rf.eval_at(env[e.var])
+            return v if v is not None else Fraction(0)
+        if isinstance(e, Plus):
+            return sum(self.eval(t, env) for t in e.terms)
+        if isinstance(e, Times):
+            out = Fraction(1)
+            for f in e.factors:
+                out *= self.eval(f, env)
+            return out
+        if isinstance(e, Power):
+            return self.eval(e.base, env) ** e.exp
+        ub = int(env[e.upper])
+        empty = Fraction(0) if isinstance(e, Sum) else Fraction(1)
+        if ub < e.lower:
+            return empty
+        if _free_vars(e.body) <= {e.idx}:
+            vals = self._prefix.setdefault(e, [])
+            while len(vals) <= ub - e.lower:
+                prev = vals[-1] if vals else empty
+                step = self.eval(e.body, {e.idx: Fraction(e.lower + len(vals))})
+                vals.append(prev + step if isinstance(e, Sum) else prev * step)
+            return vals[ub - e.lower]
+        out = empty
+        for k in range(e.lower, ub + 1):
+            val = self.eval(e.body, {**env, e.idx: Fraction(k)})
+            out = out + val if isinstance(e, Sum) else out * val
+        return out
+
+
+def _free_vars(e):
+    if isinstance(e, Const):
+        return set()
+    if isinstance(e, Base):
+        return {e.var}
+    if isinstance(e, (Plus, Times)):
+        return set().union(*map(_free_vars, e.terms if isinstance(e, Plus) else e.factors))
+    if isinstance(e, Power):
+        return _free_vars(e.base)
+    return (_free_vars(e.body) - {e.idx}) | {e.upper}
+
+
+def _differential_inputs():
+    """SWEEP_INPUTS, the seven acceptance fixtures with their compiled
+    outputs, and 200 seeded random trees."""
+    import test_acceptance as acc
+
+    out = [parse(src) for src in SWEEP_INPUTS]
+    products = (ProductSpec("b", acc.BINOM_RATIO, 1),)
+    for name in ("FLAGSHIP", "A4", "A5", "B_DEPTH7", "BINOM_A1", "BINOM_A2", "BINOM_B"):
+        e = parse(getattr(acc, name))
+        res = compile(e, products=products if name.startswith("BINOM") else ())
+        out += [e, reinterpret(res.tower, res.spec, res.elem)]
+    rng = random.Random(18)
+    out += [_rand_expr(rng, ["n"], 3) for _ in range(200)]
+    return out
+
+
+def _same(got, want):
+    return type(got) is Fraction and got == want and str(got) == str(want)
+
+
+def test_evaluator_matches_recursive_fraction_evaluator():
+    for e in _differential_inputs():
+        for start in (0, 4):
+            ev, ref = Evaluator(), _FractionEvaluator()
+            for k in range(start, start + 10):
+                got, want = evaluate(e, k, ev), ref.eval(e, {"n": Fraction(k)})
+                assert _same(got, want), (to_src(e), start, k)
+        for k in range(8):
+            got, want = evaluate(e, k), _FractionEvaluator().eval(e, {"n": Fraction(k)})
+            assert _same(got, want), (to_src(e), k)
+
+
+@pytest.mark.parametrize("src", ["1/(n+1)", "sum(i,1,n,i)", "sum(i,1,n,(n+i)/i)"])
+def test_evaluator_refuses_a_non_integral_index(src):
+    with pytest.raises(ValueError):
+        evaluate(parse(src), Fraction(5, 2))
+    with pytest.raises(ValueError):
+        Evaluator().eval(parse(src), {"n": Fraction(7, 3)})
 
 
 # -- o- and z-functions -------------------------------------------------------

@@ -16,7 +16,11 @@ With --time N there is no profiler: each operation runs N times in a row,
 and the median of its wall times is printed, then the total of the
 medians.  nsopt is imported once, before the first run, so the figures
 are compute time, without the interpreter start-up and imports that each
-operation of the benchmark pays in its own process.
+operation of the benchmark pays in its own process.  Each median is
+followed by the medians of its parts: parse, compile, reinterpret plus
+to_src, the sweep (the evaluate calls of cmd_simplify) and the rest.  The
+parts are timed by wrapping the names `nsopt.cli` looks up, as
+perfbench/spans.py does, so no file of the program changes.
 """
 
 import argparse
@@ -53,16 +57,57 @@ def _run(main, op):
     return code, time.perf_counter() - t0
 
 
-def _time(main, ops, repeats):
-    total = 0.0
+# the parts of an operation's wall time, each the names nsopt.cli looks up
+PARTS = (
+    ("parse", ("parse",)),
+    ("compile", ("compile",)),
+    ("reinterpret", ("reinterpret", "to_src")),
+    ("sweep", ("evaluate",)),
+)
+
+
+def _wrap_parts(cli):
+    """Wrap the names of PARTS in the module cli; returns the dict of
+    seconds per part that the wrappers add to."""
+    spent = dict.fromkeys([part for part, _ in PARTS], 0.0)
+
+    def timed(fn, part):
+        def run(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[part] += time.perf_counter() - t0
+        return run
+
+    for part, names in PARTS:
+        for name in names:
+            setattr(cli, name, timed(getattr(cli, name), part))
+    return spent
+
+
+def _time(cli, ops, repeats):
+    spent = _wrap_parts(cli)
+    names = [part for part, _ in PARTS] + ["rest"]
+    total, part_totals = 0.0, dict.fromkeys(names, 0.0)
     for op in ops:
-        runs = [_run(main, op) for _ in range(repeats)]
-        median = statistics.median(t for _, t in runs)
+        runs = []
+        for _ in range(repeats):
+            spent.update(dict.fromkeys(spent, 0.0))
+            code, wall = _run(cli.main, op)
+            runs.append((code, wall, {**spent, "rest": wall - sum(spent.values())}))
+        median = statistics.median(t for _, t, _ in runs)
         total += median
-        codes = sorted({code for code, _ in runs})
+        split = []
+        for name in names:
+            m = statistics.median(parts[name] for _, _, parts in runs)
+            part_totals[name] += m
+            split.append(f"{name} {m:.3f}")
+        codes = sorted({code for code, _, _ in runs})
         print(f"{op[0]:<16} exit {','.join(map(str, codes))}  median {median:.3f} s"
-              f"  ({repeats} runs)")
-    print(f"{'total':<16} {total:.3f} s")
+              f"  ({repeats} runs)  {'  '.join(split)}")
+    split = "  ".join(f"{name} {part_totals[name]:.3f}" for name in names)
+    print(f"{'total':<16} {total:.3f} s  {split}")
 
 
 def main(argv=None):
@@ -84,16 +129,16 @@ def main(argv=None):
     if args.workload not in wl.WORKLOADS:
         ap.error(f"unknown workload {args.workload!r}; one of {', '.join(wl.WORKLOADS)}")
     sys.path.insert(0, os.path.join(root, "src"))
-    from nsopt.cli import main as nsopt_main
+    from nsopt import cli
 
     ops = wl.WORKLOADS[args.workload](1)
     if args.time is not None:
-        _time(nsopt_main, ops, args.time)
+        _time(cli, ops, args.time)
         return 0
     profiler = cProfile.Profile()
     profiler.enable()
     for op in ops:
-        code, seconds = _run(nsopt_main, op)
+        code, seconds = _run(cli.main, op)
         print(f"{op[0]}: exit {code}, {seconds:.2f} s", file=sys.stderr)
     profiler.disable()
     stats = pstats.Stats(profiler, stream=sys.stdout)
