@@ -71,11 +71,13 @@ class Tower:
         names = [g.name for g in self.gens]
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")
-        # the memo shared by every tower grown from one root; it holds four
+        # the memo shared by every tower grown from one root; it holds five
         # kinds of key.  telescope's solves: (generator prefix, gamma, phis)
-        # for a parameterized solve at a level, and the pair (gamma, E) for
-        # the base field's denominator analysis at ratio gamma and common
-        # denominator E of the right-hand sides.  This module's shifts:
+        # for a parameterized solve at a level over its nonzero right-hand
+        # sides, the pair (gamma, E) for the base field's denominator
+        # analysis at ratio gamma and common denominator E of the right-hand
+        # sides, and a bare Q[x] Poly for its atoms, so each right-hand
+        # side's denominator is factored once.  This module's shifts:
         # (generator prefix, f, step) for sigma^step(f), the prefix ending
         # at f's level, and (generator prefix, step) for the image of the
         # prefix's last generator.  A shift depends only on the generators
@@ -244,6 +246,10 @@ class TowerElem:
             return NotImplemented
         if self.is_zero() or o.is_zero():
             return ZERO
+        if o.level == 0 and o.rf.is_one():
+            return self
+        if self.level == 0 and self.rf.is_one():
+            return o
         level, fa, fb = self._aligned(o)
         if level == 0:
             return TowerElem._make(0, fa * fb)
@@ -360,6 +366,10 @@ class ElemPoly:
         xs, ys = self.coeffs, other.coeffs
         if not xs or not ys:
             return _ELEM_ZERO
+        if len(ys) == 1:
+            return self.scale(ys[0])
+        if len(xs) == 1:
+            return other.scale(xs[0])
         out = [ZERO] * (len(xs) + len(ys) - 1)
         for i, x in enumerate(xs):
             if x.is_zero():
@@ -509,6 +519,9 @@ def _add_level(level: int, fa: RatFunc, fb: RatFunc) -> TowerElem:
     the residual common factor then divides e, so one more small gcd
     finishes the reduction)."""
     na, da, nb, db = fa.num, fa.den, fb.num, fb.den
+    if da.degree == 0 and db.degree == 0:
+        # a monic denominator of degree 0 is 1; _make demotes the sum
+        return TowerElem._make(level, RatFunc(na + nb, _ELEM_ONE, _normalized=True))
     e = _gcd_level(level, da, db)
     if e.degree <= 0:
         num = na * db + nb * da

@@ -144,8 +144,15 @@ class DepthOptResult:
 _PONE = Poly.from_ints(1)
 
 
-def _atoms(p: Poly) -> list:
-    return [q for q, _ in factor_atoms(p)] if p.degree >= 1 else []
+def _atoms(p: Poly, memo: dict = None) -> list:
+    """p's atoms without multiplicities; `memo` keeps them under the key p."""
+    if p.degree < 1:
+        return []
+    memo = {} if memo is None else memo
+    hit = memo.get(p)
+    if hit is None:
+        hit = memo[p] = [q for q, _ in factor_atoms(p)]
+    return hit
 
 
 def _shift_gcd_candidates(atoms_a: list, atoms_b: list) -> set:
@@ -169,17 +176,23 @@ def _shift_gcd_candidates(atoms_a: list, atoms_b: list) -> set:
     return out
 
 
-def universal_denominator(a: Poly, b: Poly) -> Poly:
+def universal_denominator(a: Poly, b: Poly, atoms_a: list = None,
+                          atoms_b: list = None) -> Poly:
     """Denominator bound for rational solutions of a*u(x+1) + b*u(x) = C
     with polynomial C (Abramov's construction on a(x-1) and b(x)).  A
-    dispersion past _DISPERSION_LIMIT raises RootSearchLimit."""
+    dispersion past _DISPERSION_LIMIT raises RootSearchLimit.
+
+    atoms_a (atoms_b) may list the atoms of factors whose product has the
+    irreducible factors of a (b); a and b are factored when they are not
+    given.  The shift candidates are then the same, since atoms of degree
+    <= 2 are irreducible and any other pair is tried by gcds."""
     A = a.shift(-1)
     B = b
     D = _PONE
-    # the atoms of a(x-1) are a's atoms shifted, and for telescoping
-    # (gamma = 1) a = -b, so one factorization serves both sides
-    atoms_b = _atoms(b)
-    atoms_a = [p.shift(-1) for p in (atoms_b if a == -b else _atoms(a))]
+    # the atoms of a(x-1) are a's atoms shifted
+    atoms_a = [p.shift(-1) for p in (_atoms(a) if atoms_a is None else atoms_a)]
+    if atoms_b is None:
+        atoms_b = _atoms(b)
     shifts = sorted(_shift_gcd_candidates(atoms_a, atoms_b), reverse=True)
     if shifts and shifts[0] > _DISPERSION_LIMIT:
         raise RootSearchLimit(
@@ -221,7 +234,9 @@ def solve_first_order(gamma: RatFunc, phis, memo: dict = None) -> list:
 
     The denominator analysis depends only on gamma and the right-hand
     sides' common denominator E; `memo` (a tower lineage's solve memo)
-    keeps it under the key (gamma, E) for the later solves that share it.
+    keeps it under the key (gamma, E) for the later solves that share it,
+    and the atoms of each right-hand side's denominator and of gamma under
+    the polynomial itself, so E is never factored as a whole.
     A polynomial unknown of degree past _DEGREE_LIMIT raises
     RootSearchLimit before its ansatz is built."""
     if gamma.is_zero():
@@ -248,7 +263,13 @@ def solve_first_order(gamma: RatFunc, phis, memo: dict = None) -> list:
     if hit is None:
         a = gn * E
         b = -(gd * E)
-        D = universal_denominator(a, b)
+        # every irreducible factor of E divides some right-hand side's
+        # denominator, and each of those divides E
+        atoms_e = list(dict.fromkeys(
+            p for den in dict.fromkeys(r.den for r in rhs) for p in _atoms(den, memo)
+        ))
+        D = universal_denominator(a, b, _atoms(gn, memo) + atoms_e,
+                                  _atoms(gd, memo) + atoms_e)
         Dup = D.shift(1)
         L = poly_lcm(D, Dup)
         hit = memo[key] = (D, L, a * L.exact_div(Dup), b * L.exact_div(D))
@@ -437,17 +458,37 @@ def _pi_laurent(phi: TowerElem, level: int, gen_name: str) -> dict:
 
 
 def _solve_param(tower: Tower, level: int, gamma: TowerElem, phis: list) -> list:
-    # level subproblems recur identically across the search's relation
-    # solves, one per doubling of the candidate list, and the later sum
-    # nodes of one compile, so memoize on (generator prefix, gamma, phis) in
-    # the memo every tower of one lineage shares; generators hash by
-    # identity and the key holds them, so no id is recycled under it
+    # a zero phi_k leaves c_k free: the space is the solutions over the
+    # nonzero phis, placed back in their positions, plus (0, e_k) for each
+    # zero one.  Zeros are dropped before the memo lookup, and the nonzero
+    # phis are always solved, even when there are none, so the homogeneous
+    # solutions stay in the basis.  Level subproblems recur identically
+    # across the search's relation solves, one per doubling of the
+    # candidate list, and the later sum nodes of one compile, so memoize on
+    # (generator prefix, gamma, nonzero phis) in the memo every tower of one
+    # lineage shares; generators hash by identity and the key holds them,
+    # so no id is recycled under it
+    nonzero = [i for i, phi in enumerate(phis) if phi]
+    sub = [phis[i] for i in nonzero]
     cache = tower._solve_cache
-    key = (tower.gens[:level], gamma, tuple(phis))
+    key = (tower.gens[:level], gamma, tuple(sub))
     hit = cache.get(key)
     if hit is None:
-        hit = cache[key] = _solve_param_impl(tower, level, gamma, phis)
-    return hit
+        hit = cache[key] = _solve_param_impl(tower, level, gamma, sub)
+    k = len(phis)
+    if len(sub) == k:
+        return hit
+    zero, one = Fraction(0), Fraction(1)
+    out = []
+    for g, c in hit:
+        row = [zero] * k
+        for i, ci in zip(nonzero, c):
+            row[i] = ci
+        out.append((g, tuple(row)))
+    for i, phi in enumerate(phis):
+        if not phi:
+            out.append((ZERO, tuple(one if j == i else zero for j in range(k))))
+    return out
 
 
 def _solve_param_impl(tower: Tower, level: int, gamma: TowerElem, phis: list) -> list:

@@ -65,6 +65,50 @@ def test_field_laws_random():
         assert a * ONE == a
 
 
+def _sums_and_product_tower():
+    """Q(x)(h)(h2)(p): sigma(h2) = h2 + 1/(x+1)^2 and sigma(p) = (x+1)*p."""
+    t, h = harmonic_tower()
+    t = _adjoin_sigma_star_unchecked(t, ONE / (X + 1) ** 2, "h2", "test fixture")
+    return t.extended(Generator("p", "pi", X + 1, 2, "test fixture"))
+
+
+def _unit_or_not(rng, tower):
+    """A random element whose top-level denominator is 1 (a polynomial in
+    x and the generators) or, half the time, a random quotient."""
+    if rng.random() < 0.5:
+        return rand_elem(rng, tower)
+    vars_ = [X] + [TowerElem.gen(i) for i in range(len(tower))]
+    acc = TowerElem.const(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    for _ in range(rng.randint(0, 3)):
+        term = TowerElem.const(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        for _ in range(rng.randint(0, 2)):
+            term = term * rng.choice(vars_)
+        acc = acc + term
+    return acc
+
+
+def test_unit_fast_paths_keep_the_normal_form():
+    # products by 1, sums of unit-denominator elements and products by a
+    # single-coefficient polynomial take shortcuts; the results must be
+    # the normal form, demoted to the minimal level
+    t = _sums_and_product_tower()
+    rng = random.Random(1906)
+    levels = set()
+    for _ in range(60):
+        a, b, c = (_unit_or_not(rng, t) for _ in range(3))
+        levels.update((a.level, b.level))
+        for one in (ONE, TowerElem.const(1), 1, Fraction(1)):
+            assert a * one == one * a == a
+        s = (a + b) - b
+        assert s == a and hash(s) == hash(a)
+        left, right = a * (b + c), a * b + a * c
+        assert left == right and hash(left) == hash(right)
+        if not b.is_zero():
+            q = (a * b) / b
+            assert q == a and hash(q) == hash(a)
+    assert levels >= {0, 1, 2, 3}
+
+
 def test_pow():
     t, h = harmonic_tower()
     assert h ** 0 == 1

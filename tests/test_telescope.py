@@ -276,9 +276,10 @@ def test_solve_memo_is_shared_along_a_lineage(monkeypatch):
 
 
 def test_denominator_analysis_once_per_gamma_and_denominator(monkeypatch):
-    # a weighted outer level (WEIGHTED[1] of the search benchmark) poses 31
-    # base solves over 12 distinct (gamma, E); the denominator analysis runs
-    # once for each, and a second compile starts from an empty memo
+    # a weighted outer level (WEIGHTED[1] of the search benchmark) poses 12
+    # base solves over 11 distinct (gamma, E), once zero right-hand sides
+    # are dropped; the denominator analysis runs once for each, and a
+    # second compile starts from an empty memo
     from nsopt.expr import compile, parse
 
     T = nsopt.telescope
@@ -289,9 +290,9 @@ def test_denominator_analysis_once_per_gamma_and_denominator(monkeypatch):
         solves[0] += 1
         return solve(*args)
 
-    def counted_bound(a, b):
+    def counted_bound(a, b, *atoms):
         bounds.append((a, b))
-        return bound(a, b)
+        return bound(a, b, *atoms)
 
     monkeypatch.setattr(T, "solve_first_order", counted_solve)
     monkeypatch.setattr(T, "universal_denominator", counted_bound)
@@ -300,8 +301,8 @@ def test_denominator_analysis_once_per_gamma_and_denominator(monkeypatch):
         solves[0], bounds[:] = 0, []
         compile(e)
         # (a, b) = (gn*E, -gd*E) determines (gamma, E)
-        assert len(bounds) == len(set(bounds)) == 12
-        assert solves[0] == 31
+        assert len(bounds) == len(set(bounds)) == 11
+        assert solves[0] == 12
 
 
 # -- the relation-space search against the one-at-a-time loop ---------------
@@ -823,3 +824,70 @@ def test_product_level_rewrite_skips_zero_weights(monkeypatch):
     assert len(basis) == 5
     assert count["zero_weights"] > count["weights"] // 2
     assert count["zero_products"] == 0
+
+
+# -- zero right-hand sides ----------------------------------------------------
+
+
+def _base_rhs(rng):
+    """A random Q(x) element, sometimes with a pole."""
+    num = TowerElem.const(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    for _ in range(rng.randint(0, 2)):
+        num = num * (X + rng.randint(-2, 3)) + rng.randint(-2, 2)
+    if rng.random() < 0.5:
+        return num
+    return num / (X + rng.randint(1, 3)) ** rng.randint(1, 2)
+
+
+def _with_zeros(rng, phis):
+    """phis with zeros put in at random places, at least one."""
+    out = list(phis)
+    for _ in range(rng.randint(1, 3)):
+        out.insert(rng.randint(0, len(out)), TowerElem.const(0))
+    return out
+
+
+def _zero_cases():
+    """(tower, level, gamma, phis) at level 0, at a sum-like level and at a
+    product-like level, each with an all-zero list among them."""
+    rng = random.Random(1919)
+    t1, h = harmonic_tower()
+    tp = adjoin_pi(Tower(), X + 1, name="p")
+    p = TowerElem.gen(0)
+    zeros = [TowerElem.const(0)] * 3
+    cases = []
+    for gamma in (ONE, (X + 2) / (X + 1), TowerElem.const(2)):
+        cases.append((Tower(), 0, gamma, zeros))
+        for _ in range(4):
+            phis = [_base_rhs(rng) for _ in range(rng.randint(1, 3))]
+            cases.append((Tower(), 0, gamma, _with_zeros(rng, phis)))
+    cases.append((t1, 1, ONE, zeros))
+    for _ in range(5):
+        phis = [sum((_base_rhs(rng) * h ** j for j in range(rng.randint(1, 3))),
+                    TowerElem.const(0))
+                for _ in range(rng.randint(1, 3))]
+        cases.append((t1, 1, ONE, _with_zeros(rng, phis)))
+    for gamma in (ONE, TowerElem.const(Fraction(1, 2))):
+        cases.append((tp, 1, gamma, zeros))
+        for _ in range(4):
+            phis = [_base_rhs(rng) * p ** rng.randint(-1, 2)
+                    for _ in range(rng.randint(1, 3))]
+            cases.append((tp, 1, gamma, _with_zeros(rng, phis)))
+    return cases
+
+
+def test_zero_right_hand_sides_keep_the_solution_space():
+    # _solve_param drops zero phis before solving; against the level
+    # solver on the unpruned list, the space has the same dimension and
+    # the same echelon keys, and every pair solves the equation exactly
+    T = nsopt.telescope
+    for tower, level, gamma, phis in _zero_cases():
+        assert any(phi.is_zero() for phi in phis)
+        pruned = T._solve_param(tower, level, gamma, phis)
+        full = T._solve_param_impl(tower, level, gamma, phis)
+        assert len(pruned) == len(full)
+        assert T._echelon_by_last(pruned).keys() == T._echelon_by_last(full).keys()
+        for g, c in pruned:
+            assert len(c) == len(phis)
+            rhs = sum((ck * phi for ck, phi in zip(c, phis)), TowerElem.const(0))
+            assert sigma(tower, g) * gamma - g == rhs

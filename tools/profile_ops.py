@@ -1,7 +1,7 @@
-"""cProfile or timing of one benchmark workload's operations, all in one process.
+"""cProfile or timing of one benchmark workload's operations, in one process or fresh ones.
 
     python3 tools/profile_ops.py WORKLOAD [--sort tottime|cumulative] [--limit N]
-                                          [--root CHECKOUT] [--time N]
+                                          [--root CHECKOUT] [--time N | --fresh N]
 
 Builds the operations of WORKLOAD (search_heavy, sweep_long or
 iterated_batch) for seed 1 from CHECKOUT/perfbench/workloads.py, which is
@@ -21,16 +21,28 @@ followed by the medians of its parts: parse, compile, reinterpret plus
 to_src, the sweep (the evaluate calls of cmd_simplify) and the rest.  The
 parts are timed by wrapping the names `nsopt.cli` looks up, as
 perfbench/spans.py does, so no file of the program changes.
+
+With --fresh N each operation runs once in each of N fresh interpreters,
+as the benchmark runs it: CHECKOUT/src is first compiled to bytecode, as
+perfbench/run.py does, so the imports read it.  Inside each, `import
+nsopt.cli` and the `main()` call are timed; the parent also times the
+whole process, from spawn to exit.  The medians of the three are printed
+per operation, then their totals.  What the process time holds beyond the
+other two is interpreter start and exit, and the operation's first-run
+costs show in `main()`, which --time's warm repeats leave out.
 """
 
 import argparse
+import compileall
 import contextlib
 import cProfile
 import importlib.util
 import io
+import json
 import os
 import pstats
 import statistics
+import subprocess
 import sys
 import time
 
@@ -110,6 +122,51 @@ def _time(cli, ops, repeats):
     print(f"{'total':<16} {total:.3f} s  {split}")
 
 
+# one operation in a fresh interpreter: argv[1] is the src directory,
+# argv[2] the JSON command line; prints [exit code, import s, main s]
+_FRESH = """
+import contextlib, io, json, sys, time
+t0 = time.perf_counter()
+sys.path.insert(0, sys.argv[1])
+from nsopt import cli
+t1 = time.perf_counter()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = cli.main(json.loads(sys.argv[2]))
+    except SystemExit as exc:
+        code = exc.code
+t2 = time.perf_counter()
+print(json.dumps([code, t1 - t0, t2 - t1]))
+"""
+
+
+def _fresh(src, ops, repeats):
+    if not compileall.compile_dir(src, quiet=1):
+        sys.exit(f"{src} does not compile")
+    names = ("import", "main", "process")
+    totals = dict.fromkeys(names, 0.0)
+    for label, expr, argv, _deadline, _closed in ops:
+        cmd = json.dumps(["simplify", "--json", *argv, expr])
+        codes, runs = set(), []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            proc = subprocess.run([sys.executable, "-c", _FRESH, src, cmd],
+                                  capture_output=True, text=True, check=True)
+            wall = time.perf_counter() - t0
+            code, t_import, t_main = json.loads(proc.stdout)
+            codes.add(code)
+            runs.append(dict(zip(names, (t_import, t_main, wall))))
+        split = []
+        for name in names:
+            m = statistics.median(run[name] for run in runs)
+            totals[name] += m
+            split.append(f"{name} {m:.3f}")
+        print(f"{label:<16} exit {','.join(map(str, sorted(codes)))}  "
+              f"{'  '.join(split)} s  ({repeats} processes)")
+    split = "  ".join(f"{name} {totals[name]:.3f}" for name in names)
+    print(f"{'total':<16} {split} s")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("workload")
@@ -117,21 +174,28 @@ def main(argv=None):
     ap.add_argument("--limit", type=int, default=30)
     ap.add_argument("--root", default=os.path.dirname(HERE),
                     help="checkout whose src and perfbench/workloads.py are used")
-    ap.add_argument("--time", type=int, metavar="N",
-                    help="time each operation N times without the profiler")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--time", type=int, metavar="N",
+                      help="time each operation N times without the profiler")
+    mode.add_argument("--fresh", type=int, metavar="N",
+                      help="time each operation in N fresh interpreters")
     args = ap.parse_args(argv)
     if args.limit < 1:
         ap.error("--limit must be positive")
-    if args.time is not None and args.time < 1:
-        ap.error("--time must be positive")
+    for flag in ("time", "fresh"):
+        if getattr(args, flag) is not None and getattr(args, flag) < 1:
+            ap.error(f"--{flag} must be positive")
     root = os.path.abspath(args.root)
     wl = _workloads(root)
     if args.workload not in wl.WORKLOADS:
         ap.error(f"unknown workload {args.workload!r}; one of {', '.join(wl.WORKLOADS)}")
+    ops = wl.WORKLOADS[args.workload](1)
+    if args.fresh is not None:
+        _fresh(os.path.join(root, "src"), ops, args.fresh)
+        return 0
     sys.path.insert(0, os.path.join(root, "src"))
     from nsopt import cli
 
-    ops = wl.WORKLOADS[args.workload](1)
     if args.time is not None:
         _time(cli, ops, args.time)
         return 0
