@@ -665,6 +665,17 @@ def _base_value(num: tuple, nscale: int, den: tuple, dscale: int, k: int) -> tup
     return nv // g, dv // g
 
 
+def _fraction(n: int, d: int) -> Fraction:
+    """The Fraction of a pair already in canonical form, without the gcd
+    that Fraction(n, d) runs again.  This is the body of Python 3.12's
+    private Fraction._from_coprime_ints, spelled out so that it also runs
+    on 3.10 and 3.11, whose Fraction has the same two slots."""
+    f = object.__new__(Fraction)
+    f._numerator = n
+    f._denominator = d
+    return f
+
+
 def _index_int(v) -> int:
     """An index value, an int or a Fraction, as an int."""
     if v.denominator != 1:
@@ -680,8 +691,8 @@ class Evaluator:
     (numerator, denominator) pair in Fraction's canonical form
     (denominator > 0, gcd 1); sums and products combine pairs by
     Fraction's own gcd-saving steps, and a Base leaf is one integer Horner
-    sum each on its numerator and denominator.  eval builds a single
-    Fraction from the pair.
+    sum each on its numerator and denominator.  eval wraps the pair in a
+    single Fraction, without a second gcd.
 
     The closure of a quantifier node whose body depends only on its own
     index keeps a growing prefix of partial sums/products, so sweeping k
@@ -696,8 +707,7 @@ class Evaluator:
         """The value of e with the indices bound as in env; an index value
         that is not an integer raises ValueError."""
         ints = {name: _index_int(v) for name, v in env.items()}
-        n, d = self._compiled(e)[0](ints)
-        return Fraction(n, d)
+        return _fraction(*self._compiled(e)[0](ints))
 
     def _compiled(self, e) -> tuple:
         got = self._code.get(e)

@@ -1,5 +1,6 @@
 """Exit codes, report formats, and the documented command examples."""
 
+import gc
 import json
 import os
 import subprocess
@@ -525,6 +526,41 @@ def test_residual_failure_exit4_under_optimize():
     )
     assert proc.returncode == 4, proc.stderr
     assert "residual check" in proc.stderr
+
+
+# -- process entry ----------------------------------------------------------
+
+
+# `python -m nsopt.cli` goes through run(), which freezes the collector's
+# heap before main(): every byte it prints and its exit code are main()'s
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["simplify", "--json", "sum(l,1,n,H(l)/l)"], 0),
+        (["simplify", "--verify-range", "3", "--file", "minus.txt"], 0),
+        (["simplify", "sum(i,1,n"], 2),
+        (["simplify", "--verify-range", "5", "sum(i,1,n,i^800)"], 3),
+    ],
+    ids=["json", "minus-file", "parse-error", "degree-limit"],
+)
+def test_process_entry_matches_main(argv, code, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "minus.txt").write_text("-sum(i,1,n,1/i)\n")
+    src = os.path.dirname(os.path.dirname(nsopt.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nsopt.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    in_process = run_cli(argv, capsys)
+    assert in_process[0] == code
+    assert (proc.returncode, proc.stdout, proc.stderr) == in_process
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert run_cli(["simplify", "sum(i,1,n,1/i)"], capsys)[0] == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 # -- verify -----------------------------------------------------------------

@@ -34,6 +34,7 @@ from nsopt.expr import (
     reinterpret,
     to_src,
     z_function_base,
+    _fraction,
     _leaf,
     _plus,
     _power,
@@ -388,6 +389,21 @@ def test_evaluator_refuses_a_non_integral_index(src):
         evaluate(parse(src), Fraction(5, 2))
     with pytest.raises(ValueError):
         Evaluator().eval(parse(src), {"n": Fraction(7, 3)})
+
+
+def test_canonical_pair_fraction_equals_public_constructor():
+    # Evaluator.eval wraps its canonical pairs without Fraction's gcd
+    rng = random.Random(20)
+    pairs = [(0, 1), (1, 1), (-1, 1), (-7, 1), (-1, 2)]
+    for _ in range(500):
+        d = rng.choice((1, rng.randint(1, 10**20)))
+        f = Fraction(rng.randint(-10**20, 10**20), d)
+        pairs.append((f.numerator, f.denominator))
+    for n, d in pairs:
+        got, want = _fraction(n, d), Fraction(n, d)
+        assert _same(got, want) and hash(got) == hash(want), (n, d)
+        assert (got.numerator, got.denominator) == (n, d)
+        assert got + HALF == want + HALF
 
 
 # -- o- and z-functions -------------------------------------------------------

@@ -24,12 +24,16 @@ perfbench/spans.py does, so no file of the program changes.
 
 With --fresh N each operation runs once in each of N fresh interpreters,
 as the benchmark runs it: CHECKOUT/src is first compiled to bytecode, as
-perfbench/run.py does, so the imports read it.  Inside each, `import
-nsopt.cli` and the `main()` call are timed; the parent also times the
-whole process, from spawn to exit.  The medians of the three are printed
-per operation, then their totals.  What the process time holds beyond the
-other two is interpreter start and exit, and the operation's first-run
-costs show in `main()`, which --time's warm repeats leave out.
+perfbench/run.py does, so the imports read it.  Each child imports
+nsopt.cli and runs the operation through `nsopt.cli.run`, the process
+entry that `python -m nsopt.cli` uses, and stamps the monotonic clock,
+which parent and child share, at its start, after the import and when
+the entry returns.  With the parent's stamps at spawn and at exit, that
+splits the whole process into start (interpreter start-up up to the
+child's first line), import, main (the entry: main() and what run() adds
+around it) and exit (interpreter shutdown).  The medians of the five are
+printed per operation, then their totals.  The operation's first-run
+costs show in main, which --time's warm repeats leave out.
 """
 
 import argparse
@@ -123,45 +127,49 @@ def _time(cli, ops, repeats):
 
 
 # one operation in a fresh interpreter: argv[1] is the src directory,
-# argv[2] the JSON command line; prints [exit code, import s, main s]
+# argv[2] the JSON command line; prints [exit code, monotonic stamps at
+# the start, after the import and when the process entry returned]
 _FRESH = """
 import contextlib, io, json, sys, time
-t0 = time.perf_counter()
+t0 = time.monotonic()
 sys.path.insert(0, sys.argv[1])
 from nsopt import cli
-t1 = time.perf_counter()
+t1 = time.monotonic()
+sys.argv = ["nsopt", *json.loads(sys.argv[2])]
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
-        code = cli.main(json.loads(sys.argv[2]))
+        code = cli.run()
     except SystemExit as exc:
         code = exc.code
-t2 = time.perf_counter()
-print(json.dumps([code, t1 - t0, t2 - t1]))
+t2 = time.monotonic()
+print(json.dumps([code, t0, t1, t2]))
 """
 
 
 def _fresh(src, ops, repeats):
     if not compileall.compile_dir(src, quiet=1):
         sys.exit(f"{src} does not compile")
-    names = ("import", "main", "process")
+    names = ("start", "import", "main", "exit", "process")
     totals = dict.fromkeys(names, 0.0)
     for label, expr, argv, _deadline, _closed in ops:
         cmd = json.dumps(["simplify", "--json", *argv, expr])
         codes, runs = set(), []
         for _ in range(repeats):
-            t0 = time.perf_counter()
+            spawn = time.monotonic()
             proc = subprocess.run([sys.executable, "-c", _FRESH, src, cmd],
                                   capture_output=True, text=True, check=True)
-            wall = time.perf_counter() - t0
-            code, t_import, t_main = json.loads(proc.stdout)
+            end = time.monotonic()
+            code, *stamps = json.loads(proc.stdout)
             codes.add(code)
-            runs.append(dict(zip(names, (t_import, t_main, wall))))
+            bounds = [spawn, *stamps, end]
+            parts = [b - a for a, b in zip(bounds, bounds[1:])]
+            runs.append(dict(zip(names, (*parts, end - spawn))))
         split = []
         for name in names:
             m = statistics.median(run[name] for run in runs)
             totals[name] += m
             split.append(f"{name} {m:.3f}")
-        print(f"{label:<16} exit {','.join(map(str, sorted(codes)))}  "
+        print(f"{label:<16} code {','.join(map(str, sorted(codes)))}  "
               f"{'  '.join(split)} s  ({repeats} processes)")
     split = "  ".join(f"{name} {totals[name]:.3f}" for name in names)
     print(f"{'total':<16} {split} s")
