@@ -31,6 +31,7 @@ __all__ = [
     "Generator",
     "Tower",
     "TowerElem",
+    "fresh_name",
     "sigma",
     "depth",
     "is_polynomial_part",
@@ -105,15 +106,21 @@ class Tower:
         return Tower(self.gens[:nlevels], self._solve_cache)
 
     def fresh_name(self, stem: str = "t") -> str:
-        used = set(self.names())
-        i = len(self.gens) + 1
-        while f"{stem}{i}" in used:
-            i += 1
-        return f"{stem}{i}"
+        return fresh_name(self.names(), stem)
 
     def __repr__(self):
         inner = "".join(f"({g.name})" for g in self.gens)
         return f"Tower(Q(x){inner})"
+
+
+def fresh_name(names: list, stem: str = "t") -> str:
+    """The first stem<k> with k > len(names) that is not in names: the name
+    a tower with these generators gives its next one."""
+    used = set(names)
+    i = len(names) + 1
+    while f"{stem}{i}" in used:
+        i += 1
+    return f"{stem}{i}"
 
 
 # ---------------------------------------------------------------------------
@@ -567,11 +574,6 @@ def sigma(tower: Tower, f: TowerElem, j: int = 1) -> TowerElem:
     return f
 
 
-# a shift of an element is stored in the lineage memo only while the memo
-# holds fewer entries than this
-_SIGMA_MEMO_LIMIT = 200000
-
-
 def _sigma_step(tower: Tower, f: TowerElem, step: int) -> TowerElem:
     cache = tower._solve_cache
     key = (tower.gens[:f.level], f, step)
@@ -585,8 +587,7 @@ def _sigma_step(tower: Tower, f: TowerElem, step: int) -> TowerElem:
         num = _subst_poly(tower, f.rf.num, t_image, step)
         den = _subst_poly(tower, f.rf.den, t_image, step)
         out = num / den
-    if len(cache) < _SIGMA_MEMO_LIMIT:
-        cache[key] = out
+    cache[key] = out
     return out
 
 

@@ -23,13 +23,9 @@ from fractions import Fraction
 from math import gcd
 
 from .algebra import Poly, RatFunc, nonneg_integer_roots
-from .dfield import Tower, TowerElem, is_polynomial_part, sigma
-from .telescope import (
-    UnsupportedShape,
-    _prune_tower,
-    adjoin_pi,
-    telescope_depth_optimal,
-)
+from .dfield import (ElemPoly, Generator, Tower, TowerElem, is_polynomial_part,
+                     occurring_generators, sigma)
+from .telescope import UnsupportedShape, adjoin_pi, telescope_depth_optimal
 
 __all__ = [
     "ParseError",
@@ -938,6 +934,58 @@ def compile(e, products=(), max_atom_power: int = 6,
     while lam > 0 and evaluate(e, lam - 1, st.ev) == evaluate(out, lam - 1, out_ev):
         lam -= 1
     return CompileResult(pruned, spec, elem, lam, st.certified)
+
+
+def _prune_tower(grown: Tower, g: TowerElem, base_len: int):
+    """Drop the generators from base_len on that g uses neither directly
+    nor through the shift part of a kept one; remap g and the kept
+    generators into the smaller tower."""
+    keep, todo = set(), list(occurring_generators(grown, g))
+    while todo:
+        i = todo.pop()
+        if i >= base_len and i not in keep:
+            keep.add(i)
+            todo.extend(occurring_generators(grown, grown.gens[i].shift_part))
+    kept_sorted = sorted(keep)
+    old_to_new = {i: i for i in range(base_len)}
+    for new_i, old_i in enumerate(kept_sorted, start=base_len):
+        old_to_new[old_i] = new_i
+    level_map = {old + 1: new + 1 for old, new in old_to_new.items()}
+
+    gens = list(grown.gens[:base_len])
+    for old_i in kept_sorted:
+        gen = grown.gens[old_i]
+        gens.append(
+            Generator(
+                gen.name,
+                gen.kind,
+                _remap_elem(gen.shift_part, level_map),
+                gen.depth,
+                gen.certificate,
+            )
+        )
+    # the generators below base_len are the same objects, so their solves
+    # stay in the shared memo
+    pruned = Tower(gens, grown._solve_cache)
+    return pruned, _remap_elem(g, level_map), tuple(grown.gens[i].name for i in kept_sorted)
+
+
+def _remap_poly(p: ElemPoly, level_map: dict) -> ElemPoly:
+    return ElemPoly([_remap_elem(c, level_map) for c in p.coeffs])
+
+
+def _remap_elem(f: TowerElem, level_map: dict) -> TowerElem:
+    if f.level == 0:
+        return f
+    new_level = level_map[f.level]
+    return TowerElem(
+        new_level,
+        RatFunc(
+            _remap_poly(f.rf.num, level_map),
+            _remap_poly(f.rf.den, level_map),
+            _normalized=True,
+        ),
+    )
 
 
 def _compile_node(st: _Session, e, var: str):

@@ -26,10 +26,11 @@ the input's pole structure (1/atom^e, then times monomials in existing
 generators) and solves, over the given tower, for the linear relations
 between the input and the candidates.  Those relations decide which
 candidates are legal new sum-like generators and the first one after
-which the input telescopes, so only those are adjoined, and the relation
-that reaches that one already holds the telescoper: it is read off and
-residual-checked, never solved again in the grown tower.  Failing that it
-falls back to adjoining the input itself, which raises the depth by one.
+which the input telescopes.  The relation that reaches that one holds the
+telescoper and names the candidates it uses, so only those are adjoined;
+the telescoper is read off and residual-checked, never solved again in the
+grown tower.  Failing that it falls back to adjoining the input itself,
+which raises the depth by one.
 
 Adjunction is guarded here: a sum-like generator is only added after the
 telescoping equation for its summand has been shown unsolvable in the
@@ -75,6 +76,7 @@ from .dfield import (
     constant_component,
     depth,
     elem_to_str,
+    fresh_name,
     occurring_generators,
     sigma,
 )
@@ -737,9 +739,9 @@ def _pi_degree_support(tower: Tower, f: TowerElem, pi_idx: tuple):
     return elem_set(f)
 
 
-def _series_name(tower: Tower, atom: Poly, e: int):
+def _series_name(names: list, atom: Poly, e: int):
     """h/h2/... for 1/x^e sums, o/o2/... for 1/(x+1/2)^e,
-    q/q2/... for 1/(x+1/4)^e."""
+    q/q2/... for 1/(x+1/4)^e, unless names already holds it."""
     stem = None
     if atom == _X_ATOM:
         stem = "h"
@@ -750,7 +752,7 @@ def _series_name(tower: Tower, atom: Poly, e: int):
     if stem is None:
         return None
     name = stem if e == 1 else f"{stem}{e}"
-    return name if name not in tower.names() else None
+    return name if name not in names else None
 
 
 def _fallback_name(tower: Tower, beta: TowerElem):
@@ -768,71 +770,17 @@ def _fallback_name(tower: Tower, beta: TowerElem):
     rep, shift = shift_class(atom)
     if shift != 0:
         return None
-    return _series_name(tower, rep, e)
+    return _series_name(tower.names(), rep, e)
 
 
-def _dependency_closure(tower: Tower, indices: set) -> set:
-    out = set()
-    todo = list(indices)
-    while todo:
-        i = todo.pop()
-        if i in out:
-            continue
-        out.add(i)
-        for dep in occurring_generators(tower, tower.gens[i].shift_part):
-            if dep >= 0 and dep not in out:
-                todo.append(dep)
-    return out
-
-
-def _remap_poly(p: ElemPoly, level_map: dict) -> ElemPoly:
-    return ElemPoly([_remap_elem(c, level_map) for c in p.coeffs])
-
-
-def _remap_elem(f: TowerElem, level_map: dict) -> TowerElem:
-    if f.level == 0:
-        return f
-    new_level = level_map[f.level]
-    return TowerElem(
-        new_level,
-        RatFunc(
-            _remap_poly(f.rf.num, level_map),
-            _remap_poly(f.rf.den, level_map),
-            _normalized=True,
-        ),
-    )
-
-
-def _prune_tower(grown: Tower, g: TowerElem, base_len: int):
-    """Drop adjoined generators that ended up unused by g; remap g and the
-    kept generators into the smaller tower."""
-    used = {i for i in occurring_generators(grown, g) if i >= base_len}
-    keep = _dependency_closure(grown, used)
-    keep = {i for i in keep if i >= base_len}
-    kept_sorted = sorted(keep)
-    old_to_new = {i: i for i in range(base_len)}
-    for new_i, old_i in enumerate(kept_sorted, start=base_len):
-        old_to_new[old_i] = new_i
-    level_map = {old + 1: new + 1 for old, new in old_to_new.items()}
-
-    gens = list(grown.gens[:base_len])
-    for old_i in kept_sorted:
-        gen = grown.gens[old_i]
-        gens.append(
-            Generator(
-                gen.name,
-                gen.kind,
-                _remap_elem(gen.shift_part, level_map),
-                gen.depth,
-                gen.certificate,
-            )
-        )
-    # the generators below base_len are the same objects, so their solves
-    # stay in the shared memo
-    pruned = Tower(gens, grown._solve_cache)
-    return pruned, _remap_elem(g, level_map), tuple(grown.gens[i].name for i in kept_sorted)
-
-
+# the search gives up once this many legal candidates come before its hit;
+# only the hit relation's candidates are adjoined, so it bounds the relation
+# solve's reach, not the generators.  Lifted, the 103-invocation corpus of
+# tools/corpus_reports.py took 8.9 and 10.7 s against 11.3 and 11.7 s (single
+# runs on a shared 2-core machine), and only extra/3 and planted/17
+# changed: their fallbacks became longer answers at the same depth and
+# certification (219 -> 331 and 163 -> 804 characters), as the first hit
+# in candidate order is not the sparsest
 _ADJOIN_BUDGET = 24
 
 
@@ -863,41 +811,42 @@ def _cancel(g, vec, row, i):
     return g - factor * rg, [a - factor * b for a, b in zip(vec, rvec)]
 
 
-def _read_off(rows: dict, hit: int, adjoined: list, base_len: int) -> TowerElem:
-    """The telescoper of f = phi_0 in the tower grown by the candidates
-    `adjoined` (hit last), read off the echelon row that ends at hit.
+def _adjoin_support(tower: Tower, cands: list, rows: dict, hit: int,
+                    legal: list, dim: int):
+    """The tower grown by the candidates the hit relation uses, and the
+    telescoper of f = phi_0 there, read off the echelon row that ends at hit.
 
     Every row below hit has c_0 = 0 and ends at an illegal candidate, so
     subtracting those rows from the highest down clears the hit row's
     illegal entries without touching c_0 or any entry above.  What is left,
-    sigma(g_T) - g_T = c_0*f + sum over adjoined j of c_j*beta_j, gives
-    g = (g_T - sum c_j*t_j) / c_0 once t_j is the generator for beta_j."""
+    sigma(g_T) - g_T = c_0*f + sum over legal + [hit] of c_j*beta_j, gives
+    g = (g_T - sum c_j*t_j) / c_0 once t_j is the generator for beta_j, so
+    only the candidates with c_j != 0 are adjoined.  One that is legal over
+    T and every legal candidate before it stays legal over the smaller
+    tower, so its certificate still holds.  Each keeps the name that
+    adjoining every candidate in legal + [hit] (1-based indices into
+    cands) in order would give it; that replay runs over names alone."""
     g, vec = rows[hit]
     for j in sorted((j for j in rows if j < hit), reverse=True):
         if vec[j]:
             g, vec = _cancel(g, vec, rows[j], j)
-    for pos, j in enumerate(adjoined, start=base_len):
-        if vec[j]:
-            g = g - vec[j] * TowerElem.gen(pos)
-    return g / vec[0]
-
-
-def _adjoin_legal(tower: Tower, cands: list, legal: list, dim: int) -> Tower:
-    """Adjoin the legal candidates (1-based indices into cands) in order,
-    under the names the one-at-a-time search gave them."""
-    cur = tower
-    for i in legal:
+    names, cur = tower.names(), tower
+    for i in legal + [hit]:
         beta, series = cands[i - 1]
-        name = _series_name(cur, *series) if series else None
+        name = (_series_name(names, *series) if series else None) or fresh_name(names)
+        names.append(name)
+        if not vec[i]:
+            continue
         cur = _adjoin_sigma_star_unchecked(
             cur,
             beta,
-            name or cur.fresh_name(),
+            name,
             "no relation sigma(g) - g = c_0*f + sum c_j*beta_j"
             f" over {tower!r} ends at candidate {i}"
             f" (relation solve over {len(cands)} candidates, space dim {dim})",
         )
-    return cur
+        g = g - vec[i] * TowerElem.gen(len(cur) - 1)
+    return cur, g / vec[0]
 
 
 def telescope_depth_optimal(
@@ -909,38 +858,36 @@ def telescope_depth_optimal(
 ) -> DepthOptResult:
     """Find g with sigma(g) - g = f of smallest available depth.
 
-    Strategy: try the given tower, then look for sum-like generators
-    t_i with sigma(t_i) = t_i + beta_i built from the input's pole
-    structure (beta_i = sigma(mu/atom^e), mu a monomial in occurring
-    generators), in a fixed candidate order.  Every beta_i lies in the
-    given tower T, so by Karr's structure theorem f telescopes once the
-    legal candidates up to i are adjoined exactly when some relation
-    sigma(g) - g = c_0*f + sum c_j*beta_j with g in T has c_0 != 0 and
-    c_j = 0 for j > i, and beta_i is illegal (telescopes in the grown
-    tower) exactly when a relation with c_0 = 0 ends at i.  The search
-    therefore solves these relations over T and adjoins only the legal
-    candidates up to the first success.  The candidates come in blocks,
-    one per (monomial, atom power); the relations are solved only when the
-    list has doubled since the last solve and at the end of each pass.
-    The relations over a prefix of the candidates are exactly those of the
-    longer list that end inside the prefix, so one solve's echelon rows
-    give the first hit and the legal candidates before it, as a solve after
-    each block would.  A relation ending at f itself contradicts the
+    Strategy: try the given tower, then look for sum-like generators t_i
+    with sigma(t_i) = t_i + beta_i built from the input's pole structure
+    (beta_i = sigma(mu/atom^e), mu a monomial in occurring generators), in a
+    fixed candidate order.  Every beta_i lies in the given tower T, so by
+    Karr's structure theorem f telescopes once the legal candidates up to i
+    are adjoined exactly when some relation sigma(g) - g = c_0*f + sum
+    c_j*beta_j with g in T has c_0 != 0 and c_j = 0 for j > i, and beta_i is
+    illegal (telescopes in the grown tower) exactly when a relation with c_0
+    = 0 ends at i.  The search therefore solves these relations over T and
+    adjoins nothing before the first success.  The candidates come in
+    blocks, one per (monomial, atom power); the relations are solved only
+    when the list has doubled since the last solve and at the end of each
+    pass.  The relations over a prefix of the candidates are exactly those
+    of the longer list that end inside the prefix, so one solve's echelon
+    rows give the first hit and the legal candidates before it, as a solve
+    after each block would.  A relation ending at f itself contradicts the
     in-tower solve and raises.  The hit relation also gives g: with t_j the
     generator for beta_j, g = (g_T - sum c_j*t_j) / c_0 once the illegal
-    candidates are eliminated from it (_read_off), and g is then
-    residual-checked in the grown tower.  An in-tower answer ends the
-    search at once: solutions are unique up to additive constants, so no
-    extension can present a shallower one.  The first pass only considers
-    shift parts of depth < depth(f), so a hit there is depth-optimal; a
-    second pass allows shift parts of depth equal to depth(f), whose
-    solutions sit one level higher and are reported uncertified (except
-    over depth-1 input, where one level up is provably the floor).  The search gives up once the
-    first success would need more than _ADJOIN_BUDGET adjunctions.  With
-    allow_fallback, an exhausted search adjoins f itself.  Pruning keeps
-    only the adjoined generators g actually depends on; the tower prefix
-    passed in is never touched, so elements built on it stay valid on the
-    returned tower."""
+    candidates are eliminated from it, so only the candidates with c_j != 0
+    are adjoined (_adjoin_support), and g is residual-checked in that tower.
+    An in-tower answer ends the search at once: solutions are unique up to
+    additive constants, so no extension can present a shallower one.  The
+    first pass only considers shift parts of depth < depth(f), so a hit
+    there is depth-optimal; a second pass allows shift parts of depth equal
+    to depth(f), whose solutions sit one level higher and are reported
+    uncertified (except over depth-1 input, where one level up is provably
+    the floor).  The search gives up once _ADJOIN_BUDGET legal candidates
+    come before the first success.  With allow_fallback, an exhausted search
+    adjoins f itself.  The tower passed in is never touched, so elements
+    built on it stay valid on the returned tower."""
     first = telescope_tower(tower, f)
     d = depth(tower, f)
     if first.solved:
@@ -1010,9 +957,7 @@ def telescope_depth_optimal(
                 return None
             if hit is None:
                 continue
-            adjoined = legal + [hit]
-            cur = _adjoin_legal(tower, cands, adjoined, len(basis))
-            g = _read_off(rows, hit, adjoined, len(tower))
+            cur, g = _adjoin_support(tower, cands, rows, hit, legal, len(basis))
             g = _checked(cur, g, f)
             dg = depth(cur, g)
             # second-pass candidates are exactly those of depth d; depth-1
@@ -1025,8 +970,7 @@ def telescope_depth_optimal(
                 if ok
                 else "solved one level above the summand depth"
             )
-            pruned, g2, kept = _prune_tower(cur, g, len(tower))
-            return DepthOptResult(True, g2, pruned, kept, ok, note)
+            return DepthOptResult(True, g, cur, tuple(cur.names()[len(tower):]), ok, note)
         return None
 
     if d >= 1 and atoms:

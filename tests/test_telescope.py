@@ -17,6 +17,7 @@ from nsopt.dfield import (
 )
 import nsopt.cli
 import nsopt.telescope
+from nsopt.expr import _prune_tower
 from nsopt.telescope import (
     NotYetSupported,
     PiCriterionFails,
@@ -345,7 +346,7 @@ def _one_at_a_time(tower, f, max_atom_power=6, max_monomial_degree=3,
                             cert = telescope_tower(cur, beta)
                             if cert.solved:
                                 continue
-                            name = T._series_name(cur, atom, e) if mu == ONE else None
+                            name = T._series_name(cur.names(), atom, e) if mu == ONE else None
                             cur = _adjoin_sigma_star_unchecked(
                                 cur, beta, name or cur.fresh_name(), cert.certificate)
                             budget -= 1
@@ -357,7 +358,7 @@ def _one_at_a_time(tower, f, max_atom_power=6, max_monomial_degree=3,
                                     "solved after adjoining depth-preserving generator(s)"
                                     if ok else "solved one level above the summand depth"
                                 )
-                                pruned, g2, kept = T._prune_tower(cur, attempt.g, len(tower))
+                                pruned, g2, kept = _prune_tower(cur, attempt.g, len(tower))
                                 return T.DepthOptResult(True, g2, pruned, kept, ok, note)
         return None
 
@@ -435,10 +436,44 @@ def test_adjoined_generator_states_its_relation_certificate():
     assert res.tower.gens[-1].certificate.startswith("no relation sigma(g) - g")
 
 
+def test_search_adjoins_only_what_its_answer_uses(monkeypatch):
+    # the hit relation's nonzero entries name the generators g needs, so
+    # each search adjoins exactly those: every adjunction is reported, and
+    # every new generator occurs in g
+    from nsopt.dfield import occurring_generators
+    from nsopt.expr import compile, parse
+
+    T = nsopt.telescope
+    adjoin, search = T._adjoin_sigma_star_unchecked, T.telescope_depth_optimal
+    calls, adjoined = [0], []
+
+    def counted_adjoin(*args):
+        calls[0] += 1
+        return adjoin(*args)
+
+    def checked_search(tower, f, **knobs):
+        calls[0] = 0
+        res = search(tower, f, **knobs)
+        assert calls[0] == len(res.adjoined)
+        new = set(range(len(tower), len(res.tower)))
+        assert new <= occurring_generators(res.tower, res.g)
+        adjoined.extend(res.adjoined)
+        return res
+
+    monkeypatch.setattr(T, "_adjoin_sigma_star_unchecked", counted_adjoin)
+    tower, f, _, _ = _search_case("two legal candidates")
+    assert checked_search(tower, f).adjoined == ("h", "h2")
+    # a weighted outer level whose hit comes after many legal candidates
+    monkeypatch.setattr(nsopt.expr, "telescope_depth_optimal", checked_search)
+    adjoined.clear()
+    compile(parse("sum(i,1,n,sum(j,2,i,sum(k,1,j,1/k^2)/j)/(i+1))"))
+    assert "t23" in adjoined
+
+
 def test_quadratic_atom_search_work(monkeypatch, capsys):
     # the candidate class holds no generator that lowers this input, so the
-    # search spends its budget and falls back; relation solves over the
-    # input tower keep that cheap
+    # outer search exhausts it (20 legal candidates, under the budget of 24)
+    # and falls back; relation solves over the input tower keep that cheap
     calls = [0]
     solve = nsopt.telescope.solve_first_order
 

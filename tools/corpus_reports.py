@@ -8,7 +8,12 @@ telescope` on a fixed set of inputs, 103 invocations, one process each.
 process, with CHECKOUT/src on PYTHONPATH (default: the checkout holding
 this file), and writes the exit code, stdout and stderr of each to
 OUT.json.  `diff` compares two such files and exits 1 when any
-invocation differs in a byte.
+invocation differs in a byte.  For each differing `simplify --json`
+report it prints (input_depth, output_depth, optimality_certified,
+len(output_text)) before -> after, and it ends with a tally of the
+differing invocations: depth lower, certification gained, text only (same
+depth and certification), worse (depth higher or certification lost),
+and those that are not a simplify report on both sides.
 
 The simplify inputs come from CHECKOUT/perfbench/workloads.py, which is
 read and never changed: the seven acceptance fixtures at --verify-range
@@ -135,24 +140,59 @@ def run(root, out_path):
     return 0
 
 
+def _summary(rec):
+    """(input_depth, output_depth, optimality_certified, len(output_text))
+    of a `simplify --json` report, or None when rec holds no such report."""
+    if rec["argv"][:2] != ["simplify", "--json"]:
+        return None
+    try:
+        rep = json.loads(rec["stdout"])
+        return (rep["input_depth"], rep["output_depth"],
+                rep["optimality_certified"], len(rep["output_text"]))
+    except (ValueError, KeyError):
+        return None
+
+
+def _kind(before, after):
+    """Which way a simplify report changed, judged on its summaries."""
+    if before is None or after is None:
+        return "not two simplify reports"
+    if after[1] > before[1] or (before[2] and not after[2]):
+        return "worse"
+    if after[1] < before[1]:
+        return "depth lower"
+    if after[2] and not before[2]:
+        return "certification gained"
+    return "text only"
+
+
 def diff(a_path, b_path):
     with open(a_path, encoding="utf-8") as fh:
         a = {r["label"]: r for r in json.load(fh)}
     with open(b_path, encoding="utf-8") as fh:
         b = {r["label"]: r for r in json.load(fh)}
     same = 0
+    tally = dict.fromkeys(("depth lower", "certification gained", "text only",
+                           "worse", "not two simplify reports"), 0)
     for label in sorted(a.keys() | b.keys()):
         ra, rb = a.get(label), b.get(label)
         if ra is None or rb is None:
             print(f"{label}: only in {a_path if rb is None else b_path}")
+            tally["not two simplify reports"] += 1
             continue
         fields = [k for k in ("argv", "code", "stdout", "stderr") if ra[k] != rb[k]]
-        if fields:
-            print(f"{label}: differs in {', '.join(fields)}")
-        else:
+        if not fields:
             same += 1
+            continue
+        before, after = _summary(ra), _summary(rb)
+        kind = _kind(before, after)
+        tally[kind] += 1
+        change = "" if kind == "not two simplify reports" else f"; {before} -> {after}"
+        print(f"{label}: differs in {', '.join(fields)}{change}")
     total = len(a.keys() | b.keys())
     print(f"{same} of {total} invocations byte-identical")
+    if same < total:
+        print("differing: " + ", ".join(f"{n} {k}" for k, n in tally.items()))
     return 0 if same == total else 1
 
 
