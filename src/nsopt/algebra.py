@@ -23,10 +23,11 @@ Conventions used throughout:
   root a/b is divided out as the factor b*x - a.
 
 The factorization helpers at the bottom split denominators into monic
-"atoms".  Atoms are true irreducibles for everything built from linear
-and quadratic factors (the only shapes the summation pipeline produces);
-what cannot be split honestly is kept whole as a conservative atom rather
-than guessed at.
+"atoms".  Rational roots are found exactly (``_integer_roots``, by p-adic
+lifting), so every atom of degree 3 or less is irreducible; a larger one
+is split only along integer shifts of its factors, and what cannot be
+split honestly is kept whole as a conservative atom rather than guessed
+at.
 """
 
 from __future__ import annotations
@@ -64,7 +65,9 @@ class ZeroPolynomial(ValueError):
 
 
 class RootSearchLimit(ArithmeticError):
-    """The exact integer-root search would scan past its trial limit."""
+    """An exact search would run past a bound on its work: a shift window
+    past _SHIFT_LIMIT, a dispersion past _DISPERSION_LIMIT or a degree
+    past _DEGREE_LIMIT."""
 
 
 class Poly:
@@ -631,34 +634,6 @@ RatFunc.X = RatFunc.from_poly(Poly.from_ints(0, 1))
 # Root finding and factorization over Q
 # ---------------------------------------------------------------------------
 
-_DIVISOR_LIMIT = 10**12
-_TRIAL_LIMIT = 10**6
-
-
-def _divisors(n: int):
-    """All positive divisors of n by trial division, or None when n is 0
-    or |n| > _DIVISOR_LIMIT (callers must degrade gracefully).  Below the
-    limit, trial division up to sqrt(|n|) always completes."""
-    n = abs(n)
-    if n == 0:
-        return None
-    if n > _DIVISOR_LIMIT:
-        return None
-    factors = {}
-    m = n
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        factors[m] = factors.get(m, 0) + 1
-    divs = [1]
-    for prime, mult in factors.items():
-        divs = [d * prime**k for d in divs for k in range(mult + 1)]
-    return sorted(set(divs))
-
 
 def _ceil_root(m: int, k: int) -> int:
     """The least r >= 0 with r**k >= m, for m >= 0."""
@@ -734,6 +709,59 @@ def gcd_shifts(a: Poly, b: Poly) -> dict:
     return out
 
 
+def _primes():
+    """2, 3, 5, 7, ... by trial division."""
+    for q in itertools.count(2):
+        if all(q % k for k in range(2, math.isqrt(q) + 1)):
+            yield q
+
+
+def _integer_roots(ints) -> list:
+    """The distinct integer roots of the integer polynomial ints (ascending,
+    degree >= 1), exactly, by p-adic lifting (Loos, SIAM J. Comput. 12,
+    1983).  Of the squarefree part f, the roots modulo the first prime p
+    that divides neither lc(f) nor f' at any root of f mod p are lifted by
+    Newton's iteration modulo p^(2^k) until the modulus m passes twice the
+    root bound; an integer root is then the symmetric residue mod m of
+    the lift of its own residue mod p, and each residue is kept only if
+    it is a root over Z."""
+    f = _primitive(ints)
+    df = [i * c for i, c in enumerate(f)][1:]
+    if len(f) > 2:
+        g = _int_gcd(f, _primitive(df))
+        if len(g) > 1:
+            # g is primitive, so the quotient is integral (Gauss's lemma)
+            f = _int_divmod(f, g)[0]
+            df = [i * c for i, c in enumerate(f)][1:]
+    if len(f) == 2:
+        q, r = divmod(-f[0], f[1])
+        return [] if r else [q]
+    for p in _primes():
+        if not f[-1] % p:
+            continue
+        fp, roots = [c % p for c in f], []
+        for r in range(p):
+            if not _int_eval_scaled(fp, r, 1) % p:
+                if not _int_eval_scaled(df, r, 1) % p:
+                    break  # a multiple root mod p: try the next prime
+                roots.append(r)
+        else:
+            break
+    m, bound = p, 2 * _root_bound(f)
+    while roots and m <= bound:
+        m *= m
+        # Newton's step: a simple root mod sqrt(m) becomes the root mod m
+        roots = [(r - _int_eval_scaled(f, r, 1)
+                  * pow(_int_eval_scaled(df, r, 1), -1, m)) % m for r in roots]
+    out = []
+    for r in roots:
+        if 2 * r > m:
+            r -= m
+        if not _int_eval_scaled(f, r, 1):
+            out.append(r)
+    return out
+
+
 def nonneg_integer_roots(p: Poly) -> set:
     """Exactly the natural numbers n with p(n) = 0.
 
@@ -746,33 +774,7 @@ def nonneg_integer_roots(p: Poly) -> set:
         raise ZeroPolynomial("nonneg_integer_roots of the zero polynomial")
     if p.degree == 0:
         return set()
-    ints = _primitive(p._ints)
-    roots = set()
-    low = 0
-    while low < len(ints) and ints[low] == 0:
-        low += 1
-    if low:
-        roots.add(0)
-        ints = ints[low:]
-    if len(ints) <= 1:
-        return roots
-    a0 = ints[0]
-    divs = _divisors(a0)
-    if divs is not None:
-        candidates = divs
-    else:
-        # fall back to a direct scan under the root bound
-        bound = _root_bound(ints)
-        if bound > _TRIAL_LIMIT:
-            raise RootSearchLimit("integer-root search out of range")
-        candidates = range(1, bound + 1)
-    for r in candidates:
-        acc = 0
-        for c in reversed(ints):
-            acc = acc * r + c
-        if acc == 0:
-            roots.add(r)
-    return roots
+    return {r for r in _integer_roots(p._ints) if r >= 0}
 
 
 def _int_eval_scaled(ints, a: int, b: int) -> int:
@@ -791,38 +793,27 @@ def _int_eval_scaled(ints, a: int, b: int) -> int:
 
 
 def rational_roots(p: Poly) -> list:
-    """Rational roots with multiplicities, best effort (complete for the
-    coefficient sizes this pipeline produces).  Returns [(root, mult), ...]
-    sorted by root."""
+    """Exactly the rational roots with their multiplicities, as [(root,
+    mult), ...] sorted by root.  A root a/b of the primitive integer form
+    sum a_i x^i of degree n has b | a_n, so a_n times it is an integer
+    root of the monic y^n + sum_(i<n) a_i a_n^(n-1-i) y^i."""
     if p.is_zero():
         raise ZeroPolynomial("rational_roots of the zero polynomial")
     ints = _primitive(p._ints)
     found = {}
-    low = 0
-    while low < len(ints) and ints[low] == 0:
-        low += 1
-    if low:
-        found[Fraction(0)] = low
-        ints = ints[low:]
     if len(ints) > 1:
-        nds = _divisors(ints[0])
-        dds = _divisors(ints[-1])
-        if nds is not None and dds is not None:
-            cands = set()
-            for a in nds:
-                for b in dds:
-                    cands.add(Fraction(a, b))
-                    cands.add(Fraction(-a, b))
-            work = ints
-            for r in sorted(cands):
-                a, b = r.numerator, r.denominator
-                mult = 0
-                while len(work) > 1 and _int_eval_scaled(work, a, b) == 0:
-                    # b*x - a is primitive, so the quotient is integral
-                    work = _int_divmod(work, [-a, b])[0]
-                    mult += 1
-                if mult:
-                    found[r] = found.get(r, 0) + mult
+        lc, n = ints[-1], len(ints) - 1
+        monic = [c * lc ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
+        work = ints
+        for y in _integer_roots(monic):
+            r = Fraction(y, lc)
+            a, b = r.numerator, r.denominator
+            mult = 0
+            while len(work) > 1 and _int_eval_scaled(work, a, b) == 0:
+                # b*x - a is primitive, so the quotient is integral
+                work = _int_divmod(work, [-a, b])[0]
+                mult += 1
+            found[r] = mult
     return sorted(found.items())
 
 
@@ -859,34 +850,19 @@ def squarefree_decomposition(p: Poly) -> list:
     return out
 
 
-def _split_quadratic(q: Poly):
-    """Monic quadratic -> [two monic linear factors] if the discriminant is
-    a rational square, else None."""
-    b, c = q.coeff(1), q.coeff(0)
-    disc = b * b - 4 * c
-    if disc < 0:
-        return None
-    num, den = disc.numerator, disc.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        return None
-    s = Fraction(rn, rd)
-    r1, r2 = (-b + s) / 2, (-b - s) / 2
-    return [Poly((-r1, Fraction(1))), Poly((-r2, Fraction(1)))]
-
-
 def _refine_by_shift_gcd(factors: list) -> list:
     """Split composite factors that share irreducible parts with an integer
     shift of themselves or of another factor (u(x)*u(x+j) style products,
     which plain root-finding cannot separate), until any two factors are
-    coprime under every shift or shifts of one another.  Linear factors
-    and quadratics without rational roots are irreducible and never split."""
+    coprime under every shift or shifts of one another.  The factors are
+    factor_atoms atoms, so none of degree 2 or 3 has a rational root: such
+    an atom is irreducible and never split, and neither is a linear one."""
     work = list(factors)
     changed = True
     while changed:
         changed = False
         for a, b in itertools.product(list(work), repeat=2):
-            if a.degree < 2 or (a.degree == 2 and _split_quadratic(a) is None):
+            if a.degree <= 3:
                 continue
             if a not in work or b not in work:
                 continue
@@ -923,18 +899,8 @@ def factor_atoms(p: Poly) -> list:
             for _ in range(rmult):
                 rest = rest.exact_div(lin)
                 parts.append(lin)
-        work = [rest.monic()] if rest.degree > 0 else []
-        split = []
-        while work:
-            f = work.pop()
-            if f.degree == 2:
-                halves = _split_quadratic(f)
-                if halves:
-                    split.extend(halves)
-                    continue
-            split.append(f)
-        split = _refine_by_shift_gcd(split)
-        parts.extend(split)
+        if rest.degree > 0:
+            parts.extend(_refine_by_shift_gcd([rest.monic()]))
         for atom in parts:
             atoms[atom] = atoms.get(atom, 0) + mult
     out = list(atoms.items())

@@ -19,7 +19,8 @@ that cannot be read, or a --with-product with a zero ratio or a repeated
 name), 3 unsupported input shape, a result that does not map back to an
 expression, a declared product that is not a legal product-like extension
 (also when it is a power product of the products declared before it), or
-coefficients beyond the exact integer-root search,
+a bound on the exact search's work: a shift window past 10^4, a dispersion
+past 250 or a degree past 500,
 4 internal verification failure: the sweep or a telescoper's residual
 check failed (never expected).  Commands raise their failures, and main()
 maps each to its stderr line and code through one table, _FAILURES.

@@ -22,7 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .algebra import Poly, RatFunc, nonneg_integer_roots
+from .algebra import (_DEGREE_LIMIT, Poly, RatFunc, _check_degree,
+                      nonneg_integer_roots)
 from .dfield import (ElemPoly, Generator, Tower, TowerElem, is_polynomial_part,
                      occurring_generators, sigma)
 from .telescope import UnsupportedShape, adjoin_pi, telescope_depth_optimal
@@ -267,9 +268,17 @@ def _times(factors) -> object:
     return Times(tuple(out))
 
 
+def _degree(rf) -> int:
+    return max(rf.num.degree, rf.den.degree)
+
+
 def _power(b, e: int) -> object:
+    """b^e.  A rational leaf is folded into one leaf only while its degree
+    times e stays within _DEGREE_LIMIT; a larger power stays a Power node,
+    which the Evaluator raises by integer pow and compile refuses, so the
+    polynomial is never expanded."""
     rv = _ratval(b)
-    if rv is not None:
+    if rv is not None and _degree(rv[1]) * e <= _DEGREE_LIMIT:
         return _leaf(rv[0], rv[1] ** e)
     if isinstance(b, Power):
         return Power(b.base, b.exp * e)
@@ -283,13 +292,16 @@ def _negate(e) -> object:
 
 
 def _divide(a, b, pos: int) -> object:
-    rv = _ratval(b)
+    power = isinstance(b, Power)
+    rv = _ratval(b.base if power else b)
     if rv is None:
         raise ParseError("divisor must be a rational function of one index", pos)
     v, rf = rv
     if not rf:
         raise ParseError("division by zero", pos)
-    return _times([a, _leaf(v, rf.inverse())])
+    inv = _leaf(v, rf.inverse())
+    # a leaf's power past the degree limit divides as a power of its inverse
+    return _times([a, Power(inv, b.exp) if power else inv])
 
 
 # ---------------------------------------------------------------------------
@@ -1011,6 +1023,7 @@ def _compile_node(st: _Session, e, var: str):
         return out, lam
     if isinstance(e, Power):
         el, lam = _compile_node(st, e.base, var)
+        _check_degree(_degree(el.rf) * e.exp)
         return el ** e.exp, lam
     if isinstance(e, Sum):
         return _compile_sum(st, e, var)
@@ -1055,6 +1068,9 @@ def _compile_prod(st: _Session, e: Prod, var: str):
         raise UnsupportedShape(
             f"product over {e.idx!r} runs to {e.upper!r}, not the active index"
         )
+    if isinstance(e.body, Power) and isinstance(e.body.base, Base):
+        # a rational power that _power left unexpanded
+        _check_degree(_degree(e.body.base.rf) * e.body.exp)
     rv = _ratval(e.body)
     if rv is None or (rv[0] is not None and rv[0] != e.idx):
         raise UnsupportedShape(

@@ -168,12 +168,12 @@ def _shift_gcd_candidates(atoms_a: list, atoms_b: list) -> set:
             j = equal_degree_shift(q, p)  # p(x) == q(x+j)
             if j is not None and j >= 0 and j == int(j):
                 out.add(int(j))
-    # degree <= 2 atoms are certainly irreducible, so the pairwise test
-    # above is complete for them; a pair with an atom the factorizer may
-    # have left composite is tried by gcds over its whole shift window
+    # degree <= 3 atoms are irreducible, so the pairwise test above is
+    # complete for them; a pair with an atom the factorizer may have left
+    # composite is tried by gcds over its whole shift window
     for p in atoms_a:
         for q in atoms_b:
-            if p.degree > 2 or q.degree > 2:
+            if p.degree > 3 or q.degree > 3:
                 out.update(gcd_shifts(p, q))
     return out
 
@@ -187,7 +187,7 @@ def universal_denominator(a: Poly, b: Poly, atoms_a: list = None,
     atoms_a (atoms_b) may list the atoms of factors whose product has the
     irreducible factors of a (b); a and b are factored when they are not
     given.  The shift candidates are then the same, since atoms of degree
-    <= 2 are irreducible and any other pair is tried by gcds."""
+    <= 3 are irreducible and any other pair is tried by gcds."""
     A = a.shift(-1)
     B = b
     D = _PONE

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -166,8 +167,7 @@ def test_rational_roots_randomized():
     # products of linear factors with rational roots (numerators and
     # denominators up to 999, repeated roots, sometimes a root at 0) times
     # an irreducible quadratic, scaled; every root and multiplicity is
-    # checked against exact Fraction evaluation.  At most three nonzero
-    # roots keep the end coefficients under the divisor limit.
+    # checked against exact Fraction evaluation.
     rng = random.Random(1011)
     for _ in range(40):
         want = {}
@@ -188,6 +188,48 @@ def test_rational_roots_randomized():
             assert p.eval_at(r) == 0
             assert p.exact_div(lin(r) ** m).eval_at(r) != 0
         assert p.degree == 2 + sum(m for _, m in got)
+
+
+def test_roots_exact_past_old_limits_randomized():
+    # planted rational and integer roots times L*x^2 + c (no real root), so
+    # the planted roots are all the roots.  Constant terms and leading
+    # coefficients reach past 10^12, roots repeat and sit at 0, and each
+    # root is checked by exact evaluation.
+    rng = random.Random(2203)
+    for trial in range(60):
+        want = {}
+        for _ in range(rng.randint(0, 4)):
+            if trial % 2:
+                r = Fraction(rng.randint(-10**15, 10**15))
+            else:
+                r = Fraction(rng.randint(-10**15, 10**15), rng.randint(1, 10**7))
+            want[r] = want.get(r, 0) + rng.randint(1, 3)
+        if rng.random() < 0.4:
+            want[Fraction(0)] = rng.randint(1, 3)
+        lead, const = rng.randint(1, 10**14), rng.randint(10**12, 10**14)
+        p = Poly.from_ints(const, 0, lead).scale(Fraction(rng.randint(-99, 99) or 1, 7))
+        for r, m in want.items():
+            p = p * lin(r) ** m
+        got = rational_roots(p)
+        assert got == sorted(want.items())
+        for r, m in got:
+            assert p.eval_at(r) == 0
+            assert p.exact_div(lin(r) ** m).eval_at(r) != 0
+        nat = nonneg_integer_roots(p)
+        assert nat == {int(r) for r in want if r >= 0 and r.denominator == 1}
+        assert all(p.eval_at(Fraction(n)) == 0 for n in nat)
+
+
+def test_roots_of_many_linear_factors_are_fast():
+    # (x-1)(x-2)...(x-200): every prime up to 199 sees a double root, so the
+    # first usable prime is 211, and the constant term is 200!
+    p = ONE
+    for k in range(1, 201):
+        p = p * lin(k)
+    start = time.perf_counter()
+    assert nonneg_integer_roots(p) == set(range(1, 201))
+    assert rational_roots(p) == [(Fraction(k), 1) for k in range(1, 201)]
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -686,13 +728,12 @@ def test_tower_coefficients_take_the_generic_path(monkeypatch):
 
 
 def test_integer_roots_use_the_root_bound():
-    # the constant term is past the divisor limit, so the roots come from a
-    # scan under the root bound, which is small for these coefficients
+    # the constant term is past 10^12, and the root bound, to which the
+    # roots are lifted, is small for these coefficients
     big = 10**12 + 39
     p = lin(3) * lin(7) * Poly.from_ints(big, 0, 0, 0, 1)
     assert nonneg_integer_roots(p) == {3, 7}
-    # Fujiwara's bound is 1.2 * 10^6 here, past the scan limit, and the
-    # Cauchy bound 900002 is under it: the smaller bound is scanned
+    # Fujiwara's bound is 1.2 * 10^6 here and the Cauchy bound 900002
     wide = Poly.from_ints(9 * 10**12 + 7, 6 * 10**12, 10**7)
     assert nonneg_integer_roots(wide) == set()
 
@@ -712,8 +753,12 @@ def test_gcd_shifts_match_brute_force_randomized():
 
 def test_gcd_shifts_refuse_a_window_past_the_limit(monkeypatch):
     # the roots of x^3 + 10^30*x + 1 reach 10^15 in modulus: no shift of
-    # that window is tried, and factor_atoms passes the refusal on
+    # that window is tried.  The cubic has no rational root, so it is
+    # irreducible and factor_atoms keeps it whole without a shift search;
+    # the quartic x^4 + 10^30*x + 1 may be composite, so factor_atoms
+    # passes the refusal on
     cubic = Poly.from_ints(1, 10**30, 0, 1)
+    quartic = Poly.from_ints(1, 10**30, 0, 0, 1)
     calls = [0]
     int_gcd = nsopt.algebra._int_gcd
 
@@ -724,9 +769,10 @@ def test_gcd_shifts_refuse_a_window_past_the_limit(monkeypatch):
     monkeypatch.setattr(nsopt.algebra, "_int_gcd", counted)
     with pytest.raises(RootSearchLimit, match="shift search out of range"):
         gcd_shifts(cubic, cubic)
-    with pytest.raises(RootSearchLimit):
-        factor_atoms(cubic)
+    with pytest.raises(RootSearchLimit, match="shift search out of range"):
+        factor_atoms(quartic)
     assert calls[0] < 10
+    assert factor_atoms(cubic) == [(cubic, 1)]
     # a window inside the limit is tried in full
     small = Poly.from_ints(10**6 + 1, 0, 0, 1)
     assert gcd_shifts(small, small) == {0: small}

@@ -286,32 +286,48 @@ def test_unreadable_file_exit2(make, reason, tmp_path, capsys):
     assert err == f"error: cannot read --file {path}: {reason}\n"
 
 
-# the constant term is past the divisor limit, so the integer roots of the
-# denominator need a Cauchy-bound scan too long to run
+# the constant term of i^2 + 1000000000000037 is past 10^12; the root
+# finder is exact at any size and finds no root, so the quadratic is an
+# irreducible atom and the sum is its own answer
 @pytest.mark.parametrize(
-    "argv",
+    "argv, want",
     [
-        ["simplify", "sum(i,1,n,1/(i^2+1000000000000037))"],
-        ["telescope", "1/(n^2+1000000000000037)"],
+        (["simplify", "sum(i,1,n,1/(i^2+1000000000000037))"],
+         ["depth:  2 -> 2", "optimality_certified: true", "verified: k = 0..60 exact"]),
+        (["telescope", "1/(n^2+1000000000000037)"],
+         ["g = sum(i1,1,n,1/(i1^2 + 1000000000000037)) - 1/(n^2 + 1000000000000037)"]),
     ],
+    ids=["simplify", "telescope"],
 )
-def test_root_search_limit_exit3(argv, capsys):
+def test_large_constant_term_solves(argv, want, capsys):
     code, out, err = run_cli(argv, capsys)
-    assert code == 3
-    assert out == ""
-    assert err == "unsupported: integer-root search out of range\n"
+    assert (code, err) == (0, "")
+    for line in want:
+        assert line in out.splitlines()
 
 
-# the roots of i^3 + 10^30*i + 1 reach 10^15, so the window of shifts
-# between the cubic and its translates is far too wide to try; the run
+# the roots of i^4 + 10^30*i + 1 reach 10^10, so the window of shifts
+# between the quartic and its translates is far too wide to try; the run
 # must refuse at once instead of scanning it
 def test_shift_search_limit_exit3(capsys):
     start = time.perf_counter()
-    code, out, err = run_cli(["simplify", "sum(i,1,n,1/(i^3+10^30*i+1))"], capsys)
+    code, out, err = run_cli(["simplify", "sum(i,1,n,1/(i^4+10^30*i+1))"], capsys)
     assert time.perf_counter() - start < 20
     assert code == 3
     assert out == ""
     assert err == "unsupported: shift search out of range\n"
+
+
+# i^3 + 10^30*i + 1 has no rational root, so it is irreducible and needs no
+# shift search: the sum is its own certified answer
+def test_irreducible_cubic_needs_no_shift_search(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(["simplify", "sum(i,1,n,1/(i^3+10^30*i+1))"], capsys)
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (0, "")
+    assert "depth:  2 -> 2" in out
+    assert "optimality_certified: true" in out
+    assert "verified: k = 0..60 exact" in out
 
 
 # 1/(i+100000) reaches 1/(i+1) at dispersion 99999; the universal
@@ -326,9 +342,9 @@ def test_dispersion_limit_exit3(capsys):
     assert err == "unsupported: dispersion 99999 past the limit of 250\n"
 
 
-# a summand of degree past the limit is refused at its first shift, before
-# the compiler's sigma: i^800 took 93 s without the limit, and i^100000 ran
-# for minutes in the Taylor shift alone
+# a summand of degree past the limit is refused before it is expanded:
+# i^800 took 93 s without the limit, and i^100000 ran for minutes in the
+# Taylor shift alone
 @pytest.mark.parametrize("degree", [800, 100000])
 def test_degree_limit_exit3(capsys, degree):
     start = time.perf_counter()
@@ -339,8 +355,24 @@ def test_degree_limit_exit3(capsys, degree):
     assert err == f"unsupported: degree {degree} past the limit of 500\n"
 
 
-# the denominator's constant term is past the divisor limit, but Fujiwara's
-# root bound keeps the integer-root scan short; the Cauchy bound alone did not
+# the parser keeps (i+1)^100000 unexpanded, since expanding it runs for
+# minutes; compile refuses it by its degree
+def test_parser_power_past_degree_limit_exit3(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(["simplify", "sum(i,1,n,(i+1)^100000)"], capsys)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (3, "")
+    assert err == "unsupported: degree 100000 past the limit of 500\n"
+    # the same power still evaluates, so verify can check it
+    code, out, err = run_cli(
+        ["verify", "--range", "5", "sum(i,1,n,(i+1)^100000)", "sum(i,1,n,(1+i)^100000)"],
+        capsys,
+    )
+    assert (code, out, err) == (0, "equal: k = 0..5 exact\n", "")
+
+
+# the denominator's constant term is past 10^12, and its two quadratic
+# factors lie 10 shifts apart
 def test_root_bound_scan_simplifies(capsys):
     code, out, err = run_cli(
         ["simplify", "sum(i,1,n,(-20*i-100)/((i^2+1)*((i+10)^2+1)))"], capsys

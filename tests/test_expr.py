@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import nsopt.telescope
-from nsopt.algebra import Poly, RatFunc
+from nsopt.algebra import Poly, RatFunc, RootSearchLimit
 from nsopt.dfield import Tower, TowerElem, depth, sigma
 from nsopt.expr import (
     Base,
@@ -163,6 +163,27 @@ def test_division_needs_rational_divisor():
         parse("n/0")
     with pytest.raises(ParseError):
         parse("n/(n - n)")
+
+
+def test_parse_keeps_a_power_past_the_degree_limit():
+    # a leaf's power folds only up to degree 500; past it the power stays a
+    # node, so (n+1)^100000 is never expanded, and it still evaluates
+    leaf, inv = parse("n+1"), parse("1/(n+1)")
+    assert isinstance(parse("(n+1)^500"), Base)
+    assert isinstance(parse("(n^2+1)^250"), Base)
+    assert parse("(n+1)^501") == Power(leaf, 501)
+    assert parse("(n^2+1)^251") == Power(parse("n^2+1"), 251)
+    assert parse("1/(n+1)^100000") == Power(inv, 100000)
+    assert parse("2/(n+1)^501") == Times((Const(Fraction(2)), Power(inv, 501)))
+    for src in ("(n+1)^100000", "1/(n+1)^501", "3*(n+1)^600 - 1/(n^2+1)^300"):
+        e = parse(src)
+        assert parse(to_src(e)) == e
+    assert evaluate(parse("(n+1)^100000"), 2) == 3**100000
+    assert evaluate(parse("1/(n+1)^501"), 3) == Fraction(1, 4**501)
+    with pytest.raises(RootSearchLimit, match="degree 100000 past the limit of 500"):
+        compile(parse("sum(i,1,n,(i+1)^100000)"))
+    with pytest.raises(RootSearchLimit, match="degree 600 past the limit of 500"):
+        compile(parse("sum(i,1,n,prod(t,1,i,t^600))"))
 
 
 def test_harmonic_sugar():

@@ -1,5 +1,5 @@
 """Byte-identity corpus: every report of `nsopt simplify` and `nsopt
-telescope` on a fixed set of inputs, 103 invocations, one process each.
+telescope` on a fixed set of inputs, 108 invocations, one process each.
 
     python3 tools/corpus_reports.py run OUT.json [--root CHECKOUT]
     python3 tools/corpus_reports.py diff A.json B.json
@@ -7,8 +7,10 @@ telescope` on a fixed set of inputs, 103 invocations, one process each.
 `run` runs each corpus invocation as its own `python -m nsopt.cli ...`
 process, with CHECKOUT/src on PYTHONPATH (default: the checkout holding
 this file), and writes the exit code, stdout and stderr of each to
-OUT.json.  `diff` compares two such files and exits 1 when any
-invocation differs in a byte.  For each differing `simplify --json`
+OUT.json.  A process still running after DEADLINE_S seconds is killed and
+recorded with the code "timeout", so a checkout that hangs on an input
+still yields a file to diff.  `diff` compares two such files and exits 1
+when any invocation differs in a byte.  For each differing `simplify --json`
 report it prints (input_depth, output_depth, optimality_certified,
 len(output_text)) before -> after, and it ends with a tally of the
 differing invocations: depth lower, certification gained, text only (same
@@ -33,7 +35,10 @@ lambda/ group, listed in LAMBDA, runs simplify at range 8 on three inputs
 whose printed outputs have poles at small k, so the reports cover where
 lambda is read off the printed output.  A budget/ group, listed in
 BUDGET, runs simplify at range 5 on two summands of degree past the
-degree limit, so the reports cover the refusal (exit 3).  A planted/
+degree limit, so the reports cover the refusal (exit 3).  A large/
+group, listed in LARGE, runs simplify at range 5 on four summands with
+coefficients or degrees past what the engine once refused or hung on, and
+`nsopt telescope` on one of them.  A planted/
 group runs simplify on the 30 planted-answer draws of tests/test_fuzz.py
 (`planted_draws`, read from the checkout holding this file), at range 8
 for a planted depth of 2 and 6 for a depth of 3, so a change to the
@@ -70,6 +75,19 @@ LAMBDA = (
 # past algebra._DEGREE_LIMIT: i^800 took 93 s without the limit, and
 # i^100000 was still running after 300 s
 BUDGET = ("sum(i,1,n,i^800)", "sum(i,1,n,i^100000)")
+# summands whose constant terms, roots or powers are large: the first two
+# once exited 3 (integer-root search, shift window), the third still does
+# (shift window), and (i+1)^100000 once hung in the parser's power
+LARGE = (
+    "1/(i^2+1000000000000037)",
+    "1/(i^3+10^30*i+1)",
+    "1/(i^4+10^30*i+1)",
+    "(i+1)^100000",
+)
+LARGE_TELESCOPE = "1/(n^2+1000000000000037)"
+# per-invocation wall-clock deadline, far above the slowest invocation that
+# ends (0.27 s, extra/1, on a shared 2-core machine)
+DEADLINE_S = 30
 # (summand, declares BINOM_PRODUCT)
 TELESCOPE = (
     ("H(n+1)/(n+1)", False),
@@ -113,6 +131,9 @@ def corpus(root):
         out.append((f"lambda/{i}", simplify + ["--verify-range", "8", expr]))
     for i, expr in enumerate(BUDGET):
         out.append((f"budget/{i}", simplify + ["--verify-range", "5", expr]))
+    for i, summand in enumerate(LARGE):
+        out.append((f"large/{i}", simplify + ["--verify-range", "5", f"sum(i,1,n,{summand})"]))
+    out.append((f"large/{len(LARGE)}", ["telescope", LARGE_TELESCOPE]))
     for i, (expr, planted) in enumerate(fuzz.planted_draws()):
         vrange = str(fuzz.PLANTED_RANGE[planted])
         out.append((f"planted/{i}", simplify + ["--verify-range", vrange, expr]))
@@ -126,15 +147,20 @@ def run(root, out_path):
     results = []
     for label, argv in corpus(root):
         cmd = [sys.executable, "-m", "nsopt.cli", *argv]
-        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        try:
+            proc = subprocess.run(cmd, capture_output=True, text=True, env=env,
+                                  timeout=DEADLINE_S)
+            code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
+        except subprocess.TimeoutExpired:
+            code, stdout, stderr = "timeout", "", ""
         results.append({
             "label": label,
             "argv": argv,
-            "code": proc.returncode,
-            "stdout": proc.stdout,
-            "stderr": proc.stderr,
+            "code": code,
+            "stdout": stdout,
+            "stderr": stderr,
         })
-        print(f"{label}: exit {proc.returncode}", file=sys.stderr)
+        print(f"{label}: exit {code}", file=sys.stderr)
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(results, fh, indent=1)
     return 0
