@@ -148,16 +148,17 @@ def _nonnegative_int(text: str) -> int:
     return n
 
 
-def _atom_power_default(args) -> int:
-    if args.max_atom_power is not None:
-        return args.max_atom_power
-    env = os.environ.get("NSOPT_MAX_ATOM_POWER")
-    if env is not None:
+def _search_options(args) -> dict:
+    """The search knobs as keyword arguments of compile and
+    telescope_depth_optimal; NSOPT_MAX_ATOM_POWER is read once, and only
+    when --max-atom-power is not given."""
+    power = args.max_atom_power
+    if power is None:
         try:
-            return _nonnegative_int(env)
+            power = _nonnegative_int(os.environ.get("NSOPT_MAX_ATOM_POWER", "6"))
         except argparse.ArgumentTypeError as exc:
             raise UsageError(f"error: bad NSOPT_MAX_ATOM_POWER: {exc}")
-    return 6
+    return {"max_atom_power": power, "max_monomial_degree": args.max_monomial_degree}
 
 
 # ---------------------------------------------------------------------------
@@ -168,17 +169,12 @@ def _atom_power_default(args) -> int:
 def cmd_simplify(args) -> int:
     text = _read_expression(args)
     e = parse(text)
-    products = _products(args)
-    res = compile(
-        e,
-        products=products,
-        max_atom_power=_atom_power_default(args),
-        max_monomial_degree=args.max_monomial_degree,
-    )
+    res = compile(e, products=_products(args), **_search_options(args))
 
     out = reinterpret(res.tower, res.spec, res.elem)
     out_text = to_src(out, h_sugar=args.h_sugar)
 
+    # the sweep is the check, so it shares no memo with compile's Evaluator;
     # one Evaluator per side keeps its prefix memo across k: linear sweep
     ev_in, ev_out = Evaluator(), Evaluator()
     verification = []
@@ -256,19 +252,9 @@ def cmd_verify(args) -> int:
 def cmd_telescope(args) -> int:
     e = parse(args.summand)
     products = _products(args)
-    res = compile(
-        e,
-        products=products,
-        max_atom_power=_atom_power_default(args),
-        max_monomial_degree=args.max_monomial_degree,
-    )
-    t = telescope_depth_optimal(
-        res.tower,
-        res.elem,
-        max_atom_power=_atom_power_default(args),
-        max_monomial_degree=args.max_monomial_degree,
-        allow_fallback=False,
-    )
+    options = _search_options(args)
+    res = compile(e, products=products, **options)
+    t = telescope_depth_optimal(res.tower, res.elem, allow_fallback=False, **options)
 
     if not t.solved:
         print("NO_SOLUTION")

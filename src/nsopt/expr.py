@@ -13,8 +13,9 @@ and the sum collapses to telescoper-plus-constant, the constant fixed by an
 exact prefix evaluation.  reinterpret() walks the other way: a
 polynomial-part element splits into monomials and every generator unfolds
 into the sum (or product) of its shift part.  That printed form is what
-an element evaluates to: eval_field evaluates it with the same Evaluator
-the verification sweep uses.
+an element evaluates to.  An EvalSpec owns both halves: it unfolds each
+generator once, and its one Evaluator gives eval_field's values and
+compile's exact comparisons.
 """
 
 from __future__ import annotations
@@ -844,16 +845,21 @@ def o_function(tower: Tower, spec: "EvalSpec", f: TowerElem) -> int:
 
 
 class EvalSpec:
-    """Per-generator evaluation data: start index r and initial value c.
+    """How tower elements evaluate: each generator's start index r and
+    initial value c, its unfolded expression, and the one Evaluator that
+    evaluates those expressions.
 
     Sum-like generators get r = o(shift part) + 1 with c = 0; product-like
     ones r = z(ratio) + 1 with c = 1 (z also clears the ratio's poles),
     unless overridden (registered products carry their declared lower
-    bound)."""
+    bound).  Both caches key on generator objects, which hash by
+    identity, so no entry is reused over a different tower prefix."""
 
     def __init__(self, overrides=None):
         self.overrides = dict(overrides or {})
         self._params = {}
+        self._units = {}
+        self.ev = Evaluator()
 
     def params(self, tower: Tower, index: int):
         gen = tower.gens[index]
@@ -870,13 +876,37 @@ class EvalSpec:
         self._params[gen] = rc
         return rc
 
+    def unit(self, tower: Tower, index: int, var: str, direction: int):
+        """Generator `index` (direction +1) or its inverse (-1) as an
+        expression in var: the sum or product of its shift part."""
+        key = (tower.gens[:index + 1], var, direction)
+        got = self._units.get(key)
+        if got is not None:
+            return got
+        gen = tower.gens[index]
+        r, c = self.params(tower, index)
+        binder = f"i{index + 1}"
+        inner = sigma(tower, gen.shift_part, -1)
+        if gen.kind == "sigma":
+            node = Sum(binder, r, var, _elem_expr(tower, self, inner, binder))
+            out = _plus([node, Const(c)]) if c else node
+        else:
+            rf = inner.rf if direction > 0 else inner.rf.inverse()
+            node = Prod(binder, r, var, _leaf(binder, rf))
+            cval = c if direction > 0 else 1 / c
+            out = _times([Const(cval), node]) if cval != 1 else node
+        self._units[key] = out
+        return out
+
 
 def eval_field(tower: Tower, spec: EvalSpec, f: TowerElem, k: int) -> Fraction:
-    """Value at index k of f's printed form, reinterpret(tower, spec, f).
+    """Value at index k of f's printed form, reinterpret(tower, spec, f),
+    through spec's Evaluator, so repeated calls share its node memo and
+    prefixes.
 
     f must be a polynomial-part element.  A pole zeroes only the term of
     the printed form that has it; poles occur only at k < o(f)."""
-    return evaluate(reinterpret(tower, spec, f), k)
+    return evaluate(reinterpret(tower, spec, f), k, spec.ev)
 
 
 # ---------------------------------------------------------------------------
@@ -904,13 +934,12 @@ class CompileResult:
 
 
 class _Session:
-    __slots__ = ("tower", "spec", "ev", "atom_power", "mono_degree",
-                 "certified", "cache")
+    __slots__ = ("tower", "spec", "atom_power", "mono_degree", "certified",
+                 "cache")
 
     def __init__(self, tower, spec, atom_power, mono_degree):
         self.tower = tower
         self.spec = spec
-        self.ev = Evaluator()
         self.atom_power = atom_power
         self.mono_degree = mono_degree
         self.certified = True
@@ -926,7 +955,7 @@ def compile(e, products=(), max_atom_power: int = 6,
     name) share one telescoping.  Product leaves must match a declared
     ProductSpec ratio.  The result tower is pruned to the generators a
     actually uses, and lam is tightened downward by exact comparison of
-    the input with a's printed form, evaluated as the sweep evaluates it."""
+    the input with a's printed form, both through the spec's Evaluator."""
     tower = Tower()
     spec = EvalSpec()
     for p in products:
@@ -942,8 +971,8 @@ def compile(e, products=(), max_atom_power: int = 6,
     elem, lam = _compile_node(st, e, "n")
     lam = max(lam, o_function(st.tower, spec, elem))
     pruned, elem, _ = _prune_tower(st.tower, elem, 0)
-    out, out_ev = reinterpret(pruned, spec, elem), Evaluator()
-    while lam > 0 and evaluate(e, lam - 1, st.ev) == evaluate(out, lam - 1, out_ev):
+    out, ev = reinterpret(pruned, spec, elem), spec.ev
+    while lam > 0 and evaluate(e, lam - 1, ev) == evaluate(out, lam - 1, ev):
         lam -= 1
     return CompileResult(pruned, spec, elem, lam, st.certified)
 
@@ -1056,10 +1085,9 @@ def _compile_sum(st: _Session, e: Sum, var: str):
     lf = o_function(st.tower, st.spec, body_elem)
     lg = o_function(st.tower, st.spec, g)
     r1 = max(e.lower, lam_body, lf + 1, lg + 1)
-    c = Fraction(0)
-    for k in range(e.lower, r1):
-        c += st.ev.eval(e.body, {e.idx: Fraction(k)})
-    c -= eval_field(st.tower, st.spec, g, r1 - 1)
+    # the body reads no outer index, so e evaluates by its prefix memo;
+    # below e.lower it is the empty sum 0
+    c = st.spec.ev.eval(e, {var: r1 - 1}) - eval_field(st.tower, st.spec, g, r1 - 1)
     return g + TowerElem.const(c), r1
 
 
@@ -1105,48 +1133,14 @@ def _compile_prod(st: _Session, e: Prod, var: str):
 def reinterpret(tower: Tower, spec: EvalSpec, a: TowerElem):
     """Unfold a polynomial-part element into an expression in n: the
     printed form, whose value eval_field gives.  Monomials are emitted by
-    generator index then degree, descending."""
+    generator index then degree, descending; each generator's unfolding
+    comes from spec, which builds it once."""
     if not is_polynomial_part(tower, a):
         raise NotPolynomialPart("a sum-like generator occurs in a denominator")
-    return _elem_expr(tower, spec, a, "n", _GenExprs(tower, spec))
+    return _elem_expr(tower, spec, a, "n")
 
 
-class _GenExprs:
-    """Per-generator expression forms, shared across monomials."""
-
-    def __init__(self, tower, spec):
-        self.tower = tower
-        self.spec = spec
-        self._cache = {}
-
-    def power(self, i: int, d: int, var: str):
-        if d < 0:
-            return _power(self._unit(i, var, -1), -d)
-        return _power(self._unit(i, var, +1), d)
-
-    def _unit(self, i: int, var: str, direction: int):
-        key = (i, var, direction)
-        got = self._cache.get(key)
-        if got is not None:
-            return got
-        gen = self.tower.gens[i]
-        r, c = self.spec.params(self.tower, i)
-        binder = f"i{i + 1}"
-        inner = sigma(self.tower, gen.shift_part, -1)
-        if gen.kind == "sigma":
-            body = _elem_expr(self.tower, self.spec, inner, binder, self)
-            node = Sum(binder, r, var, body)
-            out = _plus([node, Const(c)]) if c else node
-        else:
-            rf = inner.rf if direction > 0 else inner.rf.inverse()
-            node = Prod(binder, r, var, _leaf(binder, rf))
-            cval = c if direction > 0 else 1 / c
-            out = _times([Const(cval), node]) if cval != 1 else node
-        self._cache[key] = out
-        return out
-
-
-def _elem_expr(tower, spec, elem: TowerElem, var: str, genx: _GenExprs):
+def _elem_expr(tower, spec, elem: TowerElem, var: str):
     monos = {}
     _collect_monomials(
         tower, elem, (0,) * len(tower.gens), RatFunc.from_const(Fraction(1)), monos
@@ -1161,7 +1155,8 @@ def _elem_expr(tower, spec, elem: TowerElem, var: str, genx: _GenExprs):
             factors.append(_leaf(var, rf))
         for i, d in enumerate(degs):
             if d:
-                factors.append(genx.power(i, d, var))
+                unit = spec.unit(tower, i, var, 1 if d > 0 else -1)
+                factors.append(_power(unit, abs(d)))
         terms.append(_times(factors))
     return _plus(terms)
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import nsopt.expr
 import nsopt.telescope
 from nsopt.algebra import Poly, RatFunc, RootSearchLimit
 from nsopt.dfield import Tower, TowerElem, depth, sigma
@@ -487,6 +488,41 @@ def test_eval_field_is_printed_form_value():
     for k in range(0, 11):
         assert eval_field(t, spec, f, k) == evaluate(out, k)
     assert eval_field(t, spec, f, 2) == harm(2)
+
+
+def test_spec_owns_the_unfolding_and_the_evaluator(monkeypatch):
+    # a second eval_field over the same tower and spec unfolds no
+    # generator again: the spec keeps each generator's printed form
+    t, h, s = nested_tower()
+    spec = EvalSpec()
+    f = h * s + s / (X + 1)
+    unfolded, real_sigma = [], nsopt.expr.sigma
+
+    def counting_sigma(*args):
+        unfolded.append(args)
+        return real_sigma(*args)
+
+    monkeypatch.setattr(nsopt.expr, "sigma", counting_sigma)
+    first = eval_field(t, spec, f, 6)
+    assert unfolded
+    unfolded.clear()
+    assert eval_field(t, spec, f, 7) != first
+    assert eval_field(t, spec, f, 6) == first
+    assert unfolded == []
+    monkeypatch.undo()
+
+    # and one compile evaluates through one Evaluator, the spec's
+    built = []
+
+    class CountingEvaluator(Evaluator):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(nsopt.expr, "Evaluator", CountingEvaluator)
+    compile(parse("sum(r,1,n,sum(l,1,r,H(l)/l)/r) + prod(k,1,n,2)"),
+            products=(ProductSpec("p", RatFunc.from_const(Fraction(2))),))
+    assert len(built) == 1
 
 
 def test_gen_value_product():
