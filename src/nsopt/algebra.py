@@ -16,7 +16,8 @@ Conventions used throughout:
   ``_from_ints``: sums, products, divisions, shifts, gcds, evaluation at a
   rational point and the ``RatFunc`` normal form.
 * A rational function ``RatFunc`` keeps numerator and denominator coprime
-  with a *monic* denominator, so equality is structural comparison.
+  with a *monic* denominator, so equality is structural comparison.  It
+  is the one normal form for Q(x) and for every tower level of dfield.
 * Rational points are evaluated over Z as well: for the integer polynomial
   p of degree n, b^n * p(a/b) is a homogeneous Horner sum
   (``_int_eval_scaled``), so a value costs one Fraction, and a candidate
@@ -386,6 +387,9 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     return _from_ints(ints, ints[-1])
 
 
+Poly.gcd = poly_gcd
+
+
 def _primitive(cs):
     """The integer sequence cs divided by its content (cs itself when the
     content is 1)."""
@@ -421,6 +425,16 @@ def _int_gcd(a: list, b: list) -> list:
     return [1]
 
 
+def _cancel(p, q):
+    """(p/g, q/g) for g = gcd(p, q) of two nonzero polynomials, with no
+    gcd taken when either is a constant."""
+    if p.degree > 0 and q.degree > 0:
+        g = p.gcd(q)
+        if g.degree > 0:
+            return p.exact_div(g), q.exact_div(g)
+    return p, q
+
+
 def poly_lcm(p: Poly, q: Poly) -> Poly:
     if p.is_zero() or q.is_zero():
         return Poly(())
@@ -429,11 +443,13 @@ def poly_lcm(p: Poly, q: Poly) -> Poly:
 
 
 class RatFunc:
-    """Reduced rational function num/den over Q with monic den.
-
-    The tower levels of dfield reuse it as the (num, den) pair of two
-    ElemPolys: there it is only built with ``_normalized=True``, and only
-    ``==``, ``hash`` and unary ``-`` are used.
+    """Reduced fraction num/den with monic den, over a polynomial type with
+    a monic ``gcd``, ``exact_div``, ``lc`` and ``scale``: ``Poly`` for
+    Q(x), dfield's ``ElemPoly`` at a tower level.  The field operations
+    reduce by gcds of their operands' parts (Henrici; Knuth, TAOCP
+    4.5.1), so a monic denominator of degree 0, which is 1, takes no gcd.
+    Reducing an unreduced pair in the constructor, the constants,
+    ``shift``, ``eval_at`` and printing are for ``Poly`` only.
 
     >>> f = RatFunc(Poly.from_ints(2, 2), Poly.from_ints(-2, 0, 2))
     >>> str(f)
@@ -481,7 +497,7 @@ class RatFunc:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.num._ints == ()
+        return not self.num
 
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
@@ -495,7 +511,7 @@ class RatFunc:
         return self.num.coeff(0)
 
     def __bool__(self):
-        return self.num._ints != ()
+        return bool(self.num)
 
     def __eq__(self, other):
         if isinstance(other, RatFunc):
@@ -520,7 +536,7 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+        return self._sum(o.num, o.den)
 
     __radd__ = __add__
 
@@ -528,7 +544,7 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.num * o.den - o.num * self.den, self.den * o.den)
+        return self._sum(-o.num, o.den)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -536,35 +552,58 @@ class RatFunc:
             return NotImplemented
         return o - self
 
+    def _sum(self, c, d) -> "RatFunc":
+        """a/b + c/d for self = a/b and c/d reduced with monic d: with
+        e = gcd(b, d), a common factor of the cross sum and the
+        denominator divides e."""
+        a, b = self.num, self.den
+        if not a:
+            return RatFunc(c, d, _normalized=True)
+        if not c:
+            return self
+        if b.degree == 0:
+            if d.degree == 0:
+                return RatFunc(a + c, b, _normalized=True)
+            return RatFunc(a * d + c, d, _normalized=True)
+        if d.degree == 0:
+            return RatFunc(a + c * b, b, _normalized=True)
+        e = b.gcd(d)
+        if e.degree == 0:
+            return RatFunc(a * d + c * b, b * d, _normalized=True)
+        b, d = b.exact_div(e), d.exact_div(e)
+        num = a * d + c * b
+        if not num:  # then c/d == -a/b, so b == d == e and b is now 1
+            return RatFunc(num, b, _normalized=True)
+        num, e = _cancel(num, e)
+        return RatFunc(num, e * b * d, _normalized=True)
+
     def __neg__(self):
         return RatFunc(-self.num, self.den, _normalized=True)
 
     def __mul__(self, other):
+        """a/b * c/d cross-cancelled by gcd(a, d) and gcd(c, b), so the
+        product needs no further gcd."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.is_constant():
-            return self._scaled(o.num)
-        if self.is_constant():
-            return o._scaled(self.num)
-        return RatFunc(self.num * o.num, self.den * o.den)
+        if not self.num:
+            return self
+        if not o.num:
+            return o
+        a, d = _cancel(self.num, o.den)
+        c, b = _cancel(o.num, self.den)
+        den = d if b.degree == 0 else b if d.degree == 0 else b * d
+        return RatFunc(a * c, den, _normalized=True)
 
     __rmul__ = __mul__
-
-    def _scaled(self, c: Poly) -> "RatFunc":
-        """self * c for a constant polynomial c: a nonzero c keeps the
-        normal form."""
-        if not c:
-            return RatFunc(_ZERO, _ONE, _normalized=True)
-        return RatFunc(self.num * c, self.den, _normalized=True)
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.is_zero():
+        if not o.num:
             raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * o.den, self.den * o.num)
+        return self * o.inverse()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -573,9 +612,15 @@ class RatFunc:
         return o / self
 
     def inverse(self) -> "RatFunc":
-        if self.is_zero():
+        """den/num, both scaled by 1/lc(num) so the denominator is monic."""
+        num, den = self.den, self.num
+        if not den:
             raise ZeroDivisionError("inverse of zero")
-        return RatFunc(self.den, self.num)
+        lc = den.lc()
+        if lc != 1:
+            u = 1 / lc
+            num, den = num.scale(u), den.scale(u)
+        return RatFunc(num, den, _normalized=True)
 
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
@@ -716,26 +761,22 @@ def _primes():
             yield q
 
 
-def _integer_roots(ints) -> list:
+def _integer_roots(ints, squarefree: bool = False) -> list:
     """The distinct integer roots of the integer polynomial ints (ascending,
     degree >= 1), exactly, by p-adic lifting (Loos, SIAM J. Comput. 12,
-    1983).  Of the squarefree part f, the roots modulo the first prime p
-    that divides neither lc(f) nor f' at any root of f mod p are lifted by
-    Newton's iteration modulo p^(2^k) until the modulus m passes twice the
-    root bound; an integer root is then the symmetric residue mod m of
-    the lift of its own residue mod p, and each residue is kept only if
-    it is a root over Z."""
+    1983).  The roots of f modulo the first prime p that divides neither
+    lc(f) nor f' at any root of f mod p are lifted by Newton's iteration
+    modulo p^(2^k) until the modulus m passes twice the root bound; an
+    integer root is then the symmetric residue mod m of the lift of its
+    own residue mod p, and each residue is kept only if it is a root over
+    Z.  A repeated factor of f is a multiple root mod every prime, so at
+    the first prime that shows one, unless f is known to be squarefree,
+    the roots are those of f's squarefree part."""
     f = _primitive(ints)
-    df = [i * c for i, c in enumerate(f)][1:]
-    if len(f) > 2:
-        g = _int_gcd(f, _primitive(df))
-        if len(g) > 1:
-            # g is primitive, so the quotient is integral (Gauss's lemma)
-            f = _int_divmod(f, g)[0]
-            df = [i * c for i, c in enumerate(f)][1:]
     if len(f) == 2:
         q, r = divmod(-f[0], f[1])
         return [] if r else [q]
+    df = [i * c for i, c in enumerate(f)][1:]
     for p in _primes():
         if not f[-1] % p:
             continue
@@ -743,10 +784,16 @@ def _integer_roots(ints) -> list:
         for r in range(p):
             if not _int_eval_scaled(fp, r, 1) % p:
                 if not _int_eval_scaled(df, r, 1) % p:
-                    break  # a multiple root mod p: try the next prime
+                    break  # a multiple root mod p
                 roots.append(r)
         else:
             break
+        if not squarefree:
+            g = _int_gcd(f, _primitive(df))
+            if len(g) > 1:
+                # g is primitive, so the quotient is integral (Gauss's lemma)
+                return _integer_roots(_int_divmod(f, g)[0], True)
+            squarefree = True
     m, bound = p, 2 * _root_bound(f)
     while roots and m <= bound:
         m *= m

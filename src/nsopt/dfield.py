@@ -7,13 +7,14 @@ below it, and carries the depth assigned at adjunction time:
 
     depth(constant) = 0,  depth(x) = 1,  depth(t) = depth(shift part) + 1.
 
-A TowerElem is the recursive rational normal form: at level 0 a reduced
-RatFunc over Q, at level L a reduced rational function in t_L whose
-numerator and denominator are ElemPolys, dense polynomials in t_L whose
-coefficients are TowerElems of strictly lower level; the denominator is
-monic.  Elements are always stored at the *minimal* possible level (an
-element whose top generator cancels is demoted), so equality is plain
-structural comparison.
+A TowerElem is the recursive rational normal form: a reduced RatFunc
+with monic denominator at every level, over Q[x]'s Poly at level 0 and at
+level L over ElemPolys, dense polynomials in t_L whose coefficients are
+TowerElems of strictly lower level.  RatFunc's own field operations reduce
+at every level, through each polynomial type's gcd (``ElemPoly.gcd`` at
+the tower levels).  Elements are always stored at the *minimal* possible
+level (an element whose top generator cancels is demoted), so equality is
+plain structural comparison.
 
 This module adjoins generators without checking them; telescope certifies
 every adjunction and stores its certificate on the generator.
@@ -226,9 +227,7 @@ class TowerElem:
         if o.is_zero():
             return self
         level, fa, fb = self._aligned(o)
-        if level == 0:
-            return TowerElem._make(0, fa + fb)
-        return _add_level(level, fa, fb)
+        return TowerElem._make(level, fa + fb)
 
     __radd__ = __add__
 
@@ -258,9 +257,7 @@ class TowerElem:
         if self.level == 0 and self.rf.is_one():
             return o
         level, fa, fb = self._aligned(o)
-        if level == 0:
-            return TowerElem._make(0, fa * fb)
-        return _mul_level(level, fa, fb)
+        return TowerElem._make(level, fa * fb)
 
     __rmul__ = __mul__
 
@@ -273,9 +270,7 @@ class TowerElem:
         if self.is_zero():
             return ZERO
         level, fa, fb = self._aligned(o)
-        if level == 0:
-            return TowerElem._make(0, fa / fb)
-        return _mul_level(level, fa, RatFunc(fb.den, fb.num, _normalized=True))
+        return TowerElem._make(level, fa / fb)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -286,9 +281,7 @@ class TowerElem:
     def inverse(self) -> "TowerElem":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero tower element")
-        if self.level == 0:
-            return TowerElem._make(0, self.rf.inverse())
-        return _make_reduced(self.level, self.rf.den, self.rf.num)
+        return TowerElem._make(self.level, self.rf.inverse())
 
     def __pow__(self, n: int) -> "TowerElem":
         if n < 0:
@@ -332,6 +325,9 @@ class ElemPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self):
+        return bool(self.coeffs)
 
     def is_one(self) -> bool:
         return len(self.coeffs) == 1 and self.coeffs[0] == ONE
@@ -418,6 +414,24 @@ class ElemPoly:
             return self
         return ElemPoly([c / cs[-1] for c in cs])
 
+    def gcd(self, other: "ElemPoly") -> "ElemPoly":
+        """The monic gcd; 1 when either is a nonzero constant.
+
+        A generic fraction-field Euclid is exponential in the nesting
+        depth, and almost all pairs met in practice are coprime.  So x and
+        the lower generators are first specialized to random rationals:
+        if both leading coefficients survive the specialization, any common
+        factor keeps its degree, so a degree-0 specialized gcd *proves* the
+        pair coprime and Euclid is skipped.  The points are drawn for the
+        highest level among the coefficients, which can decide only whether
+        coprimality is proved, never the gcd returned."""
+        if self.degree == 0 or other.degree == 0:
+            return _ELEM_ONE
+        level = 1 + max([c.level for c in self.coeffs + other.coeffs])
+        if _provably_coprime(self, other, level):
+            return _ELEM_ONE
+        return _elem_gcd(self, other)
+
 
 _ELEM_ZERO = ElemPoly()
 _ELEM_ONE = ElemPoly((ONE,))
@@ -439,14 +453,7 @@ def _lift_rf(e: TowerElem, level: int) -> RatFunc:
 
 
 # ---------------------------------------------------------------------------
-# Normalization at tower levels
-#
-# Reducing num/den with a generic fraction-field Euclid is exponential in
-# the nesting depth, and almost all pairs met in practice are coprime.  We
-# test coprimality by specializing x and the lower generators to random
-# rationals: if both leading coefficients survive the specialization, any
-# common factor keeps its degree, so a degree-0 specialized gcd *proves*
-# the pair coprime and the symbolic gcd can be skipped.
+# Evaluation at a point
 # ---------------------------------------------------------------------------
 
 
@@ -498,67 +505,6 @@ def _provably_coprime(num: ElemPoly, den: ElemPoly, level: int) -> bool:
         if poly_gcd(pn, pd).degree == 0:
             return True
     return False
-
-
-def _gcd_level(level: int, p: ElemPoly, q: ElemPoly) -> ElemPoly:
-    """gcd of two nonzero tower-level polys; degree 0 means coprime."""
-    if p.degree <= 0 or q.degree <= 0 or _provably_coprime(p, q, level):
-        return _ELEM_ONE
-    return _elem_gcd(p, q)
-
-
-def _make_reduced(level: int, num: ElemPoly, den: ElemPoly) -> TowerElem:
-    """Finish a *known coprime* num/den pair: monic denominator, demote."""
-    if num.is_zero():
-        return ZERO
-    lc = den.lc()
-    if lc != ONE:
-        inv = lc.inverse()
-        num = num.scale(inv)
-        den = den.scale(inv)
-    if den.degree == 0:
-        den = _ELEM_ONE
-    return TowerElem._make(level, RatFunc(num, den, _normalized=True))
-
-
-def _add_level(level: int, fa: RatFunc, fb: RatFunc) -> TowerElem:
-    """a/b + c/d with only operand-sized gcds (extract e = gcd(b, d) first;
-    the residual common factor then divides e, so one more small gcd
-    finishes the reduction)."""
-    na, da, nb, db = fa.num, fa.den, fb.num, fb.den
-    if da.degree == 0 and db.degree == 0:
-        # a monic denominator of degree 0 is 1; _make demotes the sum
-        return TowerElem._make(level, RatFunc(na + nb, _ELEM_ONE, _normalized=True))
-    e = _gcd_level(level, da, db)
-    if e.degree <= 0:
-        num = na * db + nb * da
-        if num.is_zero():
-            return ZERO
-        return _make_reduced(level, num, da * db)
-    abar = da.exact_div(e)
-    bbar = db.exact_div(e)
-    num = na * bbar + nb * abar
-    if num.is_zero():
-        return ZERO
-    h = _gcd_level(level, num, e)
-    if h.degree >= 1:
-        num = num.exact_div(h)
-        e = e.exact_div(h)
-    return _make_reduced(level, num, e * abar * bbar)
-
-
-def _mul_level(level: int, fa: RatFunc, fb: RatFunc) -> TowerElem:
-    """a/b * c/d via cross-cancellation; the result needs no further gcd."""
-    na, da, nb, db = fa.num, fa.den, fb.num, fb.den
-    g1 = _gcd_level(level, na, db)
-    if g1.degree >= 1:
-        na = na.exact_div(g1)
-        db = db.exact_div(g1)
-    g2 = _gcd_level(level, nb, da)
-    if g2.degree >= 1:
-        nb = nb.exact_div(g2)
-        da = da.exact_div(g2)
-    return _make_reduced(level, na * nb, da * db)
 
 
 # ---------------------------------------------------------------------------

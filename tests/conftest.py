@@ -1,13 +1,19 @@
-"""Shared builders for the towers used across the test suite.
+"""Shared builders for the towers used across the test suite, and a
+time-bounded child interpreter.
 
-These construct the generators directly (no certification round trip) so
-that low-level modules can be tested without the solver; the solver tests
-check the same adjunctions by solving their telescoping equations.
+The builders construct the generators directly (no certification round
+trip) so that low-level modules can be tested without the solver; the
+solver tests check the same adjunctions by solving their telescoping
+equations.
 """
 
 from fractions import Fraction
+import os
 import random
+import subprocess
+import sys
 
+import nsopt
 from nsopt.dfield import Tower, TowerElem, _adjoin_sigma_star_unchecked, sigma
 
 X = TowerElem.base_x()
@@ -28,6 +34,19 @@ def nested_tower():
     beta = sigma(t, h) / (X + 1)
     t2 = _adjoin_sigma_star_unchecked(t, beta, "s", _TRUSTED)
     return t2, h, TowerElem.gen(1)
+
+
+def run_python(args, timeout):
+    """(exit code, stdout, stderr) of `python args` in a child process with
+    nsopt on its path, killed after timeout seconds, so a refusal that
+    stops refusing fails its test instead of hanging the suite."""
+    src = os.path.dirname(os.path.dirname(nsopt.__file__))
+    proc = subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=timeout,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def rand_fraction(rng: random.Random, span: int = 6) -> Fraction:

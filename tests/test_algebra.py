@@ -112,6 +112,8 @@ def test_normalize_idempotent_randomized():
 
 def test_ratfunc_field_laws_randomized():
     rng = random.Random(1003)
+    shared_rng = random.Random(1004)
+    shared = 0
     for _ in range(40):
         a, b, c = (rand_ratfunc(rng) for _ in range(3))
         assert (a + b) + c == a + (b + c)
@@ -119,6 +121,24 @@ def test_ratfunc_field_laws_randomized():
         assert a + (-a) == RatFunc.from_const(Fraction(0))
         if not a.is_zero():
             assert a * a.inverse() == RatFunc.from_const(Fraction(1))
+        # a pair whose denominators share a random factor s, with c + g/s
+        # and b - g/s, so their sum cancels s: gcd(b, d) != 1 and the
+        # cross sum t shares a factor with e = gcd(b, d)
+        s = Poly.from_ints(*[shared_rng.randint(-4, 4) for _ in range(shared_rng.randint(1, 2))], 1)
+        g = rand_poly(shared_rng, 2)
+        a2 = RatFunc(c.num * s + g * c.den, c.den * s)
+        b2 = RatFunc(b.num * s - g * b.den, b.den * s)
+        assert a2 + b2 == c + b
+        shared += poly_gcd(a2.den, b2.den).degree > 0
+        # each operation against the constructor's normal form of the
+        # unreduced cross products
+        for x, y in ((a, b), (a2, b2), (b2, a2)):
+            assert x + y == RatFunc(x.num * y.den + y.num * x.den, x.den * y.den)
+            assert x - y == RatFunc(x.num * y.den - y.num * x.den, x.den * y.den)
+            assert x * y == RatFunc(x.num * y.num, x.den * y.den)
+            if y:
+                assert x / y == RatFunc(x.num * y.den, x.den * y.num)
+    assert shared >= 20
 
 
 def test_ratfunc_shift_and_eval():
@@ -736,6 +756,20 @@ def test_integer_roots_use_the_root_bound():
     # Fujiwara's bound is 1.2 * 10^6 here and the Cauchy bound 900002
     wide = Poly.from_ints(9 * 10**12 + 7, 6 * 10**12, 10**7)
     assert nonneg_integer_roots(wide) == set()
+
+
+def test_integer_roots_take_the_squarefree_part_when_needed(monkeypatch):
+    # a repeated factor is a multiple root mod every prime, so it is
+    # divided out rather than skipped past; a squarefree input whose first
+    # usable prime shows no multiple root takes no gcd at all
+    roots = nsopt.algebra._integer_roots
+    assert sorted(roots((lin(3) ** 2 * lin(-5))._ints)) == [-5, 3]
+    assert roots((Poly.from_ints(1, 0, 1) ** 2 * lin(2))._ints) == [2]
+    calls = []
+    int_gcd = nsopt.algebra._int_gcd
+    monkeypatch.setattr(nsopt.algebra, "_int_gcd", lambda a, b: calls.append(1) or int_gcd(a, b))
+    assert sorted(roots((lin(-1) * lin(-2))._ints)) == [-2, -1]
+    assert calls == []
 
 
 def test_gcd_shifts_match_brute_force_randomized():

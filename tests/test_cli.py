@@ -15,6 +15,8 @@ from nsopt.cli import main
 from nsopt.dfield import ONE, sigma
 from nsopt.expr import NotPolynomialPart
 
+from conftest import run_python
+
 FLAGSHIP = "sum(r,1,n,(sum(l,1,r,(H(l)^2+H(2,l))/l)+sum(l,1,r,H(l)/l))/r)"
 FLAGSHIP_OUT = (
     "1/12*H(n)^4 + 1/6*H(n)^3 + 1/2*H(n)^2*H(2,n) + 1/2*H(n)*H(2,n)"
@@ -33,16 +35,9 @@ def run_cli(argv, capsys):
 
 
 def run_cli_process(argv, timeout):
-    """(exit code, stdout, stderr) of `python -m nsopt.cli argv` in a child
-    process that is killed after timeout seconds, so a refusal that stops
-    refusing fails its test instead of hanging the suite."""
-    src = os.path.dirname(os.path.dirname(nsopt.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "nsopt.cli", *argv],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, timeout=timeout,
-    )
-    return proc.returncode, proc.stdout, proc.stderr
+    """(exit code, stdout, stderr) of `python -m nsopt.cli argv`, killed
+    after timeout seconds."""
+    return run_python(["-m", "nsopt.cli", *argv], timeout)
 
 
 # -- simplify ---------------------------------------------------------------
