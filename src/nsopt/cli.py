@@ -177,14 +177,15 @@ def cmd_simplify(args) -> int:
     # the sweep is the check, so it shares no memo with compile's Evaluator;
     # one Evaluator per side keeps its prefix memo across k: linear sweep
     ev_in, ev_out = Evaluator(), Evaluator()
-    verification = []
-    ok = True
+    rows = []
+    first_bad = None
     for k in range(res.lam, res.lam + args.verify_range + 1):
         lhs = evaluate(e, k, ev_in)
         rhs = evaluate(out, k, ev_out)
         eq = lhs == rhs
-        ok = ok and eq
-        verification.append((k, lhs, rhs, eq))
+        if not eq and first_bad is None:
+            first_bad = k
+        rows.append([k, str(lhs), str(rhs), eq])
 
     report = {
         "input_text": text,
@@ -194,9 +195,7 @@ def cmd_simplify(args) -> int:
         "output_depth": expr_depth(out),
         "optimality_certified": res.optimality_certified,
         "tower_summary": tower_to_json(res.tower),
-        "verification": [
-            [k, str(lhs), str(rhs), eq] for k, lhs, rhs, eq in verification
-        ],
+        "verification": rows,
     }
 
     if args.json:
@@ -208,7 +207,7 @@ def cmd_simplify(args) -> int:
         print(f"depth:  {report['input_depth']} -> {report['output_depth']}")
         print(f"optimality_certified: {'true' if res.optimality_certified else 'false'}")
         lo, hi = res.lam, res.lam + args.verify_range
-        status = "exact" if ok else "FAILED"
+        status = "exact" if first_bad is None else "FAILED"
         print(f"verified: k = {lo}..{hi} {status}")
         if args.emit_tower:
             print("tower:")
@@ -218,8 +217,7 @@ def cmd_simplify(args) -> int:
                     f"shift_part={g['shift_part']} depth={g['depth']}"
                 )
 
-    if not ok:
-        first_bad = next(k for k, _, _, eq in verification if not eq)
+    if first_bad is not None:
         print(f"verification failed at k = {first_bad}", file=sys.stderr)
         return 4
     return 0

@@ -11,8 +11,9 @@ A TowerElem is the recursive rational normal form: a reduced RatFunc
 with monic denominator at every level, over Q[x]'s Poly at level 0 and at
 level L over ElemPolys, dense polynomials in t_L whose coefficients are
 TowerElems of strictly lower level.  RatFunc's own field operations reduce
-at every level, through each polynomial type's gcd (``ElemPoly.gcd`` at
-the tower levels).  Elements are always stored at the *minimal* possible
+at every level, through each polynomial type's gcd; at the tower levels
+``ElemPoly.gcd`` is Euclid over the field below, exact for every pair of
+operands.  Elements are always stored at the *minimal* possible
 level (an element whose top generator cancels is demoted), so equality is
 plain structural comparison.
 
@@ -22,10 +23,9 @@ every adjunction and stores its certificate on the generator.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
-from .algebra import Poly, RatFunc, ZeroPolynomial, poly_gcd
+from .algebra import RatFunc, ZeroPolynomial
 
 __all__ = [
     "ElemPoly",
@@ -38,7 +38,6 @@ __all__ = [
     "is_polynomial_part",
     "occurring_generators",
     "constant_component",
-    "eval_at_point",
     "elem_to_str",
     "tower_to_json",
 ]
@@ -414,24 +413,6 @@ class ElemPoly:
             return self
         return ElemPoly([c / cs[-1] for c in cs])
 
-    def gcd(self, other: "ElemPoly") -> "ElemPoly":
-        """The monic gcd; 1 when either is a nonzero constant.
-
-        A generic fraction-field Euclid is exponential in the nesting
-        depth, and almost all pairs met in practice are coprime.  So x and
-        the lower generators are first specialized to random rationals:
-        if both leading coefficients survive the specialization, any common
-        factor keeps its degree, so a degree-0 specialized gcd *proves* the
-        pair coprime and Euclid is skipped.  The points are drawn for the
-        highest level among the coefficients, which can decide only whether
-        coprimality is proved, never the gcd returned."""
-        if self.degree == 0 or other.degree == 0:
-            return _ELEM_ONE
-        level = 1 + max([c.level for c in self.coeffs + other.coeffs])
-        if _provably_coprime(self, other, level):
-            return _ELEM_ONE
-        return _elem_gcd(self, other)
-
 
 _ELEM_ZERO = ElemPoly()
 _ELEM_ONE = ElemPoly((ONE,))
@@ -445,66 +426,14 @@ def _elem_gcd(a: ElemPoly, b: ElemPoly) -> ElemPoly:
     return a.monic()
 
 
+ElemPoly.gcd = _elem_gcd
+
+
 def _lift_rf(e: TowerElem, level: int) -> RatFunc:
     """View a lower element as a degree-0 rational function at `level`."""
     if e.level >= level:
         raise ArithmeticError(f"cannot lift a level-{e.level} element to level {level}")
     return RatFunc(ElemPoly((e,)), _ELEM_ONE, _normalized=True)
-
-
-# ---------------------------------------------------------------------------
-# Evaluation at a point
-# ---------------------------------------------------------------------------
-
-
-def eval_at_point(f: TowerElem, vals) -> Fraction:
-    """Value of f at x = vals[0] and tower.gens[k-1] = vals[k] for k >= 1.
-
-    None when a pole is hit, in f's own denominator or in any coefficient
-    at any level below it."""
-    if f.level == 0:
-        return f.rf.eval_at(vals[0])
-    n = _eval_poly_point(f.rf.num, f.level, vals)
-    d = _eval_poly_point(f.rf.den, f.level, vals)
-    if n is None or d is None or d == 0:
-        return None
-    return n / d
-
-
-def _eval_poly_point(p: ElemPoly, level: int, vals) -> Fraction:
-    acc = Fraction(0)
-    v = vals[level]
-    for c in reversed(p.coeffs):
-        cv = eval_at_point(c, vals)
-        if cv is None:
-            return None
-        acc = acc * v + cv
-    return acc
-
-
-def _specialize_coeffs(p: ElemPoly, vals) -> Poly:
-    out = []
-    for c in p.coeffs:
-        cv = eval_at_point(c, vals)
-        if cv is None:
-            return None
-        out.append(cv)
-    return Poly(tuple(out))
-
-
-def _provably_coprime(num: ElemPoly, den: ElemPoly, level: int) -> bool:
-    rng = random.Random(0xC0FFEE ^ level)
-    for _ in range(4):
-        vals = [Fraction(rng.randint(19, 9973), rng.randint(1, 89)) for _ in range(level)]
-        pn = _specialize_coeffs(num, vals)
-        pd = _specialize_coeffs(den, vals)
-        if pn is None or pd is None:
-            continue
-        if pn.degree != num.degree or pd.degree != den.degree:
-            continue  # a leading coefficient vanished; point is not generic
-        if poly_gcd(pn, pd).degree == 0:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

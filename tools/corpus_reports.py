@@ -1,5 +1,6 @@
-"""Byte-identity corpus: every report of `nsopt simplify` and `nsopt
-telescope` on a fixed set of inputs, 108 invocations, one process each.
+"""Byte-identity corpus: every report of `nsopt simplify`, `nsopt
+telescope` and `nsopt verify` on a fixed set of inputs, 113 invocations,
+one process each.
 
     python3 tools/corpus_reports.py run OUT.json [--root CHECKOUT]
     python3 tools/corpus_reports.py diff A.json B.json
@@ -42,7 +43,12 @@ coefficients or degrees past what the engine once refused or hung on, and
 group runs simplify on the 30 planted-answer draws of tests/test_fuzz.py
 (`planted_draws`, read from the checkout holding this file), at range 8
 for a planted depth of 2 and 6 for a depth of 3, so a change to the
-search shows as listed report changes.
+search shows as listed report changes.  A verify/ group, listed in VERIFY,
+runs `nsopt verify` on three pairs: the README's equal pair, a pair that
+differs from k = 1 on (exit 1), and a pair whose inner sum's body reads
+the outer index, so the evaluator loops that sum in full.  An h_sugar/
+group runs the README's `simplify --h-sugar` on FLAGSHIP and `telescope
+--h-sugar` on H(n+1)/(n+1), so the reports cover the H(o,n) printing.
 """
 
 import argparse
@@ -88,6 +94,13 @@ LARGE_TELESCOPE = "1/(n^2+1000000000000037)"
 # per-invocation wall-clock deadline, far above the slowest invocation that
 # ends (0.27 s, extra/1, on a shared 2-core machine)
 DEADLINE_S = 30
+# (lhs, rhs, --range) of `nsopt verify`
+VERIFY = (
+    ("H(n)^2", "sum(i,1,n,(2*H(i)-1/i)/i)", "30"),
+    ("H(n)", "sum(i,1,n,1/(i+1))", "10"),
+    ("sum(i,1,n,sum(j,1,i,i/j))", "sum(i,1,n,i*H(i))", "20"),
+)
+H_SUGAR_TELESCOPE = "H(n+1)/(n+1)"
 # (summand, declares BINOM_PRODUCT)
 TELESCOPE = (
     ("H(n+1)/(n+1)", False),
@@ -137,6 +150,10 @@ def corpus(root):
     for i, (expr, planted) in enumerate(fuzz.planted_draws()):
         vrange = str(fuzz.PLANTED_RANGE[planted])
         out.append((f"planted/{i}", simplify + ["--verify-range", vrange, expr]))
+    for i, (lhs, rhs, vrange) in enumerate(VERIFY):
+        out.append((f"verify/{i}", ["verify", lhs, rhs, "--range", vrange]))
+    out.append(("h_sugar/0", ["simplify", wl.FLAGSHIP, "--h-sugar"]))
+    out.append(("h_sugar/1", ["telescope", H_SUGAR_TELESCOPE, "--h-sugar"]))
     return out
 
 
