@@ -14,7 +14,7 @@ Three subcommands:
     only by certified generators (never by the summand itself).
 
 Exit codes: 0 success, 1 verify found a counterexample, 2 parse error or
-invalid invocation (such as a negative range or search knob, a --file
+invalid invocation (such as a negative range, a --file
 that cannot be read, or a --with-product with a zero ratio or a repeated
 name), 3 unsupported input shape, a result that does not map back to an
 expression, a declared product that is not a legal product-like extension
@@ -32,7 +32,6 @@ output.  All arithmetic is exact rational; nothing is floated.
 import argparse
 import gc
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -148,19 +147,6 @@ def _nonnegative_int(text: str) -> int:
     return n
 
 
-def _search_options(args) -> dict:
-    """The search knobs as keyword arguments of compile and
-    telescope_depth_optimal; NSOPT_MAX_ATOM_POWER is read once, and only
-    when --max-atom-power is not given."""
-    power = args.max_atom_power
-    if power is None:
-        try:
-            power = _nonnegative_int(os.environ.get("NSOPT_MAX_ATOM_POWER", "6"))
-        except argparse.ArgumentTypeError as exc:
-            raise UsageError(f"error: bad NSOPT_MAX_ATOM_POWER: {exc}")
-    return {"max_atom_power": power, "max_monomial_degree": args.max_monomial_degree}
-
-
 # ---------------------------------------------------------------------------
 # simplify
 # ---------------------------------------------------------------------------
@@ -169,7 +155,7 @@ def _search_options(args) -> dict:
 def cmd_simplify(args) -> int:
     text = _read_expression(args)
     e = parse(text)
-    res = compile(e, products=_products(args), **_search_options(args))
+    res = compile(e, products=_products(args))
 
     out = reinterpret(res.tower, res.spec, res.elem)
     out_text = to_src(out, h_sugar=args.h_sugar)
@@ -249,10 +235,8 @@ def cmd_verify(args) -> int:
 
 def cmd_telescope(args) -> int:
     e = parse(args.summand)
-    products = _products(args)
-    options = _search_options(args)
-    res = compile(e, products=products, **options)
-    t = telescope_depth_optimal(res.tower, res.elem, allow_fallback=False, **options)
+    res = compile(e, products=_products(args))
+    t = telescope_depth_optimal(res.tower, res.elem, allow_fallback=False)
 
     if not t.solved:
         print("NO_SOLUTION")
@@ -283,20 +267,7 @@ def cmd_telescope(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_search_flags(sub):
-    sub.add_argument(
-        "--max-atom-power",
-        type=_nonnegative_int,
-        default=None,
-        help="largest 1/atom^e considered when growing the tower"
-        " (default 6; NSOPT_MAX_ATOM_POWER overrides)",
-    )
-    sub.add_argument(
-        "--max-monomial-degree",
-        type=_nonnegative_int,
-        default=3,
-        help="largest generator-monomial degree in candidate shift parts",
-    )
+def _add_product_flag(sub):
     sub.add_argument(
         "--with-product",
         action="append",
@@ -360,7 +331,7 @@ def main(argv=None) -> int:
         metavar="N",
         help="check input == output exactly for k = lambda..lambda+N",
     )
-    _add_search_flags(s)
+    _add_product_flag(s)
     s.add_argument("--emit-tower", action="store_true", help="print the tower")
     s.add_argument("--json", action="store_true", help="machine-readable report")
     s.add_argument(
@@ -384,7 +355,7 @@ def main(argv=None) -> int:
 
     t = sp.add_parser("telescope", help="solve sigma(g) - g = f for one summand")
     t.add_argument("summand", help="summand expression in n")
-    _add_search_flags(t)
+    _add_product_flag(t)
     t.add_argument(
         "--h-sugar",
         action="store_true",

@@ -934,20 +934,16 @@ class CompileResult:
 
 
 class _Session:
-    __slots__ = ("tower", "spec", "atom_power", "mono_degree", "certified",
-                 "cache")
+    __slots__ = ("tower", "spec", "certified", "cache")
 
-    def __init__(self, tower, spec, atom_power, mono_degree):
+    def __init__(self, tower, spec):
         self.tower = tower
         self.spec = spec
-        self.atom_power = atom_power
-        self.mono_degree = mono_degree
         self.certified = True
         self.cache = {}
 
 
-def compile(e, products=(), max_atom_power: int = 6,
-            max_monomial_degree: int = 3) -> CompileResult:
+def compile(e, products=()) -> CompileResult:
     """Compile an expression in n into a tower element a with a validity
     bound lam: the input and a evaluate identically for every k >= lam.
 
@@ -967,7 +963,7 @@ def compile(e, products=(), max_atom_power: int = 6,
             )
         tower = adjoin_pi(tower, TowerElem.base(p.alpha), name=p.name)
         spec.overrides[p.name] = (p.lower, Fraction(1))
-    st = _Session(tower, spec, max_atom_power, max_monomial_degree)
+    st = _Session(tower, spec)
     elem, lam = _compile_node(st, e, "n")
     lam = max(lam, o_function(st.tower, spec, elem))
     pruned, elem, _ = _prune_tower(st.tower, elem, 0)
@@ -1071,12 +1067,7 @@ def _compile_sum(st: _Session, e: Sum, var: str):
     if hit is None:
         body_elem, lam_body = _compile_node(st, e.body, e.idx)
         f = sigma(st.tower, body_elem, 1)
-        res = telescope_depth_optimal(
-            st.tower,
-            f,
-            max_atom_power=st.atom_power,
-            max_monomial_degree=st.mono_degree,
-        )
+        res = telescope_depth_optimal(st.tower, f)
         st.tower = res.tower
         st.certified = st.certified and res.optimality_certified
         hit = (body_elem, lam_body, res.g)

@@ -783,6 +783,13 @@ def _fallback_name(tower: Tower, beta: TowerElem):
 # in candidate order is not the sparsest
 _ADJOIN_BUDGET = 24
 
+# the search's candidate shift parts are sigma(mu*x^j/atom^e), j < deg atom;
+# this bounds e, the power of an atom of f's base denominators
+_MAX_ATOM_POWER = 6
+# and this bounds the total degree of mu, a monomial in the generators
+# that occur in f
+_MAX_MONOMIAL_DEGREE = 3
+
 
 def _last_nonzero(vec):
     return max((i for i, c in enumerate(vec) if c), default=None)
@@ -852,21 +859,20 @@ def _adjoin_support(tower: Tower, cands: list, rows: dict, hit: int,
 def telescope_depth_optimal(
     tower: Tower,
     f: TowerElem,
-    max_atom_power: int = 6,
-    max_monomial_degree: int = 3,
     allow_fallback: bool = True,
 ) -> DepthOptResult:
     """Find g with sigma(g) - g = f of smallest available depth.
 
     Strategy: try the given tower, then look for sum-like generators t_i
     with sigma(t_i) = t_i + beta_i built from the input's pole structure
-    (beta_i = sigma(mu/atom^e), mu a monomial in occurring generators), in a
-    fixed candidate order.  Every beta_i lies in the given tower T, so by
-    Karr's structure theorem f telescopes once the legal candidates up to i
-    are adjoined exactly when some relation sigma(g) - g = c_0*f + sum
-    c_j*beta_j with g in T has c_0 != 0 and c_j = 0 for j > i, and beta_i is
-    illegal (telescopes in the grown tower) exactly when a relation with c_0
-    = 0 ends at i.  The search therefore solves these relations over T and
+    (beta_i = sigma(mu*x^j/atom^e) with j < deg atom, e <= _MAX_ATOM_POWER
+    and mu a monomial of degree <= _MAX_MONOMIAL_DEGREE in occurring
+    generators), in a fixed candidate order.  Every beta_i lies in the
+    given tower T, so by Karr's structure theorem f telescopes once the
+    legal candidates up to i are adjoined exactly when some relation
+    sigma(g) - g = c_0*f + sum c_j*beta_j with g in T has c_0 != 0 and c_j
+    = 0 for j > i, and beta_i is illegal (telescopes in the grown tower)
+    exactly when a relation with c_0 = 0 ends at i.  The search therefore solves these relations over T and
     adjoins nothing before the first success.  The candidates come in
     blocks, one per (monomial, atom power); the relations are solved only
     when the list has doubled since the last solve and at the end of each
@@ -911,7 +917,7 @@ def telescope_depth_optimal(
         yield False after each block that adds candidates and True at the
         end of each pass."""
         for cap in (d - 1, d):
-            for mono_deg in range(0, max_monomial_degree + 1):
+            for mono_deg in range(0, _MAX_MONOMIAL_DEGREE + 1):
                 mus = _occurring_monomials(tower, f, mono_deg, cap, pi_idx)
                 # low-weight monomials first, then increasing atom power,
                 # so e.g. sums weighted by 1/k^2 win over heavier
@@ -919,16 +925,20 @@ def telescope_depth_optimal(
                 for mu, degvec in mus:
                     if supp is not None and degvec not in supp:
                         continue
-                    for e in range(1, max_atom_power + 1):
+                    for e in range(1, _MAX_ATOM_POWER + 1):
                         before = len(cands)
+                        # Abramov's remainders over an atom of degree
+                        # delta span x^j/atom^e for every j < delta
                         for atom in atoms:
-                            inv_pow = TowerElem.base(RatFunc(_PONE, atom ** e))
-                            beta = sigma(tower, mu * inv_pow)
-                            if depth(tower, beta) > cap or beta == f:
-                                continue
-                            if beta not in taken:
-                                taken.add(beta)
-                                cands.append((beta, (atom, e) if mu == ONE else None))
+                            for j in range(atom.degree):
+                                part = RatFunc(Poly.x_power(j), atom ** e)
+                                beta = sigma(tower, mu * TowerElem.base(part))
+                                if depth(tower, beta) > cap or beta == f:
+                                    continue
+                                if beta not in taken:
+                                    taken.add(beta)
+                                    named = mu == ONE and j == 0
+                                    cands.append((beta, (atom, e) if named else None))
                         if len(cands) > before:
                             yield False
             yield True

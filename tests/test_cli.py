@@ -152,46 +152,26 @@ def test_not_polynomial_part_exit3(monkeypatch, capsys):
 def test_simplify_env_var_override(monkeypatch, capsys):
     # power-1 candidates cannot reach H(2,n), so the search degrades to
     # the uncertified fallback instead of the depth-2 form
-    monkeypatch.setenv("NSOPT_MAX_ATOM_POWER", "1")
+    monkeypatch.setattr(telescope, "_MAX_ATOM_POWER", 1)
     code, out, _ = run_cli(["simplify", "sum(l,1,n,H(l)/l)"], capsys)
     assert code == 0
     assert "depth:  3 -> 3" in out
     assert "optimality_certified: false" in out
-    monkeypatch.setenv("NSOPT_MAX_ATOM_POWER", "six")
-    code, _, err = run_cli(["simplify", "sum(l,1,n,H(l)/l)"], capsys)
-    assert code == 2
-    monkeypatch.setenv("NSOPT_MAX_ATOM_POWER", "-1")
-    code, _, err = run_cli(["simplify", "sum(l,1,n,H(l)/l)"], capsys)
-    assert code == 2
-    assert "must be an integer >= 0" in err
 
 
-def test_negative_atom_power_exit2(capsys):
-    # a negative power turned the generator search off: NO_SOLUTION, exit 0
-    code, _, err = run_cli(
-        ["telescope", "H(n+1)/(n+1)", "--max-atom-power", "-2"], capsys
-    )
-    assert code == 2
-    assert "must be an integer >= 0" in err
+def test_search_class_flags_are_gone(capsys):
+    # the candidate class is fixed, so no option sets its bounds
+    for argv in (["simplify", "sum(l,1,n,H(l)/l)", "--max-atom-power", "1"],
+                 ["telescope", "H(n+1)/(n+1)", "--max-monomial-degree", "1"]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments" in err
 
 
-def test_negative_monomial_degree_exit2(capsys):
-    # a negative degree gave an uncertified depth 3 -> 3, exit 0
-    code, _, err = run_cli(
-        ["simplify", "sum(l,1,n,H(l)/l)", "--max-monomial-degree", "-1"], capsys
-    )
-    assert code == 2
-    assert "must be an integer >= 0" in err
-
-
-@pytest.mark.parametrize("knob", [[], ["--max-atom-power", "1"],
-                                  ["--max-atom-power", "0"]])
-def test_illegal_product_exit3(knob, capsys):
-    # (-1)^n squared is the constant 1, so p is no product-like extension;
-    # the search knob must not shorten that check
+def test_illegal_product_exit3(capsys):
+    # (-1)^n squared is the constant 1, so p is no product-like extension
     code, out, err = run_cli(
-        ["simplify", "--with-product", "p:-1:1", *knob, "prod(t,1,n,-1)^2"],
-        capsys,
+        ["simplify", "--with-product", "p:-1:1", "prod(t,1,n,-1)^2"], capsys
     )
     assert code == 3
     assert out == ""

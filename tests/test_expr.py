@@ -672,14 +672,14 @@ def test_compile_is_deterministic():
         to_src(reinterpret(b.tower, b.spec, b.elem))
 
 
-def test_compile_rejects_illegal_product():
+def test_compile_rejects_illegal_product(monkeypatch):
     # alpha = -1 passes the check at power 1, but sigma(g) = g at power 2
     # has the solution g = 1, whatever the search's atom power
     spec = ProductSpec("p", RatFunc.from_const(Fraction(-1)))
     for power in (6, 1, 0):
+        monkeypatch.setattr(nsopt.telescope, "_MAX_ATOM_POWER", power)
         with pytest.raises(UnsupportedShape, match="not a legal product-like"):
-            compile(parse("prod(t,1,n,-1)^2"), products=(spec,),
-                    max_atom_power=power)
+            compile(parse("prod(t,1,n,-1)^2"), products=(spec,))
 
 
 def test_compile_starts_cold(monkeypatch):

@@ -221,12 +221,13 @@ def test_depth_bounds_on_solved():
         assert df <= dg <= df + 1
 
 
-def test_depth_optimal_fallback_uncertified():
+def test_depth_optimal_fallback_uncertified(monkeypatch):
     # with the candidate family cut down to nothing useful, the search must
     # still terminate by adjoining the input itself
+    monkeypatch.setattr(nsopt.telescope, "_MAX_ATOM_POWER", 1)
     t1, h = harmonic_tower()
     f = sigma(t1, h) / (X + 1)
-    res = telescope_depth_optimal(t1, f, max_atom_power=1)
+    res = telescope_depth_optimal(t1, f)
     assert res.solved
     assert not res.optimality_certified
     assert len(res.adjoined) == 1
@@ -309,8 +310,7 @@ def test_denominator_analysis_once_per_gamma_and_denominator(monkeypatch):
 # -- the relation-space search against the one-at-a-time loop ---------------
 
 
-def _one_at_a_time(tower, f, max_atom_power=6, max_monomial_degree=3,
-                   allow_fallback=True):
+def _one_at_a_time(tower, f, allow_fallback=True):
     """Reference: the generator search that adjoins each legal candidate
     after a certification solve, then re-solves f in the taller tower."""
     T = nsopt.telescope
@@ -320,6 +320,8 @@ def _one_at_a_time(tower, f, max_atom_power=6, max_monomial_degree=3,
         return T.DepthOptResult(True, first.g, tower, (), True,
                                 "solved in the given tower")
     atoms = T._candidate_atoms(f)
+    # numerators x^j, j < deg atom, of the shift parts sigma(mu*x^j/atom^e)
+    numerators = [(atom, j) for atom in atoms for j in range(atom.degree)]
     pi_idx = tuple(i for i, g in enumerate(tower.gens) if g.kind == "pi")
     supp = T._pi_degree_support(tower, f, pi_idx) if pi_idx else None
     cur, budget = tower, T._ADJOIN_BUDGET
@@ -327,17 +329,17 @@ def _one_at_a_time(tower, f, max_atom_power=6, max_monomial_degree=3,
     def search():
         nonlocal cur, budget
         for cap, preserving in ((d - 1, True), (d, False)):
-            for mono_deg in range(max_monomial_degree + 1):
+            for mono_deg in range(T._MAX_MONOMIAL_DEGREE + 1):
                 for mu, degvec in T._occurring_monomials(
                         tower, f, mono_deg, cap, pi_idx):
                     if supp is not None and degvec not in supp:
                         continue
-                    for e in range(1, max_atom_power + 1):
-                        for atom in atoms:
+                    for e in range(1, T._MAX_ATOM_POWER + 1):
+                        for atom, j in numerators:
                             if budget <= 0:
                                 return None
-                            inv_pow = TowerElem.base(RatFunc(Poly.from_ints(1), atom ** e))
-                            beta = sigma(cur, mu * inv_pow)
+                            part = TowerElem.base(RatFunc(Poly.x_power(j), atom ** e))
+                            beta = sigma(cur, mu * part)
                             if depth(cur, beta) > cap or beta == f:
                                 continue
                             if any(g.kind == "sigma" and g.shift_part == beta
@@ -346,7 +348,8 @@ def _one_at_a_time(tower, f, max_atom_power=6, max_monomial_degree=3,
                             cert = telescope_tower(cur, beta)
                             if cert.solved:
                                 continue
-                            name = T._series_name(cur.names(), atom, e) if mu == ONE else None
+                            named = mu == ONE and j == 0
+                            name = T._series_name(cur.names(), atom, e) if named else None
                             cur = _adjoin_sigma_star_unchecked(
                                 cur, beta, name or cur.fresh_name(), cert.certificate)
                             budget -= 1
@@ -381,8 +384,9 @@ def _outcome(res):
     )
 
 
-def _search_case(case):
-    """(tower, f, knobs, note of the result at the default budget)."""
+def _search_case(case, monkeypatch):
+    """(tower, f, knobs, note of the result at the default budget); the
+    fallback cases cut the candidate class to atom power 1."""
     t1, h = harmonic_tower()
     if case == "pass-1 hit":
         # sigma(1/x) is h's own shift part, so the first candidate is dropped
@@ -398,16 +402,25 @@ def _search_case(case):
     if case == "two legal candidates":
         return (Tower(), ONE / (X + 1) + ONE / ((X + 1) * (X + 1)), {},
                 "solved after adjoining depth-preserving")
+    if case == "numerator-x hit":
+        # QUADRATIC_ATOM's outer node: the sum of t needs the sum of
+        # sigma(x/(x^2 + 1)), whose numerator is x
+        tq = _adjoin_sigma_star_unchecked(Tower(), 3 / ((X + 1) * (X + 1) + 1), "t",
+                                          "test fixture")
+        return (tq, sigma(tq, TowerElem.gen(0)), {},
+                "solved after adjoining depth-preserving")
+    if case in ("fallback", "no fallback"):
+        monkeypatch.setattr(nsopt.telescope, "_MAX_ATOM_POWER", 1)
     if case == "fallback":
-        return t1, sigma(t1, h) / (X + 1), {"max_atom_power": 1}, "fallback"
+        return t1, sigma(t1, h) / (X + 1), {}, "fallback"
     if case == "no fallback":
-        return (t1, sigma(t1, h) / (X + 1),
-                {"max_atom_power": 1, "allow_fallback": False}, "no telescoper")
+        return (t1, sigma(t1, h) / (X + 1), {"allow_fallback": False},
+                "no telescoper")
     raise KeyError(case)
 
 
 SEARCH_CASES = ("pass-1 hit", "uncertified pass-2 hit", "product-like level",
-                "two legal candidates", "fallback", "no fallback")
+                "two legal candidates", "numerator-x hit", "fallback", "no fallback")
 
 
 @pytest.mark.parametrize("budget", [None, 1, 2])
@@ -415,7 +428,7 @@ SEARCH_CASES = ("pass-1 hit", "uncertified pass-2 hit", "product-like level",
 def test_relation_search_matches_one_at_a_time(case, budget, monkeypatch):
     if budget is not None:
         monkeypatch.setattr(nsopt.telescope, "_ADJOIN_BUDGET", budget)
-    tower, f, knobs, note = _search_case(case)
+    tower, f, knobs, note = _search_case(case, monkeypatch)
     got = telescope_depth_optimal(tower, f, **knobs)
     assert _outcome(got) == _outcome(_one_at_a_time(tower, f, **knobs))
     if budget is None:
@@ -423,15 +436,15 @@ def test_relation_search_matches_one_at_a_time(case, budget, monkeypatch):
 
 
 def test_budget_counts_legal_candidates(monkeypatch):
-    tower, f, _, _ = _search_case("two legal candidates")
+    tower, f, _, _ = _search_case("two legal candidates", monkeypatch)
     monkeypatch.setattr(nsopt.telescope, "_ADJOIN_BUDGET", 2)
     assert telescope_depth_optimal(tower, f).adjoined == ("h", "h2")
     monkeypatch.setattr(nsopt.telescope, "_ADJOIN_BUDGET", 1)
     assert telescope_depth_optimal(tower, f).note.startswith("fallback")
 
 
-def test_adjoined_generator_states_its_relation_certificate():
-    tower, f, _, _ = _search_case("pass-1 hit")
+def test_adjoined_generator_states_its_relation_certificate(monkeypatch):
+    tower, f, _, _ = _search_case("pass-1 hit", monkeypatch)
     res = telescope_depth_optimal(tower, f)
     assert res.tower.gens[-1].certificate.startswith("no relation sigma(g) - g")
 
@@ -461,7 +474,7 @@ def test_search_adjoins_only_what_its_answer_uses(monkeypatch):
         return res
 
     monkeypatch.setattr(T, "_adjoin_sigma_star_unchecked", counted_adjoin)
-    tower, f, _, _ = _search_case("two legal candidates")
+    tower, f, _, _ = _search_case("two legal candidates", monkeypatch)
     assert checked_search(tower, f).adjoined == ("h", "h2")
     # a weighted outer level whose hit comes after many legal candidates
     monkeypatch.setattr(nsopt.expr, "telescope_depth_optimal", checked_search)
@@ -471,9 +484,10 @@ def test_search_adjoins_only_what_its_answer_uses(monkeypatch):
 
 
 def test_quadratic_atom_search_work(monkeypatch, capsys):
-    # the candidate class holds no generator that lowers this input, so the
-    # outer search exhausts it (20 legal candidates, under the budget of 24)
-    # and falls back; relation solves over the input tower keep that cheap
+    # the outer summand t needs the sum of j/(j^2 + 1), a numerator-x
+    # candidate over the quadratic atom: the search finds it in the first
+    # pass, so the answer is certified at depth 2, and the inner and outer
+    # searches take 6 first-order solves
     calls = [0]
     solve = nsopt.telescope.solve_first_order
 
@@ -487,14 +501,15 @@ def test_quadratic_atom_search_work(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert [g["name"] for g in report["tower_summary"]["generators"]] == ["t1", "t2"]
-    assert (report["input_depth"], report["output_depth"]) == (3, 3)
-    assert report["optimality_certified"] is False
-    assert calls[0] <= 120
+    assert (report["input_depth"], report["output_depth"]) == (3, 2)
+    assert report["optimality_certified"] is True
+    assert calls[0] <= 12
 
 
 def test_quadratic_atom_relation_solves(monkeypatch, capsys):
     # the search solves its relations once per doubling of the candidate
-    # list and at the end of each pass, not after every block (24 blocks)
+    # list and at the end of each pass, not after every block: the weight
+    # 1/(i+1) keeps the outer search going for 13 blocks until it falls back
     T = nsopt.telescope
     solve_param = T._solve_param
     sizes = []
@@ -506,7 +521,7 @@ def test_quadratic_atom_relation_solves(monkeypatch, capsys):
 
     monkeypatch.setattr(T, "_solve_param", counted)
     code = nsopt.cli.main(["simplify", "--json", "--verify-range", "5",
-                           "sum(i,0,n,sum(j,1,i,3/(j^2+1)))"])
+                           "sum(i,0,n,sum(j,1,i,3/(j^2+1))/(i+1))"])
     capsys.readouterr()
     assert code == 0
     assert 0 < len(sizes) <= 10
@@ -554,7 +569,7 @@ def test_read_off_clears_illegal_candidates_from_the_hit_row(monkeypatch):
     # candidates; mixing the relation that ends at the illegal candidate 6
     # into every relation with c_0 != 0 leaves that entry for the search
     # to clear before it reads the telescoper off the row
-    tower, f, knobs, _ = _search_case("uncertified pass-2 hit")
+    tower, f, knobs, _ = _search_case("uncertified pass-2 hit", monkeypatch)
     want = _outcome(_one_at_a_time(tower, f, **knobs))
     T = nsopt.telescope
     solve_param, echelon = T._solve_param, T._echelon_by_last

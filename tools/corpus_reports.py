@@ -1,5 +1,5 @@
 """Byte-identity corpus: every report of `nsopt simplify`, `nsopt
-telescope` and `nsopt verify` on a fixed set of inputs, 113 invocations,
+telescope` and `nsopt verify` on a fixed set of inputs, 114 invocations,
 one process each.
 
     python3 tools/corpus_reports.py run OUT.json [--root CHECKOUT]
@@ -28,7 +28,8 @@ adjoin the most generators.  A products/ group, listed in PRODUCTS, runs
 simplify at range 5 under declared products: two declarations where one
 product is the 7th power of the other, and sum(i,1,n,1/i) under four
 constant products and under three rational ones, so the reports cover
-the product check.  A telescope/ group, listed in TELESCOPE,
+the product check, and a sum whose product-weighted summand needs a sum
+over the quadratic atom j^2 + 1 with numerator j.  A telescope/ group, listed in TELESCOPE,
 runs `nsopt telescope` on four summands: one solved over an adjoined
 generator, one with no solution (its certificate text), one that adjoins
 a generator over another, and one over the BINOM_PRODUCT product.  A
@@ -72,6 +73,7 @@ PRODUCTS = (
     (("p:128:1", "q:2:1"), "sum(i,1,n,prod(t,1,i,2)^7-prod(t,1,i,128))"),
     (("a:2:1", "b:3:1", "c:5:1", "d:7:1"), "sum(i,1,n,1/i)"),
     (("a:n+1:1", "b:(n+1)/(2*(2*n+1)):1", "c:(2*n+1)/(n+3):1"), "sum(i,1,n,1/i)"),
+    (("p:2:1",), "sum(i,1,n,(1/(i+1)-1/(2*i))*prod(t,1,i,2)*sum(j,1,i,1/(j^2+1)))"),
 )
 LAMBDA = (
     "sum(i,1,n,1/i) - 3/2 + sum(i,4,n,1/((i-3)*(i-2)))",
