@@ -37,12 +37,11 @@ import sys
 from fractions import Fraction
 
 from .algebra import RatFunc, RootSearchLimit
-from .dfield import elem_to_str, tower_to_json
+from .dfield import NotPolynomialPart, elem_to_str, tower_to_json
 from .expr import (
     Base,
     Const,
     Evaluator,
-    NotPolynomialPart,
     ParseError,
     ProductSpec,
     compile,
@@ -243,11 +242,7 @@ def cmd_telescope(args) -> int:
         print(f"certificate: {t.note}")
         return 0
 
-    try:
-        g_text = to_src(reinterpret(t.tower, res.spec, t.g), h_sugar=args.h_sugar)
-    except NotPolynomialPart:
-        g_text = elem_to_str(t.tower, t.g)
-    print(f"g = {g_text}")
+    print(f"g = {to_src(reinterpret(t.tower, res.spec, t.g), h_sugar=args.h_sugar)}")
     if t.adjoined:
         print(f"adjoined: {', '.join(t.adjoined)}")
         for name in t.adjoined:

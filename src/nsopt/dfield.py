@@ -17,6 +17,12 @@ operands.  Elements are always stored at the *minimal* possible
 level (an element whose top generator cancels is demoted), so equality is
 plain structural comparison.
 
+The elements the solver and the printer take are polynomials in the
+sum-like generators and Laurent polynomials in the product-like ones, with
+coefficients in Q(x).  ``monomials`` is the one definition of that class:
+it reads an element as {exponent vector: Q(x) coefficient} and raises
+NotPolynomialPart on any other shape.
+
 This module adjoins generators without checking them; telescope certifies
 every adjunction and stores its certificate on the generator.
 """
@@ -35,7 +41,8 @@ __all__ = [
     "fresh_name",
     "sigma",
     "depth",
-    "is_polynomial_part",
+    "NotPolynomialPart",
+    "monomials",
     "occurring_generators",
     "constant_component",
     "elem_to_str",
@@ -497,7 +504,7 @@ def _subst_poly(tower: Tower, p: ElemPoly, t_image: TowerElem, step: int) -> Tow
 
 
 # ---------------------------------------------------------------------------
-# Depth and occurrence
+# Depth, occurrence and monomials
 # ---------------------------------------------------------------------------
 
 
@@ -531,34 +538,45 @@ def _occurs_walk(f: TowerElem, out: set):
         _occurs_walk(c, out)
 
 
-def is_polynomial_part(tower: Tower, f: TowerElem) -> bool:
-    """True iff no sum-like generator occurs in any denominator at any
-    level of the reduced representation (x and product-like generators may
-    appear in denominators)."""
-    bad = set()
-    _den_gens(f, bad)
-    return not any(idx >= 0 and tower.gens[idx].kind == "sigma" for idx in bad)
+class NotPolynomialPart(ValueError):
+    """An element outside the class the solver and the printer take: a
+    polynomial in the sum-like generators and a Laurent polynomial in the
+    product-like ones, over Q(x)."""
 
 
-def _den_gens(f: TowerElem, out: set):
+def monomials(tower: Tower, f: TowerElem) -> dict:
+    """f as {exponent vector over the generators: Q(x) coefficient}, with
+    nonzero coefficients only.  An exponent is negative only at a
+    product-like generator; any other denominator above Q(x) raises
+    NotPolynomialPart."""
+    out = {}
+    _monomials(tower, f, (0,) * len(tower.gens), out)
+    return out
+
+
+def _monomials(tower: Tower, f: TowerElem, vec: tuple, out: dict):
     if f.level == 0:
+        out[vec] = f.rf
         return
-    if f.rf.den.degree >= 1:
-        out.add(f.level - 1)
-    for c in f.rf.den.coeffs:
-        _occurs_walk(c, out)  # anything inside a denominator coefficient counts
-    for c in f.rf.num.coeffs:
-        _den_gens(c, out)
+    li = f.level - 1
+    den = f.rf.den
+    m = den.degree
+    # den is monic, so a monomial denominator is t^m itself
+    if m and (tower.gens[li].kind != "pi" or any(den.coeffs[:-1])):
+        raise NotPolynomialPart(
+            "a denominator is not a monomial in product-like generators"
+        )
+    for j, c in enumerate(f.rf.num.coeffs):
+        if c:
+            _monomials(tower, c, vec[:li] + (j - m,) + vec[li + 1:], out)
 
 
 def constant_component(tower: Tower, f: TowerElem) -> Fraction:
-    """The rational-constant summand of a polynomial-part element (the
-    coefficient of the all-zero monomial); 0 when there is none."""
-    while f.level > 0:
-        if f.rf.den.degree >= 1:
-            return Fraction(0)
-        f = f.rf.num.coeff(0)
-    return f.rf.num.coeff(0) if f.rf.den.is_one() else Fraction(0)
+    """The rational-constant summand of f: the constant term of the
+    coefficient of its all-zero monomial when that coefficient is a
+    polynomial in x; 0 otherwise."""
+    rf = monomials(tower, f).get((0,) * len(tower.gens))
+    return rf.num.coeff(0) if rf is not None and rf.den.is_one() else Fraction(0)
 
 
 # ---------------------------------------------------------------------------

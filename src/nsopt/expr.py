@@ -10,8 +10,8 @@ compile() walks a tree innermost-first.  Each sum body becomes a tower
 element in the body's own index, the shifted body is telescoped
 depth-optimally (growing the tower with certified generators as needed),
 and the sum collapses to telescoper-plus-constant, the constant fixed by an
-exact prefix evaluation.  reinterpret() walks the other way: a
-polynomial-part element splits into monomials and every generator unfolds
+exact prefix evaluation.  reinterpret() walks the other way: an element
+splits into its monomials (dfield.monomials) and every generator unfolds
 into the sum (or product) of its shift part.  That printed form is what
 an element evaluates to.  An EvalSpec owns both halves: it unfolds each
 generator once, and its one Evaluator gives eval_field's values and
@@ -25,7 +25,7 @@ from math import gcd
 
 from .algebra import (_DEGREE_LIMIT, Poly, RatFunc, _check_degree,
                       nonneg_integer_roots)
-from .dfield import (ElemPoly, Generator, Tower, TowerElem, is_polynomial_part,
+from .dfield import (ElemPoly, Generator, Tower, TowerElem, monomials,
                      occurring_generators, sigma)
 from .telescope import UnsupportedShape, adjoin_pi, telescope_depth_optimal
 
@@ -33,7 +33,6 @@ __all__ = [
     "ParseError",
     "ScopeError",
     "ZeroElement",
-    "NotPolynomialPart",
     "Const",
     "Base",
     "Plus",
@@ -71,10 +70,6 @@ class ScopeError(ParseError):
 
 class ZeroElement(ValueError):
     """The zero function has no nonzero-from bound."""
-
-
-class NotPolynomialPart(ValueError):
-    """Reinterpretation needs sum-like generators kept out of denominators."""
 
 
 # ---------------------------------------------------------------------------
@@ -821,21 +816,15 @@ def z_function_base(f: RatFunc) -> int:
 
 def o_function(tower: Tower, spec: "EvalSpec", f: TowerElem) -> int:
     """Index from which evaluation respects ring and shift operations:
-    the largest base-coefficient pole bound, joined with the start index
-    of every occurring generator.
-
-    The bound is only a guarantee for elements whose denominators sit at
-    the base (or are monomials in product-like generators) -- the class
-    the solver and compiler produce.  A denominator that is a genuine
-    polynomial in a sum-like generator can vanish at indices no
-    structural bound sees, e.g. h^2 - 1 at the index where h reaches 1."""
-    if f.level == 0:
-        return _L_base(f.rf)
+    the largest pole bound of f's Q(x) coefficients, joined with the start
+    index of every generator its monomials hold.  An f outside the
+    monomial class raises NotPolynomialPart."""
     out = 0
-    if f.rf.num.degree >= 1 or f.rf.den.degree >= 1:
-        out = spec.params(tower, f.level - 1)[0] - 1
-    for c in f.rf.num.coeffs + f.rf.den.coeffs:
-        out = max(out, o_function(tower, spec, c))
+    for vec, rf in monomials(tower, f).items():
+        out = max(out, _L_base(rf))
+        for i, e in enumerate(vec):
+            if e:
+                out = max(out, spec.params(tower, i)[0] - 1)
     return out
 
 
@@ -904,8 +893,9 @@ def eval_field(tower: Tower, spec: EvalSpec, f: TowerElem, k: int) -> Fraction:
     through spec's Evaluator, so repeated calls share its node memo and
     prefixes.
 
-    f must be a polynomial-part element.  A pole zeroes only the term of
-    the printed form that has it; poles occur only at k < o(f)."""
+    f must lie in the monomial class of dfield.monomials, as for
+    reinterpret.  A pole zeroes only the term of the printed form that
+    has it; poles occur only at k < o(f)."""
     return evaluate(reinterpret(tower, spec, f), k, spec.ev)
 
 
@@ -1122,25 +1112,18 @@ def _compile_prod(st: _Session, e: Prod, var: str):
 
 
 def reinterpret(tower: Tower, spec: EvalSpec, a: TowerElem):
-    """Unfold a polynomial-part element into an expression in n: the
-    printed form, whose value eval_field gives.  Monomials are emitted by
-    generator index then degree, descending; each generator's unfolding
-    comes from spec, which builds it once."""
-    if not is_polynomial_part(tower, a):
-        raise NotPolynomialPart("a sum-like generator occurs in a denominator")
+    """Unfold an element of the monomial class (dfield.monomials) into an
+    expression in n: the printed form, whose value eval_field gives.
+    Monomials are emitted by exponent vector, descending; each generator's
+    unfolding comes from spec, which builds it once."""
     return _elem_expr(tower, spec, a, "n")
 
 
 def _elem_expr(tower, spec, elem: TowerElem, var: str):
-    monos = {}
-    _collect_monomials(
-        tower, elem, (0,) * len(tower.gens), RatFunc.from_const(Fraction(1)), monos
-    )
+    monos = monomials(tower, elem)
     terms = []
     for degs in sorted(monos, reverse=True):
         rf = monos[degs]
-        if not rf:
-            continue
         factors = []
         if not rf.is_one() or not any(degs):
             factors.append(_leaf(var, rf))
@@ -1150,30 +1133,3 @@ def _elem_expr(tower, spec, elem: TowerElem, var: str):
                 factors.append(_power(unit, abs(d)))
         terms.append(_times(factors))
     return _plus(terms)
-
-
-def _collect_monomials(tower, f: TowerElem, degs, scale: RatFunc, out: dict):
-    if f.level == 0:
-        rf = scale * f.rf
-        out[degs] = out[degs] + rf if degs in out else rf
-        return
-    li = f.level - 1
-    den = f.rf.den
-    m = 0
-    if not den.is_one():
-        lead = den.coeffs[-1]
-        is_monomial = (
-            den.degree >= 1
-            and all(not c for c in den.coeffs[:-1])
-            and lead == 1
-        )
-        if tower.gens[li].kind != "pi" or not is_monomial:
-            raise NotPolynomialPart(
-                f"denominator at level {f.level} is not a unit"
-            )
-        m = den.degree
-    for j, c in enumerate(f.rf.num.coeffs):
-        if not c:
-            continue
-        nd = degs[:li] + (degs[li] + j - m,) + degs[li + 1:]
-        _collect_monomials(tower, c, nd, scale, out)

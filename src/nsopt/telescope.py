@@ -68,7 +68,6 @@ from .algebra import (
 from .dfield import (
     ONE,
     ZERO,
-    ElemPoly,
     Generator,
     Tower,
     TowerElem,
@@ -77,6 +76,7 @@ from .dfield import (
     depth,
     elem_to_str,
     fresh_name,
+    monomials,
     occurring_generators,
     sigma,
 )
@@ -651,25 +651,14 @@ _HALF_ATOM = Poly((Fraction(1, 2), Fraction(1)))
 _QUARTER_ATOM = Poly((Fraction(1, 4), Fraction(1)))
 
 
-def _collect_base_dens(f: TowerElem, acc: list):
-    if f.level == 0:
-        if f.rf.den.degree >= 1:
-            acc.append(f.rf.den)
-        return
-    for c in f.rf.num.coeffs + f.rf.den.coeffs:
-        _collect_base_dens(c, acc)
-
-
-def _candidate_atoms(f: TowerElem) -> list:
-    """Shift-normalized atom representatives of every base denominator
-    occurring in f, in a deterministic order."""
-    dens = []
-    _collect_base_dens(f, dens)
-    reps = set()
-    for d in dens:
-        for atom, _ in factor_atoms(d):
-            rep, _ = shift_class(atom)
-            reps.add(rep)
+def _candidate_atoms(tower: Tower, f: TowerElem) -> list:
+    """Shift-normalized atom representatives of the denominators of f's
+    Q(x) coefficients, in a deterministic order."""
+    reps = {
+        shift_class(atom)[0]
+        for rf in monomials(tower, f).values()
+        for atom in _atoms(rf.den, tower._solve_cache)
+    }
     return sorted(reps, key=lambda p: (p.degree, p.coeffs))
 
 
@@ -679,7 +668,6 @@ def _occurring_monomials(tower: Tower, f: TowerElem, total_deg: int,
     generators that occur in f and have depth <= max_depth.  Restricting to
     occurring generators keeps the candidate family small on a compile's
     tower, which also holds the generators of the expression's other sums."""
-    pos = {i: p for p, i in enumerate(pi_idx)}
     if total_deg == 0:
         return [(ONE, (0,) * len(pi_idx))]
     occ = sorted(
@@ -689,54 +677,20 @@ def _occurring_monomials(tower: Tower, f: TowerElem, total_deg: int,
     out = []
     for combo in itertools.combinations_with_replacement(occ, total_deg):
         mu = ONE
-        vec = [0] * len(pi_idx)
         for i in combo:
             mu = mu * TowerElem.gen(i)
-            if i in pos:
-                vec[pos[i]] += 1
-        out.append((mu, tuple(vec)))
+        out.append((mu, tuple(map(combo.count, pi_idx))))
     return out
 
 
-def _pi_degree_support(tower: Tower, f: TowerElem, pi_idx: tuple):
-    """Product-degree vectors over pi_idx realized by f's monomials, or
-    None when a mixed denominator leaves them ambiguous.
+def _pi_degree_support(tower: Tower, f: TowerElem, pi_idx: tuple) -> set:
+    """Product-degree vectors over pi_idx of f's monomials.
 
     sigma(g) - g = f splits per product degree, and a legal product
     generator admits no rational homogeneous solution, so a new sum-like
     generator can only contribute at the product degree of its shift part.
     Candidates outside the support are provably useless."""
-    pos = {i: p for p, i in enumerate(pi_idx)}
-    zero = (0,) * len(pi_idx)
-
-    def poly_set(p: ElemPoly, li: int):
-        out = set()
-        for j, c in enumerate(p.coeffs):
-            if not c:
-                continue
-            sub = elem_set(c)
-            if sub is None:
-                return None
-            if li in pos and j:
-                sub = {
-                    v[:pos[li]] + (v[pos[li]] + j,) + v[pos[li] + 1:]
-                    for v in sub
-                }
-            out |= sub
-        return out
-
-    def elem_set(g: TowerElem):
-        if g.level == 0:
-            return {zero}
-        li = g.level - 1
-        nset = poly_set(g.rf.num, li)
-        dset = poly_set(g.rf.den, li)
-        if nset is None or dset is None or len(dset) != 1:
-            return None
-        d0 = next(iter(dset))
-        return {tuple(a - b for a, b in zip(v, d0)) for v in nset}
-
-    return elem_set(f)
+    return {tuple(vec[i] for i in pi_idx) for vec in monomials(tower, f)}
 
 
 def _series_name(names: list, atom: Poly, e: int):
@@ -907,9 +861,9 @@ def telescope_depth_optimal(
             "solved in the given tower",
         )
 
-    atoms = _candidate_atoms(f)
+    atoms = _candidate_atoms(tower, f)
     pi_idx = tuple(i for i, g in enumerate(tower.gens) if g.kind == "pi")
-    supp = _pi_degree_support(tower, f, pi_idx) if pi_idx else None
+    supp = _pi_degree_support(tower, f, pi_idx)
     taken = {g.shift_part for g in tower.gens if g.kind == "sigma"}
 
     def _blocks(cands):
@@ -923,7 +877,7 @@ def telescope_depth_optimal(
                 # so e.g. sums weighted by 1/k^2 win over heavier
                 # coefficients at 1/k
                 for mu, degvec in mus:
-                    if supp is not None and degvec not in supp:
+                    if degvec not in supp:
                         continue
                     for e in range(1, _MAX_ATOM_POWER + 1):
                         before = len(cands)

@@ -10,6 +10,7 @@ from nsopt.algebra import Poly, RatFunc
 from nsopt.dfield import (
     ElemPoly,
     Generator,
+    NotPolynomialPart,
     Tower,
     TowerElem,
     _adjoin_sigma_star_unchecked,
@@ -17,13 +18,14 @@ from nsopt.dfield import (
     constant_component,
     depth,
     elem_to_str,
-    is_polynomial_part,
+    monomials,
     occurring_generators,
     sigma,
     tower_to_json,
 )
 
-from nsopt.expr import ProductSpec, compile, parse
+from nsopt.expr import EvalSpec, ProductSpec, compile, parse, reinterpret
+from nsopt.telescope import adjoin_pi
 
 from conftest import X, ONE, harmonic_tower, nested_tower, rand_elem
 
@@ -200,11 +202,35 @@ def test_occurrence_uses_reduced_form():
 
 def test_polynomial_part_detection():
     t, h, s = nested_tower()
-    assert is_polynomial_part(t, h * h + s * X)
-    assert is_polynomial_part(t, ONE / (X + 2) + h)  # x may sit below
-    assert not is_polynomial_part(t, ONE / h)
-    assert not is_polynomial_part(t, s / (h + 1))
-    assert not is_polynomial_part(t, ONE / (s + h))
+    assert len(monomials(t, h * h + s * X)) == 2
+    assert len(monomials(t, ONE / (X + 2) + h)) == 2  # x may sit below
+    for f in (ONE / h, s / (h + 1), ONE / (s + h)):
+        with pytest.raises(NotPolynomialPart):
+            monomials(t, f)
+
+
+def test_monomials_over_a_product_and_a_sum():
+    # Q(x)(b)(h) with sigma(b) = 2*b and sigma(h) = h + 1/(x+1); vectors
+    # list the exponents of (b, h)
+    tb = adjoin_pi(Tower(), TowerElem.const(2), name="b")
+    t = _adjoin_sigma_star_unchecked(tb, ONE / (X + 1), "h")
+    b, h = TowerElem.gen(0), TowerElem.gen(1)
+    inv = RatFunc(Poly.from_ints(1), Poly.from_ints(1, 1))
+    assert monomials(t, 3 * b * h + ONE / (X + 1)) == {
+        (1, 1): RatFunc.from_const(Fraction(3)),
+        (0, 0): inv,
+    }
+    assert monomials(t, h / b) == {(-1, 1): RatFunc.from_const(Fraction(1))}
+    # the constant summand is read off the all-zero vector, also when b
+    # sits in a denominator
+    assert constant_component(t, b + 2 + ONE / b) == 2
+    # a sum-like generator, and a product-like one that is not a monomial,
+    # in a denominator: the element leaves the class
+    for f in (ONE / h, ONE / (b + 1)):
+        with pytest.raises(NotPolynomialPart):
+            monomials(t, f)
+        with pytest.raises(NotPolynomialPart):
+            reinterpret(t, EvalSpec(), f)
 
 
 def test_constant_component():

@@ -10,13 +10,12 @@ import pytest
 import nsopt.expr
 import nsopt.telescope
 from nsopt.algebra import Poly, RatFunc
-from nsopt.dfield import Tower, TowerElem, depth, sigma
+from nsopt.dfield import NotPolynomialPart, Tower, TowerElem, depth, sigma
 from nsopt.expr import (
     Base,
     Const,
     EvalSpec,
     Evaluator,
-    NotPolynomialPart,
     ParseError,
     Plus,
     Power,

@@ -319,11 +319,11 @@ def _one_at_a_time(tower, f, allow_fallback=True):
     if first.solved:
         return T.DepthOptResult(True, first.g, tower, (), True,
                                 "solved in the given tower")
-    atoms = T._candidate_atoms(f)
+    atoms = T._candidate_atoms(tower, f)
     # numerators x^j, j < deg atom, of the shift parts sigma(mu*x^j/atom^e)
     numerators = [(atom, j) for atom in atoms for j in range(atom.degree)]
     pi_idx = tuple(i for i, g in enumerate(tower.gens) if g.kind == "pi")
-    supp = T._pi_degree_support(tower, f, pi_idx) if pi_idx else None
+    supp = T._pi_degree_support(tower, f, pi_idx)
     cur, budget = tower, T._ADJOIN_BUDGET
 
     def search():
@@ -332,7 +332,7 @@ def _one_at_a_time(tower, f, allow_fallback=True):
             for mono_deg in range(T._MAX_MONOMIAL_DEGREE + 1):
                 for mu, degvec in T._occurring_monomials(
                         tower, f, mono_deg, cap, pi_idx):
-                    if supp is not None and degvec not in supp:
+                    if degvec not in supp:
                         continue
                     for e in range(1, T._MAX_ATOM_POWER + 1):
                         for atom, j in numerators:

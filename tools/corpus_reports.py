@@ -4,6 +4,7 @@ one process each.
 
     python3 tools/corpus_reports.py run OUT.json [--root CHECKOUT]
     python3 tools/corpus_reports.py diff A.json B.json
+    python3 tools/corpus_reports.py audit RUN.json [--root CHECKOUT]
 
 `run` runs each corpus invocation as its own `python -m nsopt.cli ...`
 process, with CHECKOUT/src on PYTHONPATH (default: the checkout holding
@@ -17,6 +18,14 @@ len(output_text)) before -> after, and it ends with a tally of the
 differing invocations: depth lower, certification gained, text only (same
 depth and certification), worse (depth higher or certification lost),
 and those that are not a simplify report on both sides.
+
+`audit` checks idempotence: for every `simplify --json` report of RUN.json
+that exited 0, it runs `simplify --json` again, with the same flags, on
+the report's output_text, through CHECKOUT/src as `run` does.  It exits 1
+when a re-run lowers the output depth, when a certified report comes back
+uncertified, or when a re-run does not exit 0, and prints each such
+report.  A certified output that re-simplifies lower refutes its
+certificate.
 
 The simplify inputs come from CHECKOUT/perfbench/workloads.py, which is
 read and never changed: the seven acceptance fixtures at --verify-range
@@ -159,19 +168,30 @@ def corpus(root):
     return out
 
 
-def run(root, out_path):
+def _env(root):
     env = dict(os.environ)
     src = os.path.join(root, "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return env
+
+
+def _invoke(argv, env):
+    """(exit code, stdout, stderr) of `python -m nsopt.cli ARGV`; the code
+    is "timeout" for a process killed at DEADLINE_S."""
+    cmd = [sys.executable, "-m", "nsopt.cli", *argv]
+    try:
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env,
+                              timeout=DEADLINE_S)
+    except subprocess.TimeoutExpired:
+        return "timeout", "", ""
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def run(root, out_path):
+    env = _env(root)
     results = []
     for label, argv in corpus(root):
-        cmd = [sys.executable, "-m", "nsopt.cli", *argv]
-        try:
-            proc = subprocess.run(cmd, capture_output=True, text=True, env=env,
-                                  timeout=DEADLINE_S)
-            code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
-        except subprocess.TimeoutExpired:
-            code, stdout, stderr = "timeout", "", ""
+        code, stdout, stderr = _invoke(argv, env)
         results.append({
             "label": label,
             "argv": argv,
@@ -241,6 +261,40 @@ def diff(a_path, b_path):
     return 0 if same == total else 1
 
 
+def idempotence_failure(report, again):
+    """Why re-simplifying report's output breaks idempotence, or None.
+    Both are parsed `simplify --json` reports; again is None when the
+    re-run did not exit 0."""
+    if again is None:
+        return "re-run did not exit 0"
+    if again["output_depth"] < report["output_depth"]:
+        return f"depth {report['output_depth']} -> {again['output_depth']}"
+    if report["optimality_certified"] and not again["optimality_certified"]:
+        return "certified -> uncertified"
+    return None
+
+
+def audit(run_path, root):
+    with open(run_path, encoding="utf-8") as fh:
+        records = json.load(fh)
+    env = _env(root)
+    checked = failed = 0
+    for rec in records:
+        if rec["argv"][:2] != ["simplify", "--json"] or rec["code"] != 0:
+            continue
+        report = json.loads(rec["stdout"])
+        # every corpus simplify invocation ends with its expression
+        code, stdout, _ = _invoke(rec["argv"][:-1] + [report["output_text"]], env)
+        why = idempotence_failure(report, json.loads(stdout) if code == 0 else None)
+        checked += 1
+        if why is not None:
+            failed += 1
+            print(f"{rec['label']}: {why}")
+    print(f"{checked - failed} of {checked} simplify reports re-simplify"
+          " no lower and keep their certification")
+    return 0 if failed == 0 else 1
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -251,9 +305,15 @@ def main(argv=None):
     d = sub.add_parser("diff", help="compare two recorded runs")
     d.add_argument("a")
     d.add_argument("b")
+    u = sub.add_parser("audit", help="re-simplify every simplify output of a run")
+    u.add_argument("run")
+    u.add_argument("--root", default=os.path.dirname(HERE),
+                   help="checkout whose src re-simplifies the outputs")
     args = ap.parse_args(argv)
     if args.command == "run":
         return run(os.path.abspath(args.root), args.out)
+    if args.command == "audit":
+        return audit(args.run, os.path.abspath(args.root))
     return diff(args.a, args.b)
 
 
