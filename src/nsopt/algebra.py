@@ -733,24 +733,56 @@ def _check_degree(n: int):
         raise RootSearchLimit(f"degree {n} past the limit of {_DEGREE_LIMIT}")
 
 
+# the prime of gcd_shifts' coprimality test, 2^61 - 1
+_P61 = (1 << 61) - 1
+
+
+def _gcd_degree_mod_p(a: list, b: list) -> int:
+    """Degree of gcd(a, b) over Z/_P61 for integer polynomials (ascending)
+    whose leading coefficients _P61 does not divide, by Euclid with monic
+    remainders."""
+    p = _P61
+    a, b = [c % p for c in a], [c % p for c in b]
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        inv, db = pow(b[-1], -1, p), len(b) - 1
+        while len(a) > db:
+            q, off = a[-1] * inv % p, len(a) - 1 - db
+            a[off:-1] = [(x - q * y) % p for x, y in zip(a[off:-1], b)]
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
+        if not a:
+            return db
+        a, b = b, a
+    return 0
+
+
 def gcd_shifts(a: Poly, b: Poly) -> dict:
     """{j: gcd(a(x), b(x+j))} for every integer j >= 0 where that monic gcd
     has positive degree, for nonzero Fraction-coefficient a and b.
 
     Such a j is a root of b minus a root of a, so it is at most the sum of
     their root bounds; every j up to there is tried by a gcd over Z.  A
-    window past _SHIFT_LIMIT raises RootSearchLimit."""
+    window past _SHIFT_LIMIT raises RootSearchLimit.  When _P61 divides
+    neither leading coefficient, the gcd of the images mod _P61 has at
+    least the degree of the gcd over Q, so a shift whose gcd mod _P61 is
+    constant is coprime and takes no integer gcd."""
     ai, bi = _primitive(a._ints), _primitive(b._ints)
     if len(ai) < 2 or len(bi) < 2:
         return {}
     window = _root_bound(ai) + _root_bound(bi)
     if window > _SHIFT_LIMIT:
         raise RootSearchLimit("shift search out of range")
+    # shifting keeps b's leading coefficient
+    filtered = ai[-1] % _P61 and bi[-1] % _P61
     out = {}
     for j in range(window + 1):
-        g = _int_gcd(ai, bi)
-        if len(g) > 1:
-            out[j] = _from_ints(g, g[-1])
+        if not filtered or _gcd_degree_mod_p(ai, bi):
+            g = _int_gcd(ai, bi)
+            if len(g) > 1:
+                out[j] = _from_ints(g, g[-1])
         bi = _int_shift(bi, 1)
     return out
 

@@ -235,11 +235,12 @@ def cmd_verify(args) -> int:
 def cmd_telescope(args) -> int:
     e = parse(args.summand)
     res = compile(e, products=_products(args))
-    t = telescope_depth_optimal(res.tower, res.elem, allow_fallback=False)
-
-    if not t.solved:
+    t = telescope_depth_optimal(res.tower, res.elem)
+    # only the search's fallback adjoins the summand itself, certified by
+    # its refutation in the given tower
+    if t.adjoined and t.tower.gens[-1].shift_part == res.elem:
         print("NO_SOLUTION")
-        print(f"certificate: {t.note}")
+        print(f"certificate: {t.tower.gens[-1].certificate}")
         return 0
 
     print(f"g = {to_src(reinterpret(t.tower, res.spec, t.g), h_sugar=args.h_sugar)}")

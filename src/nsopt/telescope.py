@@ -30,7 +30,8 @@ which the input telescopes.  The relation that reaches that one holds the
 telescoper and names the candidates it uses, so only those are adjoined;
 the telescoper is read off and residual-checked, never solved again in the
 grown tower.  Failing that it falls back to adjoining the input itself,
-which raises the depth by one.
+which raises the depth by one; the new generator's certificate is then the
+in-tower refutation.
 
 Adjunction is guarded here: a sum-like generator is only added after the
 telescoping equation for its summand has been shown unsolvable in the
@@ -86,7 +87,6 @@ __all__ = [
     "PiCriterionFails",
     "NotYetSupported",
     "ResidualCheckFailed",
-    "TelescopeResult",
     "DepthOptResult",
     "solve_first_order",
     "homogeneous_first_order",
@@ -121,13 +121,6 @@ class ResidualCheckFailed(ArithmeticError):
     """A telescoper g, solved in a tower or read off a relation over its
     prefix, fails sigma(g) - g == f there, or a relation solve telescopes
     an input the in-tower solve refuted; never expected."""
-
-
-class TelescopeResult:
-    __slots__ = ("solved", "g", "certificate")
-
-    def __init__(self, solved: bool, g: TowerElem = None, certificate: str = ""):
-        self.solved, self.g, self.certificate = solved, g, certificate
 
 
 class DepthOptResult:
@@ -622,16 +615,22 @@ def _checked(tower: Tower, g: TowerElem, f: TowerElem) -> TowerElem:
     return g
 
 
-def telescope_tower(tower: Tower, f: TowerElem) -> TelescopeResult:
-    """sigma(g) - g = f with g anywhere in the given tower (no growth)."""
+def telescope_tower(tower: Tower, f: TowerElem) -> DepthOptResult:
+    """sigma(g) - g = f with g anywhere in the given tower (no growth).
+
+    A solution is certified depth-optimal: solutions are unique up to
+    additive constants, and legal extensions keep the constant field fixed,
+    so no extension can hold a shallower rewrite and the in-tower depth is
+    the floor.  It exceeds depth(f) + 1 only when the supplied presentation
+    is itself not depth-optimal, and then it is still the floor.  Without
+    a solution, the note states the refutation."""
     basis = _solve_param(tower, len(tower), ONE, [f])
     for g, c in basis:
         if c[0]:
             g = _checked(tower, g / c[0], f)
-            return TelescopeResult(True, g, "residual verified")
-    return TelescopeResult(
-        False,
-        None,
+            return DepthOptResult(True, g, tower, (), True, "solved in the given tower")
+    return DepthOptResult(
+        False, None, tower, (), False,
         f"no telescoper in {tower!r}: solution space (dim {len(basis)}) "
         "has no component along the input",
     )
@@ -810,11 +809,7 @@ def _adjoin_support(tower: Tower, cands: list, rows: dict, hit: int,
     return cur, g / vec[0]
 
 
-def telescope_depth_optimal(
-    tower: Tower,
-    f: TowerElem,
-    allow_fallback: bool = True,
-) -> DepthOptResult:
+def telescope_depth_optimal(tower: Tower, f: TowerElem) -> DepthOptResult:
     """Find g with sigma(g) - g = f of smallest available depth.
 
     Strategy: try the given tower, then look for sum-like generators t_i
@@ -838,28 +833,20 @@ def telescope_depth_optimal(
     generator for beta_j, g = (g_T - sum c_j*t_j) / c_0 once the illegal
     candidates are eliminated from it, so only the candidates with c_j != 0
     are adjoined (_adjoin_support), and g is residual-checked in that tower.
-    An in-tower answer ends the search at once: solutions are unique up to
-    additive constants, so no extension can present a shallower one.  The
-    first pass only considers shift parts of depth < depth(f), so a hit
+    An in-tower answer, telescope_tower's result, ends the search at once:
+    no extension can present a shallower one.  The first pass only considers shift parts of depth < depth(f), so a hit
     there is depth-optimal; a second pass allows shift parts of depth equal
     to depth(f), whose solutions sit one level higher and are reported
     uncertified (except over depth-1 input, where one level up is provably
     the floor).  The search gives up once _ADJOIN_BUDGET legal candidates
-    come before the first success.  With allow_fallback, an exhausted search
-    adjoins f itself.  The tower passed in is never touched, so elements
-    built on it stay valid on the returned tower."""
+    come before the first success.  An exhausted search adjoins f itself,
+    certified by the in-tower refutation; only this fallback adjoins a
+    generator whose shift part is f.  The tower passed in is never touched,
+    so elements built on it stay valid on the returned tower."""
     first = telescope_tower(tower, f)
-    d = depth(tower, f)
     if first.solved:
-        # solutions are unique up to additive constants, and legal
-        # extensions keep the constant field fixed, so no extension can
-        # hold a shallower rewrite: the in-tower depth is the floor.  It
-        # exceeds depth(f) + 1 only when the supplied presentation is
-        # itself not depth-optimal, and then it is still the floor.
-        return DepthOptResult(
-            True, first.g, tower, (), True,
-            "solved in the given tower",
-        )
+        return first
+    d = depth(tower, f)
 
     atoms = _candidate_atoms(tower, f)
     pi_idx = tuple(i for i, g in enumerate(tower.gens) if g.kind == "pi")
@@ -942,12 +929,9 @@ def telescope_depth_optimal(
         if hit is not None:
             return hit
 
-    if not allow_fallback:
-        return DepthOptResult(False, None, tower, (), False, first.certificate)
-
     # fallback: adjoin the input itself (depth rises by one)
     name = _fallback_name(tower, f) or tower.fresh_name()
-    grown = _adjoin_sigma_star_unchecked(tower, f, name, first.certificate)
+    grown = _adjoin_sigma_star_unchecked(tower, f, name, first.note)
     g = TowerElem.gen(len(tower))
     return DepthOptResult(
         True,

@@ -785,6 +785,31 @@ def test_gcd_shifts_match_brute_force_randomized():
         assert got == {i: g for i, g in brute.items() if g.degree >= 1}
 
 
+def test_gcd_shifts_skip_shifts_coprime_mod_p(monkeypatch):
+    # a shift whose gcd modulo 2^61 - 1 is constant takes no integer gcd;
+    # when that prime divides a leading coefficient the images may lose a
+    # common root, so every shift takes the integer gcd
+    calls = [0]
+    int_gcd = nsopt.algebra._int_gcd
+
+    def counted(a, b):
+        calls[0] += 1
+        return int_gcd(a, b)
+
+    monkeypatch.setattr(nsopt.algebra, "_int_gcd", counted)
+    a = Poly.from_ints(1, *[0] * 39, 1)
+    assert gcd_shifts(a, a) == {0: a}
+    assert calls[0] == 1
+    p = 2**61 - 1
+    a, b = Poly.from_ints(1, p), Poly.from_ints(1 - 2 * p, p)  # b(x+2) = a(x)
+    window = nsopt.algebra._root_bound(a._ints) + nsopt.algebra._root_bound(b._ints)
+    calls[0] = 0
+    got = gcd_shifts(a, b)
+    assert calls[0] == window + 1
+    brute = {i: poly_gcd(a, b.shift(i)) for i in range(window + 1)}
+    assert got == {i: g for i, g in brute.items() if g.degree >= 1} == {2: a.monic()}
+
+
 def test_gcd_shifts_refuse_a_window_past_the_limit(monkeypatch):
     # the roots of x^3 + 10^30*x + 1 reach 10^15 in modulus: no shift of
     # that window is tried.  The cubic has no rational root, so it is

@@ -19,10 +19,10 @@ import nsopt.cli
 import nsopt.telescope
 from nsopt.expr import _prune_tower
 from nsopt.telescope import (
+    DepthOptResult,
     NotYetSupported,
     PiCriterionFails,
     ResidualCheckFailed,
-    TelescopeResult,
     UnsupportedShape,
     _atoms,
     _shift_gcd_candidates,
@@ -310,7 +310,7 @@ def test_denominator_analysis_once_per_gamma_and_denominator(monkeypatch):
 # -- the relation-space search against the one-at-a-time loop ---------------
 
 
-def _one_at_a_time(tower, f, allow_fallback=True):
+def _one_at_a_time(tower, f):
     """Reference: the generator search that adjoins each legal candidate
     after a certification solve, then re-solves f in the taller tower."""
     T = nsopt.telescope
@@ -351,7 +351,7 @@ def _one_at_a_time(tower, f, allow_fallback=True):
                             named = mu == ONE and j == 0
                             name = T._series_name(cur.names(), atom, e) if named else None
                             cur = _adjoin_sigma_star_unchecked(
-                                cur, beta, name or cur.fresh_name(), cert.certificate)
+                                cur, beta, name or cur.fresh_name(), cert.note)
                             budget -= 1
                             attempt = telescope_tower(cur, f)
                             if attempt.solved:
@@ -369,10 +369,8 @@ def _one_at_a_time(tower, f, allow_fallback=True):
         hit = search()
         if hit is not None:
             return hit
-    if not allow_fallback:
-        return T.DepthOptResult(False, None, tower, (), False, first.certificate)
     name = T._fallback_name(tower, f) or tower.fresh_name()
-    grown = _adjoin_sigma_star_unchecked(tower, f, name, first.certificate)
+    grown = _adjoin_sigma_star_unchecked(tower, f, name, first.note)
     return T.DepthOptResult(True, TowerElem.gen(len(tower)), grown, (name,), d <= 1,
                             "fallback: adjoined the input as a new generator")
 
@@ -385,42 +383,38 @@ def _outcome(res):
 
 
 def _search_case(case, monkeypatch):
-    """(tower, f, knobs, note of the result at the default budget); the
-    fallback cases cut the candidate class to atom power 1."""
+    """(tower, f, note of the result at the default budget); the fallback
+    case cuts the candidate class to atom power 1."""
     t1, h = harmonic_tower()
     if case == "pass-1 hit":
         # sigma(1/x) is h's own shift part, so the first candidate is dropped
-        return t1, sigma(t1, h) / (X + 1), {}, "solved after adjoining depth-preserving"
+        return t1, sigma(t1, h) / (X + 1), "solved after adjoining depth-preserving"
     if case == "uncertified pass-2 hit":
         # pass 2 repeats every pass-1 candidate, and one candidate is illegal
-        return (t1, sigma(t1, h) / ((X + 2) * (X + 2)), {},
+        return (t1, sigma(t1, h) / ((X + 2) * (X + 2)),
                 "solved one level above the summand depth")
     if case == "product-like level":
         tb = adjoin_pi(Tower(), (X + 1) / (2 * (2 * X + 1)), name="b")
-        return (tb, TowerElem.gen(0) / (4 * X + 2), {},
+        return (tb, TowerElem.gen(0) / (4 * X + 2),
                 "solved one level above the summand depth")
     if case == "two legal candidates":
-        return (Tower(), ONE / (X + 1) + ONE / ((X + 1) * (X + 1)), {},
+        return (Tower(), ONE / (X + 1) + ONE / ((X + 1) * (X + 1)),
                 "solved after adjoining depth-preserving")
     if case == "numerator-x hit":
         # QUADRATIC_ATOM's outer node: the sum of t needs the sum of
         # sigma(x/(x^2 + 1)), whose numerator is x
         tq = _adjoin_sigma_star_unchecked(Tower(), 3 / ((X + 1) * (X + 1) + 1), "t",
                                           "test fixture")
-        return (tq, sigma(tq, TowerElem.gen(0)), {},
+        return (tq, sigma(tq, TowerElem.gen(0)),
                 "solved after adjoining depth-preserving")
-    if case in ("fallback", "no fallback"):
-        monkeypatch.setattr(nsopt.telescope, "_MAX_ATOM_POWER", 1)
     if case == "fallback":
-        return t1, sigma(t1, h) / (X + 1), {}, "fallback"
-    if case == "no fallback":
-        return (t1, sigma(t1, h) / (X + 1), {"allow_fallback": False},
-                "no telescoper")
+        monkeypatch.setattr(nsopt.telescope, "_MAX_ATOM_POWER", 1)
+        return t1, sigma(t1, h) / (X + 1), "fallback"
     raise KeyError(case)
 
 
 SEARCH_CASES = ("pass-1 hit", "uncertified pass-2 hit", "product-like level",
-                "two legal candidates", "numerator-x hit", "fallback", "no fallback")
+                "two legal candidates", "numerator-x hit", "fallback")
 
 
 @pytest.mark.parametrize("budget", [None, 1, 2])
@@ -428,15 +422,27 @@ SEARCH_CASES = ("pass-1 hit", "uncertified pass-2 hit", "product-like level",
 def test_relation_search_matches_one_at_a_time(case, budget, monkeypatch):
     if budget is not None:
         monkeypatch.setattr(nsopt.telescope, "_ADJOIN_BUDGET", budget)
-    tower, f, knobs, note = _search_case(case, monkeypatch)
-    got = telescope_depth_optimal(tower, f, **knobs)
-    assert _outcome(got) == _outcome(_one_at_a_time(tower, f, **knobs))
+    tower, f, note = _search_case(case, monkeypatch)
+    got = telescope_depth_optimal(tower, f)
+    assert _outcome(got) == _outcome(_one_at_a_time(tower, f))
     if budget is None:
         assert got.note.startswith(note)
 
 
+def test_fallback_adjoins_the_input_certified_by_its_refutation(monkeypatch):
+    # only the fallback adjoins the input itself, which is how `nsopt
+    # telescope` tells it from a hit; the generator's certificate is the
+    # in-tower refutation
+    tower, f, _ = _search_case("fallback", monkeypatch)
+    refuted = telescope_tower(tower, f)
+    assert not refuted.solved and refuted.note.startswith("no telescoper in")
+    new = telescope_depth_optimal(tower, f).tower.gens[-1]
+    assert new.shift_part == f
+    assert new.certificate == refuted.note
+
+
 def test_budget_counts_legal_candidates(monkeypatch):
-    tower, f, _, _ = _search_case("two legal candidates", monkeypatch)
+    tower, f, _ = _search_case("two legal candidates", monkeypatch)
     monkeypatch.setattr(nsopt.telescope, "_ADJOIN_BUDGET", 2)
     assert telescope_depth_optimal(tower, f).adjoined == ("h", "h2")
     monkeypatch.setattr(nsopt.telescope, "_ADJOIN_BUDGET", 1)
@@ -444,7 +450,7 @@ def test_budget_counts_legal_candidates(monkeypatch):
 
 
 def test_adjoined_generator_states_its_relation_certificate(monkeypatch):
-    tower, f, _, _ = _search_case("pass-1 hit", monkeypatch)
+    tower, f, _ = _search_case("pass-1 hit", monkeypatch)
     res = telescope_depth_optimal(tower, f)
     assert res.tower.gens[-1].certificate.startswith("no relation sigma(g) - g")
 
@@ -464,9 +470,9 @@ def test_search_adjoins_only_what_its_answer_uses(monkeypatch):
         calls[0] += 1
         return adjoin(*args)
 
-    def checked_search(tower, f, **knobs):
+    def checked_search(tower, f):
         calls[0] = 0
-        res = search(tower, f, **knobs)
+        res = search(tower, f)
         assert calls[0] == len(res.adjoined)
         new = set(range(len(tower), len(res.tower)))
         assert new <= occurring_generators(res.tower, res.g)
@@ -474,7 +480,7 @@ def test_search_adjoins_only_what_its_answer_uses(monkeypatch):
         return res
 
     monkeypatch.setattr(T, "_adjoin_sigma_star_unchecked", counted_adjoin)
-    tower, f, _, _ = _search_case("two legal candidates", monkeypatch)
+    tower, f, _ = _search_case("two legal candidates", monkeypatch)
     assert checked_search(tower, f).adjoined == ("h", "h2")
     # a weighted outer level whose hit comes after many legal candidates
     monkeypatch.setattr(nsopt.expr, "telescope_depth_optimal", checked_search)
@@ -535,7 +541,7 @@ def test_relation_ending_at_the_input_raises(monkeypatch):
     f = sigma(t1, h * h) - h * h
     monkeypatch.setattr(
         nsopt.telescope, "telescope_tower",
-        lambda tower, f: TelescopeResult(False, None, "refuted"),
+        lambda tower, f: DepthOptResult(False, None, tower, (), False, "refuted"),
     )
     with pytest.raises(ResidualCheckFailed, match="in-tower solve refuted"):
         telescope_depth_optimal(t1, f)
@@ -569,8 +575,8 @@ def test_read_off_clears_illegal_candidates_from_the_hit_row(monkeypatch):
     # candidates; mixing the relation that ends at the illegal candidate 6
     # into every relation with c_0 != 0 leaves that entry for the search
     # to clear before it reads the telescoper off the row
-    tower, f, knobs, _ = _search_case("uncertified pass-2 hit", monkeypatch)
-    want = _outcome(_one_at_a_time(tower, f, **knobs))
+    tower, f, _ = _search_case("uncertified pass-2 hit", monkeypatch)
+    want = _outcome(_one_at_a_time(tower, f))
     T = nsopt.telescope
     solve_param, echelon = T._solve_param, T._echelon_by_last
     seen = []
@@ -593,7 +599,7 @@ def test_read_off_clears_illegal_candidates_from_the_hit_row(monkeypatch):
 
     monkeypatch.setattr(T, "_solve_param", mixed)
     monkeypatch.setattr(T, "_echelon_by_last", recorded)
-    got = telescope_depth_optimal(tower, f, **knobs)
+    got = telescope_depth_optimal(tower, f)
     rows = seen[-1]
     hit = min(i for i, (_, c) in rows.items() if c[0])
     assert hit == 7 and rows[6][1][0] == 0

@@ -1,5 +1,5 @@
 """Byte-identity corpus: every report of `nsopt simplify`, `nsopt
-telescope` and `nsopt verify` on a fixed set of inputs, 114 invocations,
+telescope` and `nsopt verify` on a fixed set of inputs, 115 invocations,
 one process each.
 
     python3 tools/corpus_reports.py run OUT.json [--root CHECKOUT]
@@ -47,7 +47,7 @@ whose printed outputs have poles at small k, so the reports cover where
 lambda is read off the printed output.  A budget/ group, listed in
 BUDGET, runs simplify at range 5 on two summands of degree past the
 degree limit, so the reports cover the refusal (exit 3).  A large/
-group, listed in LARGE, runs simplify at range 5 on four summands with
+group, listed in LARGE, runs simplify at range 5 on five summands with
 coefficients or degrees past what the engine once refused or hung on, and
 `nsopt telescope` on one of them.  A planted/
 group runs simplify on the 30 planted-answer draws of tests/test_fuzz.py
@@ -94,16 +94,19 @@ LAMBDA = (
 BUDGET = ("sum(i,1,n,i^800)", "sum(i,1,n,i^100000)")
 # summands whose constant terms, roots or powers are large: the first two
 # once exited 3 (integer-root search, shift window), the third still does
-# (shift window), and (i+1)^100000 once hung in the parser's power
+# (shift window), (i+1)^100000 once hung in the parser's power, and
+# 1/(i^40+1) took 2.7 s, mostly integer gcds of coprime shifts in its
+# shift window
 LARGE = (
     "1/(i^2+1000000000000037)",
     "1/(i^3+10^30*i+1)",
     "1/(i^4+10^30*i+1)",
     "(i+1)^100000",
+    "1/(i^40+1)",
 )
 LARGE_TELESCOPE = "1/(n^2+1000000000000037)"
 # per-invocation wall-clock deadline, far above the slowest invocation that
-# ends (0.27 s, extra/1, on a shared 2-core machine)
+# ends (0.56 and 0.57 s, large/4, on a shared 2-core machine)
 DEADLINE_S = 30
 # (lhs, rhs, --range) of `nsopt verify`
 VERIFY = (
