@@ -79,17 +79,16 @@ class Tower:
         names = [g.name for g in self.gens]
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")
-        # the memo shared by every tower grown from one root; it holds five
-        # kinds of key.  telescope's solves: (generator prefix, gamma, phis)
+        # the memo shared by every tower grown from one root, telescope's
+        # solves under three kinds of key: (generator prefix, gamma, phis)
         # for a parameterized solve at a level over its nonzero right-hand
         # sides, the pair (gamma, E) for the base field's denominator
         # analysis at ratio gamma and common denominator E of the right-hand
         # sides, and a bare Q[x] Poly for its atoms, so each right-hand
-        # side's denominator is factored once.  This module's shifts:
-        # (generator prefix, f, step) for sigma^step(f), the prefix ending
-        # at f's level, and (generator prefix, step) for the image of the
-        # prefix's last generator.  A shift depends only on the generators
-        # up to its level, so towers that share them share its result.
+        # side's denominator is factored once.  A level solve depends only
+        # on the generators up to its level, so towers that share them
+        # share it.  Shifts are not memoized: building and hashing their
+        # keys costs about as much as shifting.
         self._solve_cache = {} if solve_cache is None else solve_cache
 
     def __len__(self):
@@ -457,42 +456,21 @@ def sigma(tower: Tower, f: TowerElem, j: int = 1) -> TowerElem:
 
 
 def _sigma_step(tower: Tower, f: TowerElem, step: int) -> TowerElem:
-    cache = tower._solve_cache
-    key = (tower.gens[:f.level], f, step)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     if f.level == 0:
-        out = TowerElem(0, f.rf.shift(step))
-    else:
-        t_image = _gen_image(tower, f.level - 1, step)
-        num = _subst_poly(tower, f.rf.num, t_image, step)
-        den = _subst_poly(tower, f.rf.den, t_image, step)
-        out = num / den
-    cache[key] = out
-    return out
-
-
-def _gen_image(tower: Tower, index: int, step: int) -> TowerElem:
-    """sigma^step of generator t_{index+1} as an element."""
-    key = (tower.gens[:index + 1], step)
-    cached = tower._solve_cache.get(key)
-    if cached is not None:
-        return cached
+        return TowerElem(0, f.rf.shift(step))
+    # the image of f's top generator t: t + beta or alpha*t for step 1,
+    # t - sigma^-1(beta) or t / sigma^-1(alpha) for step -1
+    index = f.level - 1
     gen = tower.gens[index]
     t = TowerElem.gen(index)
+    part = gen.shift_part if step == 1 else _sigma_step(tower, gen.shift_part, -1)
     if gen.kind == "sigma":
-        if step == 1:
-            out = t + gen.shift_part
-        else:
-            out = t - _sigma_step(tower, gen.shift_part, -1)
+        t_image = t + part if step == 1 else t - part
     else:
-        if step == 1:
-            out = gen.shift_part * t
-        else:
-            out = t / _sigma_step(tower, gen.shift_part, -1)
-    tower._solve_cache[key] = out
-    return out
+        t_image = part * t if step == 1 else t / part
+    num = _subst_poly(tower, f.rf.num, t_image, step)
+    den = _subst_poly(tower, f.rf.den, t_image, step)
+    return num / den
 
 
 def _subst_poly(tower: Tower, p: ElemPoly, t_image: TowerElem, step: int) -> TowerElem:

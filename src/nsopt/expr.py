@@ -598,23 +598,6 @@ def expr_depth(e) -> int:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _rename_var(e, old: str, new: str):
-    """Substitute a free index name; binders never collide with `old`
-    because the parser forbids shadowing."""
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Base):
-        return Base(e.rf, new) if e.var == old else e
-    if isinstance(e, Plus):
-        return Plus(tuple(_rename_var(t, old, new) for t in e.terms))
-    if isinstance(e, Times):
-        return Times(tuple(_rename_var(t, old, new) for t in e.factors))
-    if isinstance(e, Power):
-        return Power(_rename_var(e.base, old, new), e.exp)
-    up = new if e.upper == old else e.upper
-    return type(e)(e.idx, e.lower, up, _rename_var(e.body, old, new))
-
-
 # ---------------------------------------------------------------------------
 # Exact evaluation
 # ---------------------------------------------------------------------------
@@ -924,21 +907,19 @@ class CompileResult:
 
 
 class _Session:
-    __slots__ = ("tower", "spec", "certified", "cache")
+    __slots__ = ("tower", "spec", "certified")
 
     def __init__(self, tower, spec):
         self.tower = tower
         self.spec = spec
         self.certified = True
-        self.cache = {}
 
 
 def compile(e, products=()) -> CompileResult:
     """Compile an expression in n into a tower element a with a validity
     bound lam: the input and a evaluate identically for every k >= lam.
 
-    Sums telescope innermost-first; identical bodies (up to the binder
-    name) share one telescoping.  Product leaves must match a declared
+    Sums telescope innermost-first.  Product leaves must match a declared
     ProductSpec ratio.  The result tower is pruned to the generators a
     actually uses, and lam is tightened downward by exact comparison of
     the input with a's printed form, both through the spec's Evaluator."""
@@ -1052,17 +1033,10 @@ def _compile_sum(st: _Session, e: Sum, var: str):
         raise UnsupportedShape(
             f"sum over {e.idx!r} runs to {e.upper!r}, not the active index"
         )
-    key = _rename_var(e.body, e.idx, "@")
-    hit = st.cache.get(key)
-    if hit is None:
-        body_elem, lam_body = _compile_node(st, e.body, e.idx)
-        f = sigma(st.tower, body_elem, 1)
-        res = telescope_depth_optimal(st.tower, f)
-        st.tower = res.tower
-        st.certified = st.certified and res.optimality_certified
-        hit = (body_elem, lam_body, res.g)
-        st.cache[key] = hit
-    body_elem, lam_body, g = hit
+    body_elem, lam_body = _compile_node(st, e.body, e.idx)
+    res = telescope_depth_optimal(st.tower, sigma(st.tower, body_elem, 1))
+    st.tower, g = res.tower, res.g
+    st.certified = st.certified and res.optimality_certified
     lf = o_function(st.tower, st.spec, body_elem)
     lg = o_function(st.tower, st.spec, g)
     r1 = max(e.lower, lam_body, lf + 1, lg + 1)

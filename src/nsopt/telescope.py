@@ -171,23 +171,20 @@ def _shift_gcd_candidates(atoms_a: list, atoms_b: list) -> set:
     return out
 
 
-def universal_denominator(a: Poly, b: Poly, atoms_a: list = None,
-                          atoms_b: list = None) -> Poly:
+def universal_denominator(a: Poly, b: Poly, atoms_a: list, atoms_b: list) -> Poly:
     """Denominator bound for rational solutions of a*u(x+1) + b*u(x) = C
     with polynomial C (Abramov's construction on a(x-1) and b(x)).  A
     dispersion past _DISPERSION_LIMIT raises RootSearchLimit.
 
-    atoms_a (atoms_b) may list the atoms of factors whose product has the
-    irreducible factors of a (b); a and b are factored when they are not
-    given.  The shift candidates are then the same, since atoms of degree
-    <= 3 are irreducible and any other pair is tried by gcds."""
+    atoms_a (atoms_b) lists the atoms of factors whose product has the
+    irreducible factors of a (b).  The shift candidates are then those of
+    a's and b's own atoms, since atoms of degree <= 3 are irreducible and
+    any other pair is tried by gcds."""
     A = a.shift(-1)
     B = b
     D = _PONE
     # the atoms of a(x-1) are a's atoms shifted
-    atoms_a = [p.shift(-1) for p in (_atoms(a) if atoms_a is None else atoms_a)]
-    if atoms_b is None:
-        atoms_b = _atoms(b)
+    atoms_a = [p.shift(-1) for p in atoms_a]
     shifts = sorted(_shift_gcd_candidates(atoms_a, atoms_b), reverse=True)
     if shifts and shifts[0] > _DISPERSION_LIMIT:
         raise RootSearchLimit(
@@ -866,14 +863,20 @@ def telescope_depth_optimal(tower: Tower, f: TowerElem) -> DepthOptResult:
                 for mu, degvec in mus:
                     if degvec not in supp:
                         continue
+                    shifted_mu = sigma(tower, mu)
                     for e in range(1, _MAX_ATOM_POWER + 1):
                         before = len(cands)
                         # Abramov's remainders over an atom of degree
                         # delta span x^j/atom^e for every j < delta
                         for atom in atoms:
+                            # sigma(x^j/atom^e) = (x+1)^j/atom(x+1)^e is
+                            # reduced and monic as built: j >= 1 only when
+                            # deg atom >= 2, and factor_atoms splits off
+                            # every linear factor, so x does not divide atom
+                            den = (atom ** e).shift(1)
                             for j in range(atom.degree):
-                                part = RatFunc(Poly.x_power(j), atom ** e)
-                                beta = sigma(tower, mu * TowerElem.base(part))
+                                part = RatFunc(Poly.x_power(j).shift(1), den, _normalized=True)
+                                beta = shifted_mu * TowerElem.base(part)
                                 if depth(tower, beta) > cap or beta == f:
                                     continue
                                 if beta not in taken:

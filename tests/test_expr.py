@@ -1,6 +1,7 @@
 """Surface language: parsing, printing, evaluation, compile, reinterpret."""
 
 import copy
+import json
 import pickle
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 import nsopt.expr
 import nsopt.telescope
 from nsopt.algebra import Poly, RatFunc
+from nsopt.cli import main
 from nsopt.dfield import NotPolynomialPart, Tower, TowerElem, depth, sigma
 from nsopt.expr import (
     Base,
@@ -697,6 +699,62 @@ def test_compile_starts_cold(monkeypatch):
         calls.append(0)
         compile(e)
     assert calls[0] == calls[1] > 0
+
+
+# `simplify --json --verify-range 2` reports of inputs that repeat a sum
+# body.  A repeated body compiles again, and its shifted summand then
+# solves in the tower the first occurrence grew: that answer is unique up
+# to a constant, which the telescoper drops, so the report is the same as
+# when the body is telescoped once
+REPEATED_BODY_REPORTS = {
+    "H(n)*H(n)": {
+        "output_text": "sum(i1,1,n,1/i1)^2",
+        "lambda": 0, "input_depth": 2,
+        "output_depth": 2, "optimality_certified": True,
+        "generators": [
+            {"name": "h", "kind": "sigma", "shift_part": "1/(x + 1)", "depth": 2},
+        ],
+        "verification": [[0, "0", "0", True], [1, "1", "1", True], [2, "9/4", "9/4", True]],
+    },
+    "H(n)^2": {
+        "output_text": "sum(i1,1,n,1/i1)^2",
+        "lambda": 0, "input_depth": 2,
+        "output_depth": 2, "optimality_certified": True,
+        "generators": [
+            {"name": "h", "kind": "sigma", "shift_part": "1/(x + 1)", "depth": 2},
+        ],
+        "verification": [[0, "0", "0", True], [1, "1", "1", True], [2, "9/4", "9/4", True]],
+    },
+    "sum(i,1,n,H(i))*sum(j,1,n,H(j))": {
+        "output_text": "(n^2 + 2*n + 1)*sum(i1,1,n,1/i1)^2"
+                       " + (-2*n^2 - 2*n)*sum(i1,1,n,1/i1) + n^2",
+        "lambda": 0, "input_depth": 3,
+        "output_depth": 2, "optimality_certified": True,
+        "generators": [
+            {"name": "h", "kind": "sigma", "shift_part": "1/(x + 1)", "depth": 2},
+        ],
+        "verification": [[0, "0", "0", True], [1, "1", "1", True], [2, "25/4", "25/4", True]],
+    },
+    "sum(i,1,n,H(i)/i)+sum(j,1,n,H(j)/j)": {
+        "output_text": "sum(i1,1,n,1/i1)^2 + sum(i2,1,n,1/i2^2)",
+        "lambda": 0, "input_depth": 3,
+        "output_depth": 2, "optimality_certified": True,
+        "generators": [
+            {"name": "h", "kind": "sigma", "shift_part": "1/(x + 1)", "depth": 2},
+            {"name": "h2", "kind": "sigma", "shift_part": "1/(x^2 + 2*x + 1)", "depth": 2},
+        ],
+        "verification": [[0, "0", "0", True], [1, "2", "2", True], [2, "7/2", "7/2", True]],
+    },
+}
+
+
+@pytest.mark.parametrize("src", sorted(REPEATED_BODY_REPORTS))
+def test_repeated_sum_bodies_keep_their_reports(src, capsys):
+    assert main(["simplify", "--json", "--verify-range", "2", src]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    want = dict(REPEATED_BODY_REPORTS[src])
+    tower = {"base": "Q(x)", "shift": "x -> x + 1", "generators": want.pop("generators")}
+    assert rep == {"input_text": src, **want, "tower_summary": tower}
 
 
 # -- reinterpret --------------------------------------------------------------

@@ -49,7 +49,7 @@ def test_universal_denominator_chain():
     # telescoping with rhs 1/(x(x+1)) clears to a = x(x+1), b = -x(x+1);
     # the bound must cover the pole of the known solution -1/x
     e = Poly.from_ints(0, 1) * Poly.from_ints(1, 1)
-    D = universal_denominator(e, -e)
+    D = universal_denominator(e, -e, _atoms(e), _atoms(-e))
     assert D % Poly.from_ints(0, 1) == Poly(())
 
 
@@ -243,6 +243,28 @@ def test_depth_optimal_base_fallback_is_certified():
     assert res.solved and res.optimality_certified
     assert res.adjoined == ("h",)
     assert res.g == TowerElem.gen(0)
+
+
+def test_search_shifts_each_atom_power_once_per_pass(monkeypatch):
+    # the candidates sigma(x^j/atom^e), j < 4, of a quartic atom share one
+    # shifted denominator; the search over 1/((x+1)^4+2) ends in the
+    # fallback after two passes over every e
+    atom = Poly.from_ints(2, 0, 0, 0, 1)
+    powers = {atom ** e: e for e in range(1, nsopt.telescope._MAX_ATOM_POWER + 1)}
+    shifts = {}
+    shift = Poly.shift
+
+    def counted(p, j):
+        if j == 1 and p in powers:
+            shifts[powers[p]] = shifts.get(powers[p], 0) + 1
+        return shift(p, j)
+
+    monkeypatch.setattr(Poly, "shift", counted)
+    f = ONE / ((X + 1) ** 4 + 2)
+    res = telescope_depth_optimal(Tower(), f)
+    assert res.note.startswith("fallback")
+    assert set(shifts) == set(powers.values())
+    assert max(shifts.values()) <= 2
 
 
 def test_solve_memo_is_shared_along_a_lineage(monkeypatch):

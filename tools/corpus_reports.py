@@ -1,5 +1,5 @@
 """Byte-identity corpus: every report of `nsopt simplify`, `nsopt
-telescope` and `nsopt verify` on a fixed set of inputs, 115 invocations,
+telescope` and `nsopt verify` on a fixed set of inputs, 116 invocations,
 one process each.
 
     python3 tools/corpus_reports.py run OUT.json [--root CHECKOUT]
@@ -46,7 +46,8 @@ lambda/ group, listed in LAMBDA, runs simplify at range 8 on three inputs
 whose printed outputs have poles at small k, so the reports cover where
 lambda is read off the printed output.  A budget/ group, listed in
 BUDGET, runs simplify at range 5 on two summands of degree past the
-degree limit, so the reports cover the refusal (exit 3).  A large/
+degree limit and on one whose generator search reaches a candidate
+past it, so the reports cover the refusal (exit 3).  A large/
 group, listed in LARGE, runs simplify at range 5 on five summands with
 coefficients or degrees past what the engine once refused or hung on, and
 `nsopt telescope` on one of them.  A planted/
@@ -90,8 +91,9 @@ LAMBDA = (
     "sum(i,3,n,sum(j,1,i,1/((j-3)*(j-3+1)))) - 1",
 )
 # past algebra._DEGREE_LIMIT: i^800 took 93 s without the limit, and
-# i^100000 was still running after 300 s
-BUDGET = ("sum(i,1,n,i^800)", "sum(i,1,n,i^100000)")
+# i^100000 was still running after 300 s; 1/(i^100+1) is admitted, but the
+# search's candidate 1/(i^100+1)^6 has degree 600
+BUDGET = ("sum(i,1,n,i^800)", "sum(i,1,n,i^100000)", "sum(i,1,n,1/(i^100+1))")
 # summands whose constant terms, roots or powers are large: the first two
 # once exited 3 (integer-root search, shift window), the third still does
 # (shift window), (i+1)^100000 once hung in the parser's power, and
@@ -106,7 +108,7 @@ LARGE = (
 )
 LARGE_TELESCOPE = "1/(n^2+1000000000000037)"
 # per-invocation wall-clock deadline, far above the slowest invocation that
-# ends (0.56 and 0.57 s, large/4, on a shared 2-core machine)
+# ends (2.5 to 3.6 s, budget/2, on a shared 2-core machine)
 DEADLINE_S = 30
 # (lhs, rhs, --range) of `nsopt verify`
 VERIFY = (
