@@ -37,7 +37,7 @@ import sys
 from fractions import Fraction
 
 from .algebra import RatFunc, RootSearchLimit
-from .dfield import NotPolynomialPart, elem_to_str, tower_to_json
+from .dfield import elem_to_str, tower_to_json
 from .expr import (
     Base,
     Const,
@@ -299,12 +299,13 @@ def _unshield(value):
 
 # (exception class, stderr prefix, exit code) for every failure a command
 # raises; the first isinstance match wins, so ScopeError, a ParseError,
-# reads as a parse error
+# reads as a parse error, and every element outside the class the solver
+# and printer take (dfield.NotPolynomialPart, whichever layer meets it)
+# reads as unsupported
 _FAILURES = (
     (UsageError, "", 2),
     (ParseError, "parse error: ", 2),
     (UnsupportedShape, "unsupported: ", 3),
-    (NotPolynomialPart, "unsupported: ", 3),
     (RootSearchLimit, "unsupported: ", 3),
     (ResidualCheckFailed, "internal verification failure: ", 4),
 )

@@ -19,9 +19,10 @@ plain structural comparison.
 
 The elements the solver and the printer take are polynomials in the
 sum-like generators and Laurent polynomials in the product-like ones, with
-coefficients in Q(x).  ``monomials`` is the one definition of that class:
-it reads an element as {exponent vector: Q(x) coefficient} and raises
-NotPolynomialPart on any other shape.
+coefficients in Q(x).  ``laurent`` is the one definition of that class: it
+splits an element at one level, for telescope's level solvers and for
+``monomials``, which reads it as {exponent vector: Q(x) coefficient}; any
+other shape raises NotPolynomialPart, an UnsupportedShape.
 
 This module adjoins generators without checking them; telescope certifies
 every adjunction and stores its certificate on the generator.
@@ -41,7 +42,9 @@ __all__ = [
     "fresh_name",
     "sigma",
     "depth",
+    "UnsupportedShape",
     "NotPolynomialPart",
+    "laurent",
     "monomials",
     "occurring_generators",
     "constant_component",
@@ -516,17 +519,37 @@ def _occurs_walk(f: TowerElem, out: set):
         _occurs_walk(c, out)
 
 
-class NotPolynomialPart(ValueError):
+class UnsupportedShape(Exception):
+    """The input leaves the class the solver is complete for."""
+
+
+class NotPolynomialPart(UnsupportedShape):
     """An element outside the class the solver and the printer take: a
     polynomial in the sum-like generators and a Laurent polynomial in the
     product-like ones, over Q(x)."""
 
 
+def laurent(tower: Tower, f: TowerElem, level: int) -> dict:
+    """f as {exponent: coefficient below `level`} in the generator of
+    `level` (1-based, no lower than f's), with nonzero coefficients only;
+    {0: f} when f lies below that generator.  An exponent is negative only
+    at a product-like generator; any other denominator raises
+    NotPolynomialPart."""
+    if f.level < level:
+        return {0: f}
+    den = f.rf.den
+    m = den.degree
+    # den is monic, so a monomial denominator is t^m itself
+    if m and (tower.gens[level - 1].kind != "pi" or any(den.coeffs[:-1])):
+        raise NotPolynomialPart(
+            "a denominator is not a monomial in product-like generators"
+        )
+    return {j - m: c for j, c in enumerate(f.rf.num.coeffs) if c}
+
+
 def monomials(tower: Tower, f: TowerElem) -> dict:
     """f as {exponent vector over the generators: Q(x) coefficient}, with
-    nonzero coefficients only.  An exponent is negative only at a
-    product-like generator; any other denominator above Q(x) raises
-    NotPolynomialPart."""
+    nonzero coefficients only: laurent applied down every level."""
     out = {}
     _monomials(tower, f, (0,) * len(tower.gens), out)
     return out
@@ -537,16 +560,8 @@ def _monomials(tower: Tower, f: TowerElem, vec: tuple, out: dict):
         out[vec] = f.rf
         return
     li = f.level - 1
-    den = f.rf.den
-    m = den.degree
-    # den is monic, so a monomial denominator is t^m itself
-    if m and (tower.gens[li].kind != "pi" or any(den.coeffs[:-1])):
-        raise NotPolynomialPart(
-            "a denominator is not a monomial in product-like generators"
-        )
-    for j, c in enumerate(f.rf.num.coeffs):
-        if c:
-            _monomials(tower, c, vec[:li] + (j - m,) + vec[li + 1:], out)
+    for j, c in laurent(tower, f, f.level).items():
+        _monomials(tower, c, vec[:li] + (j,) + vec[li + 1:], out)
 
 
 def constant_component(tower: Tower, f: TowerElem) -> Fraction:

@@ -25,9 +25,9 @@ from math import gcd
 
 from .algebra import (_DEGREE_LIMIT, Poly, RatFunc, _check_degree,
                       nonneg_integer_roots)
-from .dfield import (ElemPoly, Generator, Tower, TowerElem, monomials,
-                     occurring_generators, sigma)
-from .telescope import UnsupportedShape, adjoin_pi, telescope_depth_optimal
+from .dfield import (ElemPoly, Generator, Tower, TowerElem, UnsupportedShape,
+                     monomials, occurring_generators, sigma)
+from .telescope import adjoin_pi, telescope_depth_optimal
 
 __all__ = [
     "ParseError",

@@ -16,9 +16,10 @@ unknown is a polynomial in the top generator of degree at most one more
 than the input's; comparing coefficients turns each degree slot into a
 parameterized subproblem one level down, with the parameter space rewritten
 after every slot.  At a product-like level the equation is diagonal in the
-generator's power, one first-order subproblem per power.  Inputs whose
-shape escapes this scheme (a sum-like generator in a denominator, a
-non-monomial denominator at a product-like level) raise UnsupportedShape.
+generator's power, one first-order subproblem per power.  Each level is
+split by dfield.laurent, so an input outside the class the printer takes
+(a sum-like generator in a denominator, a non-monomial denominator at a
+product-like level) raises its NotPolynomialPart, an UnsupportedShape.
 
 telescope_depth_optimal searches for a telescoper of *small depth*: it
 tries the given tower first, then lists candidate shift parts built from
@@ -72,11 +73,13 @@ from .dfield import (
     Generator,
     Tower,
     TowerElem,
+    UnsupportedShape,
     _adjoin_sigma_star_unchecked,
     constant_component,
     depth,
     elem_to_str,
     fresh_name,
+    laurent,
     monomials,
     occurring_generators,
     sigma,
@@ -94,10 +97,6 @@ __all__ = [
     "telescope_tower",
     "telescope_depth_optimal",
 ]
-
-
-class UnsupportedShape(Exception):
-    """The input leaves the class this solver is complete for."""
 
 
 class PiCriterionFails(UnsupportedShape):
@@ -421,34 +420,6 @@ def adjoin_pi(tower: Tower, alpha: TowerElem, name: str = None) -> Tower:
 # ---------------------------------------------------------------------------
 
 
-def _sigma_level_coeffs(phi: TowerElem, level: int, gen_name: str):
-    """phi as a polynomial in the level's generator; UnsupportedShape if
-    the generator occurs in phi's denominator."""
-    if phi.level < level:
-        return [phi]
-    if phi.rf.den.degree >= 1:
-        raise UnsupportedShape(f"sum-like generator {gen_name} occurs in a denominator")
-    return phi.rf.num.coeffs
-
-
-def _pi_laurent(phi: TowerElem, level: int, gen_name: str) -> dict:
-    """phi as a Laurent polynomial in the product-like generator."""
-    if phi.level < level:
-        return {0: phi}
-    den = phi.rf.den
-    nonzero = [i for i, c in enumerate(den.coeffs) if c]
-    if len(nonzero) != 1:
-        raise UnsupportedShape(
-            f"denominator at product-like level {gen_name} is not a monomial"
-        )
-    m = nonzero[0]
-    out = {}
-    for i, c in enumerate(phi.rf.num.coeffs):
-        if not c.is_zero():
-            out[i - m] = c / den.coeffs[m]
-    return out
-
-
 def _solve_param(tower: Tower, level: int, gamma: TowerElem, phis: list) -> list:
     # a zero phi_k leaves c_k free: the space is the solutions over the
     # nonzero phis, placed back in their positions, plus (0, e_k) for each
@@ -557,9 +528,8 @@ def _solve_by_slots(level: int, k: int, slots, solve_slot) -> list:
 
 def _solve_sigma_level(tower: Tower, level: int, phis: list) -> list:
     gen = tower.gens[level - 1]
-    coeff_lists = [_sigma_level_coeffs(phi, level, gen.name) for phi in phis]
-    n = max((len(cl) - 1 for cl in coeff_lists), default=-1)
-    deg = n + 1  # ansatz degree: one more than the input's
+    splits = [laurent(tower, phi, level) for phi in phis]
+    deg = max((max(s) for s in splits), default=-1) + 1  # one more than the input's
 
     beta = gen.shift_part
     beta_pow = [ONE]
@@ -570,9 +540,9 @@ def _solve_sigma_level(tower: Tower, level: int, phis: list) -> list:
         psi = []
         for p, row in enumerate(cmap):
             val = ZERO
-            for c, cl in zip(row, coeff_lists):
-                if c and i < len(cl):
-                    val = val + c * cl[i]
+            for c, split in zip(row, splits):
+                if c and i in split:
+                    val = val + c * split[i]
             for j in range(i + 1, deg + 1):
                 if j in umap:
                     u_jp = umap[j][p]
@@ -587,16 +557,16 @@ def _solve_sigma_level(tower: Tower, level: int, phis: list) -> list:
 def _solve_pi_level(tower: Tower, level: int, gamma: TowerElem, phis: list) -> list:
     gen = tower.gens[level - 1]
     alpha = gen.shift_part
-    lau = [_pi_laurent(phi, level, gen.name) for phi in phis]
-    degrees = sorted(set().union(*[set(l) for l in lau], {0}))
+    splits = [laurent(tower, phi, level) for phi in phis]
+    degrees = sorted(set().union(*splits, {0}))
 
     def solve_slot(dgr, cmap, umap):
         psi = []
         for row in cmap:
             val = ZERO
-            for c, coeffs in zip(row, lau):
-                if c and dgr in coeffs:
-                    val = val + c * coeffs[dgr]
+            for c, split in zip(row, splits):
+                if c and dgr in split:
+                    val = val + c * split[dgr]
             psi.append(val)
         return _solve_param(tower, level - 1, gamma * alpha ** dgr, psi)
 
@@ -813,33 +783,35 @@ def telescope_depth_optimal(tower: Tower, f: TowerElem) -> DepthOptResult:
     with sigma(t_i) = t_i + beta_i built from the input's pole structure
     (beta_i = sigma(mu*x^j/atom^e) with j < deg atom, e <= _MAX_ATOM_POWER
     and mu a monomial of degree <= _MAX_MONOMIAL_DEGREE in occurring
-    generators), in a fixed candidate order.  Every beta_i lies in the
-    given tower T, so by Karr's structure theorem f telescopes once the
-    legal candidates up to i are adjoined exactly when some relation
-    sigma(g) - g = c_0*f + sum c_j*beta_j with g in T has c_0 != 0 and c_j
-    = 0 for j > i, and beta_i is illegal (telescopes in the grown tower)
-    exactly when a relation with c_0 = 0 ends at i.  The search therefore solves these relations over T and
-    adjoins nothing before the first success.  The candidates come in
-    blocks, one per (monomial, atom power); the relations are solved only
-    when the list has doubled since the last solve and at the end of each
-    pass.  The relations over a prefix of the candidates are exactly those
-    of the longer list that end inside the prefix, so one solve's echelon
-    rows give the first hit and the legal candidates before it, as a solve
-    after each block would.  A relation ending at f itself contradicts the
-    in-tower solve and raises.  The hit relation also gives g: with t_j the
-    generator for beta_j, g = (g_T - sum c_j*t_j) / c_0 once the illegal
-    candidates are eliminated from it, so only the candidates with c_j != 0
-    are adjoined (_adjoin_support), and g is residual-checked in that tower.
-    An in-tower answer, telescope_tower's result, ends the search at once:
-    no extension can present a shallower one.  The first pass only considers shift parts of depth < depth(f), so a hit
-    there is depth-optimal; a second pass allows shift parts of depth equal
-    to depth(f), whose solutions sit one level higher and are reported
-    uncertified (except over depth-1 input, where one level up is provably
-    the floor).  The search gives up once _ADJOIN_BUDGET legal candidates
-    come before the first success.  An exhausted search adjoins f itself,
-    certified by the in-tower refutation; only this fallback adjoins a
-    generator whose shift part is f.  The tower passed in is never touched,
-    so elements built on it stay valid on the returned tower."""
+    generators), in a fixed candidate order.  Every beta_i lies in the given
+    tower T, so by Karr's structure theorem f telescopes once the legal
+    candidates up to i are adjoined exactly when some relation sigma(g) - g
+    = c_0*f + sum c_j*beta_j with g in T has c_0 != 0 and c_j = 0 for j > i,
+    and beta_i is illegal (telescopes in the grown tower) exactly when a
+    relation with c_0 = 0 ends at i.  The search therefore solves these
+    relations over T and adjoins nothing before the first success.  The
+    candidates come in blocks, one per (monomial, atom power); the relations
+    are solved only when the list has doubled since the last solve and at
+    the end of each pass.  The relations over a prefix of the candidates are
+    exactly those of the longer list that end inside the prefix, so one
+    solve's echelon rows give the first hit and the legal candidates before
+    it, as a solve after each block would.  A relation ending at f itself
+    contradicts the in-tower solve and raises.  The hit relation also gives
+    g: with t_j the generator for beta_j, g = (g_T - sum c_j*t_j) / c_0 once
+    the illegal candidates are eliminated from it, so only the candidates
+    with c_j != 0 are adjoined (_adjoin_support), and g is residual-checked
+    in that tower.  An in-tower answer, telescope_tower's result, ends the
+    search at once: no extension can present a shallower one.  Each
+    candidate is built once, in one of two passes: the first takes the shift
+    parts of depth < depth(f), so a hit there is depth-optimal; the second
+    those of depth equal to depth(f), whose solutions sit one level higher
+    and are reported uncertified (except over depth-1 input, where one level
+    up is provably the floor).  The search gives up once _ADJOIN_BUDGET
+    legal candidates come before the first success.  An exhausted search
+    adjoins f itself, certified by the in-tower refutation; only this
+    fallback adjoins a generator whose shift part is f.  The tower passed in
+    is never touched, so elements built on it stay valid on the returned
+    tower."""
     first = telescope_tower(tower, f)
     if first.solved:
         return first
@@ -849,37 +821,46 @@ def telescope_depth_optimal(tower: Tower, f: TowerElem) -> DepthOptResult:
     pi_idx = tuple(i for i, g in enumerate(tower.gens) if g.kind == "pi")
     supp = _pi_degree_support(tower, f, pi_idx)
     taken = {g.shift_part for g in tower.gens if g.kind == "sigma"}
+    parts = {}  # (atom, e) -> the base parts sigma(x^j/atom^e), j < deg atom
 
     def _blocks(cands):
         """Grow cands block by block, one block per (monomial, atom power);
         yield False after each block that adds candidates and True at the
-        end of each pass."""
-        for cap in (d - 1, d):
+        end of each pass.  The candidates of mu have depth max(depth(mu), 1),
+        so the first pass takes the monomials of depth < d when d > 1, and
+        the second the others: each candidate is built once."""
+        first = set()  # the first pass's monomials
+        for cap in (d - 1, d) if d > 1 else (d,):
             for mono_deg in range(0, _MAX_MONOMIAL_DEGREE + 1):
                 mus = _occurring_monomials(tower, f, mono_deg, cap, pi_idx)
                 # low-weight monomials first, then increasing atom power,
                 # so e.g. sums weighted by 1/k^2 win over heavier
                 # coefficients at 1/k
                 for mu, degvec in mus:
-                    if degvec not in supp:
+                    if degvec not in supp or mu in first:
                         continue
+                    if cap < d:
+                        first.add(mu)
                     shifted_mu = sigma(tower, mu)
                     for e in range(1, _MAX_ATOM_POWER + 1):
                         before = len(cands)
                         # Abramov's remainders over an atom of degree
                         # delta span x^j/atom^e for every j < delta
                         for atom in atoms:
-                            # sigma(x^j/atom^e) = (x+1)^j/atom(x+1)^e is
-                            # reduced and monic as built: j >= 1 only when
-                            # deg atom >= 2, and factor_atoms splits off
-                            # every linear factor, so x does not divide atom
-                            den = (atom ** e).shift(1)
-                            for j in range(atom.degree):
-                                part = RatFunc(Poly.x_power(j).shift(1), den, _normalized=True)
-                                beta = shifted_mu * TowerElem.base(part)
-                                if depth(tower, beta) > cap or beta == f:
-                                    continue
-                                if beta not in taken:
+                            if (atom, e) not in parts:
+                                # sigma(x^j/atom^e) = (x+1)^j/atom(x+1)^e is
+                                # reduced and monic as built: j >= 1 only when
+                                # deg atom >= 2, and factor_atoms splits off
+                                # every linear factor, so x does not divide atom
+                                den = (atom ** e).shift(1)
+                                parts[atom, e] = [
+                                    TowerElem.base(RatFunc(Poly.x_power(j).shift(1), den,
+                                                           _normalized=True))
+                                    for j in range(atom.degree)
+                                ]
+                            for j, part in enumerate(parts[atom, e]):
+                                beta = shifted_mu * part
+                                if beta != f and beta not in taken:
                                     taken.add(beta)
                                     named = mu == ONE and j == 0
                                     cands.append((beta, (atom, e) if named else None))

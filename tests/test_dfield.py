@@ -13,11 +13,13 @@ from nsopt.dfield import (
     NotPolynomialPart,
     Tower,
     TowerElem,
+    UnsupportedShape,
     _adjoin_sigma_star_unchecked,
     _lift_rf,
     constant_component,
     depth,
     elem_to_str,
+    laurent,
     monomials,
     occurring_generators,
     sigma,
@@ -25,6 +27,7 @@ from nsopt.dfield import (
 )
 
 from nsopt.expr import EvalSpec, ProductSpec, compile, parse, reinterpret
+import nsopt.telescope
 from nsopt.telescope import adjoin_pi
 
 from conftest import X, ONE, harmonic_tower, nested_tower, rand_elem
@@ -217,6 +220,30 @@ def test_monomials_over_a_product_and_a_sum():
             monomials(t, f)
         with pytest.raises(NotPolynomialPart):
             reinterpret(t, EvalSpec(), f)
+
+
+def test_laurent_splits_one_level():
+    # Q(x)(b)(h) with sigma(b) = 2*b and sigma(h) = h + 1/(x+1)
+    tb = adjoin_pi(Tower(), TowerElem.const(2), name="b")
+    t = _adjoin_sigma_star_unchecked(tb, ONE / (X + 1), "h")
+    b, h = TowerElem.gen(0), TowerElem.gen(1)
+    # a sum level: a polynomial in h over Q(x)(b)
+    assert laurent(t, 3 * b * h * h + X, 2) == {2: 3 * b, 0: X}
+    # a product level, with negative exponents
+    assert laurent(t, X * b + 2 / (b * b), 1) == {1: X, -2: 2 * ONE}
+    # an element below the level is its own coefficient of the power 0
+    assert laurent(t, b + ONE / b, 2) == {0: b + ONE / b}
+    assert laurent(t, X, 1) == {0: X}
+    # a sum-like generator, and a product-like one that is not a monomial,
+    # in a denominator: the element leaves the class
+    for f, level in ((ONE / h, 2), (ONE / (b + 1), 1)):
+        with pytest.raises(NotPolynomialPart):
+            laurent(t, f, level)
+
+
+def test_a_class_violation_is_one_exception():
+    assert issubclass(NotPolynomialPart, UnsupportedShape)
+    assert nsopt.telescope.UnsupportedShape is UnsupportedShape
 
 
 def test_constant_component():

@@ -1,7 +1,8 @@
 """Idempotence: re-simplifying an output never lowers its depth, and a
 certified output stays certified.  `tools/corpus_reports.py audit` makes
 the same check, through `idempotence_failure`, over every simplify report
-of the corpus; here it runs in process on ten of its inputs."""
+of the corpus; here it runs in process on ten of its inputs.  The tool's
+`diff`, which reads the corpus runs that audit checks, is tested here too."""
 
 import importlib.util
 import json
@@ -58,3 +59,31 @@ def test_resimplify_keeps_depth_and_certificate(label, flags, text, capsys):
     assert report is not None
     again = _simplify(flags, report["output_text"], capsys)
     assert corpus.idempotence_failure(report, again) is None
+
+
+def test_corpus_diff_tallies_exit_code_changes(tmp_path, capsys):
+    report = json.dumps({"input_depth": 2, "output_depth": 2,
+                         "optimality_certified": True, "output_text": "x"})
+
+    def rec(label, code, stdout, seconds=1.0):
+        return {"label": label, "argv": ["simplify", "--json", "e"], "code": code,
+                "stdout": stdout, "stderr": "", "seconds": seconds}
+
+    runs = (
+        [rec("answered", 3, ""), rec("refused", 0, report),
+         rec("timed", "timeout", ""), rec("same", 0, report, 1.0)],
+        [rec("answered", 0, report), rec("refused", 3, ""),
+         rec("timed", 0, report), rec("same", 0, report, 9.0)],
+    )
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, records in zip(paths, runs):
+        path.write_text(json.dumps(records), encoding="utf-8")
+    assert corpus.diff(*paths) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "answered: differs in code, stdout; exit 3 -> 0; None -> (2, 2, True, 1)" in out
+    assert "refused: differs in code, stdout; exit 0 -> 3; (2, 2, True, 1) -> None" in out
+    # the seconds are not compared
+    assert "1 of 4 invocations byte-identical" in out
+    assert out[-1] == ("differing: 0 depth lower, 0 certification gained,"
+                       " 2 refusal answered, 0 text only, 1 worse,"
+                       " 0 not two simplify reports")

@@ -9,6 +9,7 @@ import pytest
 from nsopt.algebra import Poly, RatFunc
 from nsopt.dfield import (
     Generator,
+    NotPolynomialPart,
     Tower,
     TowerElem,
     _adjoin_sigma_star_unchecked,
@@ -168,6 +169,22 @@ def test_unsupported_shape_denominator():
         telescope_tower(t1, ONE / h)
 
 
+def test_solver_takes_the_printer_class_at_a_product_level():
+    # Q(x)(b)(h) with sigma(b) = 2*b: h/b is a Laurent polynomial in b,
+    # 1/(b+1) is not, and both solvers split b's level through
+    # dfield.laurent
+    tb = adjoin_pi(Tower(), TowerElem.const(2), name="b")
+    t = _adjoin_sigma_star_unchecked(tb, ONE / (X + 1), "h")
+    b, h = TowerElem.gen(0), TowerElem.gen(1)
+    for solve in (telescope_tower, telescope_depth_optimal):
+        with pytest.raises(NotPolynomialPart):
+            solve(t, ONE / (b + 1))
+    assert not telescope_tower(t, h / b).solved
+    res = telescope_depth_optimal(t, h / b)
+    assert res.solved
+    assert (sigma(res.tower, res.g) - res.g - h / b).is_zero()
+
+
 def test_depth_optimal_s_prime():
     t1, h = harmonic_tower()
     res = telescope_depth_optimal(t1, sigma(t1, h) / (X + 1))
@@ -248,7 +265,8 @@ def test_depth_optimal_base_fallback_is_certified():
 def test_search_shifts_each_atom_power_once_per_pass(monkeypatch):
     # the candidates sigma(x^j/atom^e), j < 4, of a quartic atom share one
     # shifted denominator; the search over 1/((x+1)^4+2) ends in the
-    # fallback after two passes over every e
+    # fallback after a pass over every e, and its first pass, below depth
+    # 1, builds nothing
     atom = Poly.from_ints(2, 0, 0, 0, 1)
     powers = {atom ** e: e for e in range(1, nsopt.telescope._MAX_ATOM_POWER + 1)}
     shifts = {}
@@ -263,8 +281,29 @@ def test_search_shifts_each_atom_power_once_per_pass(monkeypatch):
     f = ONE / ((X + 1) ** 4 + 2)
     res = telescope_depth_optimal(Tower(), f)
     assert res.note.startswith("fallback")
-    assert set(shifts) == set(powers.values())
-    assert max(shifts.values()) <= 2
+    assert shifts == {e: 1 for e in powers.values()}
+
+
+def test_search_shifts_each_atom_power_once_across_monomials(monkeypatch):
+    # over sigma(h)/(x+1) with power-1 candidates the search runs both
+    # passes, the first over mu = 1 and the second over mu = h, h^2, h^3,
+    # and ends in the fallback; x, the one atom, is shifted once for all
+    monkeypatch.setattr(nsopt.telescope, "_MAX_ATOM_POWER", 1)
+    atom = Poly.from_ints(0, 1)
+    shifts = [0]
+    shift = Poly.shift
+
+    def counted(p, j):
+        if j == 1 and p == atom:
+            shifts[0] += 1
+        return shift(p, j)
+
+    t1, h = harmonic_tower()
+    f = sigma(t1, h) / (X + 1)
+    monkeypatch.setattr(Poly, "shift", counted)
+    res = telescope_depth_optimal(t1, f)
+    assert res.note.startswith("fallback")
+    assert shifts == [1]
 
 
 def test_solve_memo_is_shared_along_a_lineage(monkeypatch):

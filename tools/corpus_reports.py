@@ -9,15 +9,19 @@ one process each.
 `run` runs each corpus invocation as its own `python -m nsopt.cli ...`
 process, with CHECKOUT/src on PYTHONPATH (default: the checkout holding
 this file), and writes the exit code, stdout and stderr of each to
-OUT.json.  A process still running after DEADLINE_S seconds is killed and
+OUT.json, with the wall seconds each process took, and prints the five
+slowest.  A process still running after DEADLINE_S seconds is killed and
 recorded with the code "timeout", so a checkout that hangs on an input
-still yields a file to diff.  `diff` compares two such files and exits 1
-when any invocation differs in a byte.  For each differing `simplify --json`
-report it prints (input_depth, output_depth, optimality_certified,
-len(output_text)) before -> after, and it ends with a tally of the
-differing invocations: depth lower, certification gained, text only (same
-depth and certification), worse (depth higher or certification lost),
-and those that are not a simplify report on both sides.
+still yields a file to diff.  `diff` compares two such files on argv, exit
+code, stdout and stderr, never on the seconds, and exits 1 when any
+invocation differs in a byte.  For each differing invocation it prints a
+changed exit code, and for a `simplify --json` report on either side
+(input_depth, output_depth, optimality_certified, len(output_text))
+before -> after.  It ends with a tally of the differing invocations: depth
+lower, certification gained, refusal answered (a nonzero exit, a timeout
+included, that became exit 0), text only (same depth and certification),
+worse (depth higher, certification lost, or a new nonzero exit), and the
+rest, which are not a simplify report on both sides.
 
 `audit` checks idempotence: for every `simplify --json` report of RUN.json
 that exited 0, it runs `simplify --json` again, with the same flags, on
@@ -46,8 +50,8 @@ lambda/ group, listed in LAMBDA, runs simplify at range 8 on three inputs
 whose printed outputs have poles at small k, so the reports cover where
 lambda is read off the printed output.  A budget/ group, listed in
 BUDGET, runs simplify at range 5 on two summands of degree past the
-degree limit and on one whose generator search reaches a candidate
-past it, so the reports cover the refusal (exit 3).  A large/
+degree limit, so the reports cover the refusal (exit 3), and on one of
+degree 100 whose generator search gives up at its budget.  A large/
 group, listed in LARGE, runs simplify at range 5 on five summands with
 coefficients or degrees past what the engine once refused or hung on, and
 `nsopt telescope` on one of them.  A planted/
@@ -68,6 +72,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = ("FLAGSHIP", "A4", "A5", "B_DEPTH7", "BINOM_A1", "BINOM_A2", "BINOM_B")
@@ -91,8 +96,11 @@ LAMBDA = (
     "sum(i,3,n,sum(j,1,i,1/((j-3)*(j-3+1)))) - 1",
 )
 # past algebra._DEGREE_LIMIT: i^800 took 93 s without the limit, and
-# i^100000 was still running after 300 s; 1/(i^100+1) is admitted, but the
-# search's candidate 1/(i^100+1)^6 has degree 600
+# i^100000 was still running after 300 s; 1/(i^100+1) is admitted, and its
+# depth-1 search gives up after one relation solve over its first block,
+# the 99 candidates sigma(x^j/(x^100+1)) with 0 < j < 100, past
+# _ADJOIN_BUDGET, for the certified fallback (it once exited 3 on a
+# first-pass candidate of degree 600 that the search built and discarded)
 BUDGET = ("sum(i,1,n,i^800)", "sum(i,1,n,i^100000)", "sum(i,1,n,1/(i^100+1))")
 # summands whose constant terms, roots or powers are large: the first two
 # once exited 3 (integer-root search, shift window), the third still does
@@ -107,8 +115,9 @@ LARGE = (
     "1/(i^40+1)",
 )
 LARGE_TELESCOPE = "1/(n^2+1000000000000037)"
-# per-invocation wall-clock deadline, far above the slowest invocation that
-# ends (2.5 to 3.6 s, budget/2, on a shared 2-core machine)
+# per-invocation wall-clock deadline, far above the slowest invocation as
+# `run` times it (budget/2 at 2.9 s, then planted/11 at 0.4 s, on a shared
+# 2-core machine)
 DEADLINE_S = 30
 # (lhs, rhs, --range) of `nsopt verify`
 VERIFY = (
@@ -196,6 +205,7 @@ def run(root, out_path):
     env = _env(root)
     results = []
     for label, argv in corpus(root):
+        start = time.perf_counter()
         code, stdout, stderr = _invoke(argv, env)
         results.append({
             "label": label,
@@ -203,10 +213,13 @@ def run(root, out_path):
             "code": code,
             "stdout": stdout,
             "stderr": stderr,
+            "seconds": round(time.perf_counter() - start, 3),
         })
         print(f"{label}: exit {code}", file=sys.stderr)
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(results, fh, indent=1)
+    slowest = sorted(results, key=lambda r: r["seconds"], reverse=True)[:5]
+    print("slowest: " + ", ".join(f"{r['label']} {r['seconds']:.2f} s" for r in slowest))
     return 0
 
 
@@ -223,8 +236,13 @@ def _summary(rec):
         return None
 
 
-def _kind(before, after):
-    """Which way a simplify report changed, judged on its summaries."""
+def _kind(code_a, code_b, before, after):
+    """Which way an invocation changed, judged on its exit codes and then
+    on its simplify summaries."""
+    if code_a != 0 and code_b == 0:
+        return "refusal answered"
+    if code_a == 0 and code_b != 0:
+        return "worse"
     if before is None or after is None:
         return "not two simplify reports"
     if after[1] > before[1] or (before[2] and not after[2]):
@@ -242,8 +260,8 @@ def diff(a_path, b_path):
     with open(b_path, encoding="utf-8") as fh:
         b = {r["label"]: r for r in json.load(fh)}
     same = 0
-    tally = dict.fromkeys(("depth lower", "certification gained", "text only",
-                           "worse", "not two simplify reports"), 0)
+    tally = dict.fromkeys(("depth lower", "certification gained", "refusal answered",
+                           "text only", "worse", "not two simplify reports"), 0)
     for label in sorted(a.keys() | b.keys()):
         ra, rb = a.get(label), b.get(label)
         if ra is None or rb is None:
@@ -255,9 +273,10 @@ def diff(a_path, b_path):
             same += 1
             continue
         before, after = _summary(ra), _summary(rb)
-        kind = _kind(before, after)
-        tally[kind] += 1
-        change = "" if kind == "not two simplify reports" else f"; {before} -> {after}"
+        tally[_kind(ra["code"], rb["code"], before, after)] += 1
+        change = f"; exit {ra['code']} -> {rb['code']}" if "code" in fields else ""
+        if before is not None or after is not None:
+            change += f"; {before} -> {after}"
         print(f"{label}: differs in {', '.join(fields)}{change}")
     total = len(a.keys() | b.keys())
     print(f"{same} of {total} invocations byte-identical")
