@@ -5,8 +5,7 @@ Conventions used throughout:
 * Rationals are ``fractions.Fraction`` (always reduced, denominator > 0).
 * A polynomial is dense and ascending; ``Poly((1, 0, 2))`` is 1 + 2*x^2 and
   the zero polynomial has no coefficients (degree -1).  Its coefficients
-  are Fractions or ints: polynomials over tower elements are dfield's
-  ``ElemPoly``.
+  are Fractions or ints.
 * A ``Poly`` is stored as integers over one denominator: a tuple of ints
   and a positive int den, with gcd(content, den) = 1 and no trailing zero,
   so the form is unique.  ``_from_ints`` builds it.  ``Poly.coeffs`` is a
@@ -17,7 +16,8 @@ Conventions used throughout:
   rational point and the ``RatFunc`` normal form.
 * A rational function ``RatFunc`` keeps numerator and denominator coprime
   with a *monic* denominator, so equality is structural comparison.  It
-  is the one normal form for Q(x) and for every tower level of dfield.
+  is the normal form of Q(x), and of every coefficient of a dfield tower
+  element.
 * Rational points are evaluated over Z as well: for the integer polynomial
   p of degree n, b^n * p(a/b) is a homogeneous Horner sum
   (``_int_eval_scaled``), so a value costs one Fraction, and a candidate
@@ -387,9 +387,6 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     return _from_ints(ints, ints[-1])
 
 
-Poly.gcd = poly_gcd
-
-
 def _primitive(cs):
     """The integer sequence cs divided by its content (cs itself when the
     content is 1)."""
@@ -429,7 +426,7 @@ def _cancel(p, q):
     """(p/g, q/g) for g = gcd(p, q) of two nonzero polynomials, with no
     gcd taken when either is a constant."""
     if p.degree > 0 and q.degree > 0:
-        g = p.gcd(q)
+        g = poly_gcd(p, q)
         if g.degree > 0:
             return p.exact_div(g), q.exact_div(g)
     return p, q
@@ -443,13 +440,10 @@ def poly_lcm(p: Poly, q: Poly) -> Poly:
 
 
 class RatFunc:
-    """Reduced fraction num/den with monic den, over a polynomial type with
-    a monic ``gcd``, ``exact_div``, ``lc`` and ``scale``: ``Poly`` for
-    Q(x), dfield's ``ElemPoly`` at a tower level.  The field operations
-    reduce by gcds of their operands' parts (Henrici; Knuth, TAOCP
-    4.5.1), so a monic denominator of degree 0, which is 1, takes no gcd.
-    Reducing an unreduced pair in the constructor, the constants,
-    ``shift``, ``eval_at`` and printing are for ``Poly`` only.
+    """An element of Q(x): the reduced fraction num/den of two ``Poly``s
+    with monic den.  The field operations reduce by ``poly_gcd``s of their
+    operands' parts (Henrici; Knuth, TAOCP 4.5.1), so a monic denominator
+    of degree 0, which is 1, takes no gcd.
 
     >>> f = RatFunc(Poly.from_ints(2, 2), Poly.from_ints(-2, 0, 2))
     >>> str(f)
@@ -567,7 +561,7 @@ class RatFunc:
             return RatFunc(a * d + c, d, _normalized=True)
         if d.degree == 0:
             return RatFunc(a + c * b, b, _normalized=True)
-        e = b.gcd(d)
+        e = poly_gcd(b, d)
         if e.degree == 0:
             return RatFunc(a * d + c * b, b * d, _normalized=True)
         b, d = b.exact_div(e), d.exact_div(e)
@@ -759,26 +753,44 @@ def _gcd_degree_mod_p(a: list, b: list) -> int:
     return 0
 
 
+def _shift_window(ai: list, bi: list):
+    """(lo, hi) bounding every integer j with gcd(a(x), b(x+j)) nonconstant,
+    for integer polynomials of degree >= 1.  Such a j is a root of b minus
+    a root of a.  Each polynomial is translated by its rounded root
+    centroid c = round(-a_(n-1) / (n*a_n)), so its roots lie within the
+    root bound r of the translate around c; j then lies within r_a + r_b
+    of c_b - c_a."""
+    ca, cb = _centroid(ai), _centroid(bi)
+    r = _root_bound(_int_shift(ai, ca)) + _root_bound(_int_shift(bi, cb))
+    return cb - ca - r, cb - ca + r
+
+
+def _centroid(ints: list) -> int:
+    n = len(ints) - 1
+    return round(Fraction(-ints[-2], n * ints[-1]))
+
+
 def gcd_shifts(a: Poly, b: Poly) -> dict:
     """{j: gcd(a(x), b(x+j))} for every integer j >= 0 where that monic gcd
     has positive degree, for nonzero Fraction-coefficient a and b.
 
-    Such a j is a root of b minus a root of a, so it is at most the sum of
-    their root bounds; every j up to there is tried by a gcd over Z.  A
-    window past _SHIFT_LIMIT raises RootSearchLimit.  When _P61 divides
-    neither leading coefficient, the gcd of the images mod _P61 has at
-    least the degree of the gcd over Q, so a shift whose gcd mod _P61 is
-    constant is coprime and takes no integer gcd."""
+    Every j >= 0 of _shift_window's window is tried by a gcd over Z.  A
+    window of more than _SHIFT_LIMIT shifts raises RootSearchLimit.  When
+    _P61 divides neither leading coefficient, the gcd of the images mod
+    _P61 has at least the degree of the gcd over Q, so a shift whose gcd
+    mod _P61 is constant is coprime and takes no integer gcd."""
     ai, bi = _primitive(a._ints), _primitive(b._ints)
     if len(ai) < 2 or len(bi) < 2:
         return {}
-    window = _root_bound(ai) + _root_bound(bi)
-    if window > _SHIFT_LIMIT:
+    lo, hi = _shift_window(ai, bi)
+    lo = max(lo, 0)
+    if hi - lo > _SHIFT_LIMIT:
         raise RootSearchLimit("shift search out of range")
     # shifting keeps b's leading coefficient
     filtered = ai[-1] % _P61 and bi[-1] % _P61
     out = {}
-    for j in range(window + 1):
+    bi = _int_shift(bi, lo)
+    for j in range(lo, hi + 1):
         if not filtered or _gcd_degree_mod_p(ai, bi):
             g = _int_gcd(ai, bi)
             if len(g) > 1:

@@ -7,22 +7,23 @@ below it, and carries the depth assigned at adjunction time:
 
     depth(constant) = 0,  depth(x) = 1,  depth(t) = depth(shift part) + 1.
 
-A TowerElem is the recursive rational normal form: a reduced RatFunc
-with monic denominator at every level, over Q[x]'s Poly at level 0 and at
-level L over ElemPolys, dense polynomials in t_L whose coefficients are
-TowerElems of strictly lower level.  RatFunc's own field operations reduce
-at every level, through each polynomial type's gcd; at the tower levels
-``ElemPoly.gcd`` is Euclid over the field below, exact for every pair of
-operands.  Elements are always stored at the *minimal* possible
-level (an element whose top generator cancels is demoted), so equality is
-plain structural comparison.
-
 The elements the solver and the printer take are polynomials in the
 sum-like generators and Laurent polynomials in the product-like ones, with
-coefficients in Q(x).  ``laurent`` is the one definition of that class: it
-splits an element at one level, for telescope's level solvers and for
-``monomials``, which reads it as {exponent vector: Q(x) coefficient}; any
-other shape raises NotPolynomialPart, an UnsupportedShape.
+coefficients in Q(x) (Schneider's difference rings).  A TowerElem stores
+exactly that monomial form: a map from exponent vector over the
+generators, trailing zeros trimmed, to nonzero Q(x) RatFunc coefficient.
+RatFunc's normal form makes the map unique, so equality is plain
+comparison, and an element's level is the length of its longest vector.
+Ring operations work on the maps; division works by a single term only
+(a rational, a Q(x) element or a monomial), and any other divisor raises
+NotPolynomialPart, an UnsupportedShape.
+
+Dividing by a monomial may leave a negative power of a sum-like
+generator, outside the class.  ``_class_terms`` is the one check of the
+class rule: ``sigma``, ``laurent`` (one level's split, for telescope's
+level solvers) and ``monomials`` (the map as {padded exponent vector: Q(x)
+coefficient}) read an element through it, and it raises NotPolynomialPart
+on such a power.
 
 This module adjoins generators without checking them; telescope certifies
 every adjunction and stores its certificate on the generator.
@@ -32,10 +33,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import RatFunc, ZeroPolynomial
+from .algebra import RatFunc
 
 __all__ = [
-    "ElemPoly",
     "Generator",
     "Tower",
     "TowerElem",
@@ -136,57 +136,76 @@ def fresh_name(names: list, stem: str = "t") -> str:
 # Elements
 # ---------------------------------------------------------------------------
 
-class TowerElem:
-    """Element of the tower field in recursive rational normal form.
+_RF_ZERO = RatFunc.from_const(Fraction(0))
+_RF_ONE = RatFunc.from_const(Fraction(1))
+_NOT_IN_CLASS = "a denominator is not a monomial in product-like generators"
 
-    level 0 wraps a RatFunc over Q; level L wraps a RatFunc whose num and
-    den are ElemPolys over TowerElems of level < L, with den monic.
-    Instances are produced by the factories below, which enforce demotion
-    to minimal level.
+
+class TowerElem:
+    """Element of the tower in monomial form.
+
+    ``terms`` maps each exponent vector over the generators, trailing
+    zeros trimmed (so Q(x)'s vector is ()), to its nonzero Q(x) RatFunc
+    coefficient; the zero element has no terms.  The map is never changed
+    after construction.
     """
 
-    __slots__ = ("level", "rf")
+    __slots__ = ("terms",)
 
-    def __init__(self, level: int, rf: RatFunc):
-        self.level = level
-        self.rf = rf
+    def __init__(self, terms: dict):
+        self.terms = terms
 
     # -- factories ---------------------------------------------------------
-
-    @staticmethod
-    def _make(level: int, rf: RatFunc) -> "TowerElem":
-        while level > 0 and rf.num.degree <= 0 and rf.den.degree <= 0:
-            if rf.num.is_zero():
-                return ZERO
-            # monic degree-0 denominator is exactly the lower-level one
-            inner = rf.num.coeffs[0]
-            level, rf = inner.level, inner.rf
-        return TowerElem(level, rf)
 
     @staticmethod
     def const(c) -> "TowerElem":
         if type(c) is not Fraction and type(c) is not int:
             c = Fraction(c)
-        return TowerElem(0, RatFunc.from_const(c))
+        return TowerElem({(): RatFunc.from_const(c)} if c else {})
 
     @staticmethod
     def base(rf: RatFunc) -> "TowerElem":
-        return TowerElem(0, rf)
+        return TowerElem({(): rf} if rf else {})
 
     @staticmethod
     def base_x() -> "TowerElem":
-        return TowerElem(0, RatFunc.X)
+        return TowerElem({(): RatFunc.X})
 
     @staticmethod
     def gen(index: int) -> "TowerElem":
         """The generator t_{index+1} as an element (level index+1)."""
-        t = ElemPoly((ZERO, ONE))
-        return TowerElem(index + 1, RatFunc(t, _ELEM_ONE, _normalized=True))
+        return TowerElem({(0,) * index + (1,): _RF_ONE})
 
     # -- structure ---------------------------------------------------------
 
+    @property
+    def level(self) -> int:
+        """The number of the highest generator that occurs; 0 in Q(x)."""
+        return max(map(len, self.terms), default=0)
+
+    @property
+    def rf(self) -> RatFunc:
+        """The Q(x) value of a level-0 element."""
+        terms = self.terms
+        if not terms:
+            return _RF_ZERO
+        if len(terms) > 1 or () not in terms:
+            raise ValueError("not an element of Q(x)")
+        return terms[()]
+
+    def degree(self) -> int:
+        """max(deg num, deg den) of the reduced fraction in the top
+        variable: x at level 0, else the top generator t, whose only
+        denominator is t^m for m = -(least exponent of t)."""
+        level = self.level
+        if not level:
+            rf = self.rf
+            return max(rf.num.degree, rf.den.degree)
+        exps = [vec[-1] if len(vec) == level else 0 for vec in self.terms]
+        return max(max(exps), 0) - min(min(exps), 0)
+
     def is_zero(self) -> bool:
-        return self.level == 0 and self.rf.is_zero()
+        return not self.terms
 
     def is_constant(self) -> bool:
         return self.level == 0 and self.rf.is_constant()
@@ -195,17 +214,17 @@ class TowerElem:
         return self.rf.constant_value()
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.terms)
 
     def __eq__(self, other):
         if isinstance(other, TowerElem):
-            return self.level == other.level and self.rf == other.rf
+            return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            return self.level == 0 and self.rf == RatFunc.from_const(Fraction(other))
+            return self.terms == TowerElem.const(other).terms
         return NotImplemented
 
     def __hash__(self):
-        return hash(("TowerElem", self.level, self.rf))
+        return hash(frozenset(self.terms.items()))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -218,24 +237,17 @@ class TowerElem:
             return TowerElem.base(other)
         return None
 
-    def _aligned(self, other):
-        a, b = self, other
-        if a.level == b.level:
-            return a.level, a.rf, b.rf
-        if a.level < b.level:
-            return b.level, _lift_rf(a, b.level), b.rf
-        return a.level, a.rf, _lift_rf(b, a.level)
-
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero():
+        if not self.terms:
             return o
-        if o.is_zero():
+        if not o.terms:
             return self
-        level, fa, fb = self._aligned(o)
-        return TowerElem._make(level, fa + fb)
+        out = dict(self.terms)
+        _accumulate(out, o.terms)
+        return _collect(out)
 
     __radd__ = __add__
 
@@ -252,20 +264,23 @@ class TowerElem:
         return o + (-self)
 
     def __neg__(self):
-        return TowerElem(self.level, -self.rf)
+        return TowerElem({vec: -c for vec, c in self.terms.items()})
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero() or o.is_zero():
+        a, b = self.terms, o.terms
+        if not a or not b:
             return ZERO
-        if o.level == 0 and o.rf.is_one():
+        if _is_one(b):
             return self
-        if self.level == 0 and self.rf.is_one():
+        if _is_one(a):
             return o
-        level, fa, fb = self._aligned(o)
-        return TowerElem._make(level, fa * fb)
+        out = {}
+        for va, ca in a.items():
+            _accumulate(out, {_vec_add(va, vb): ca * cb for vb, cb in b.items()})
+        return _collect(out)
 
     __rmul__ = __mul__
 
@@ -273,12 +288,13 @@ class TowerElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.is_zero():
+        if not o.terms:
             raise ZeroDivisionError("division by zero tower element")
-        if self.is_zero():
-            return ZERO
-        level, fa, fb = self._aligned(o)
-        return TowerElem._make(level, fa / fb)
+        if len(o.terms) > 1:
+            raise NotPolynomialPart(_NOT_IN_CLASS)
+        ((vb, cb),) = o.terms.items()
+        neg = tuple(-e for e in vb)
+        return TowerElem({_vec_add(va, neg): ca / cb for va, ca in self.terms.items()})
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -286,14 +302,9 @@ class TowerElem:
             return NotImplemented
         return o / self
 
-    def inverse(self) -> "TowerElem":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero tower element")
-        return TowerElem._make(self.level, self.rf.inverse())
-
     def __pow__(self, n: int) -> "TowerElem":
         if n < 0:
-            return self.inverse() ** (-n)
+            return (ONE / self) ** (-n)
         result = ONE
         base = self
         while n:
@@ -304,219 +315,46 @@ class TowerElem:
         return result
 
     def __repr__(self):
-        if self.level == 0:
-            return f"TowerElem(level=0, {self.rf!r})"
-        return (f"TowerElem(level={self.level}, num={self.rf.num.coeffs!r},"
-                f" den={self.rf.den.coeffs!r})")
+        return f"TowerElem({self.terms!r})"
 
 
-ZERO = TowerElem(0, RatFunc.from_const(Fraction(0)))
-ONE = TowerElem(0, RatFunc.from_const(Fraction(1)))
+ZERO = TowerElem({})
+ONE = TowerElem({(): _RF_ONE})
 
 
-class ElemPoly:
-    """Dense polynomial over tower elements, ascending in one generator:
-    the numerator or denominator of a TowerElem at level >= 1.  The zero
-    polynomial has no coefficients; a zero coefficient is ZERO."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == ONE
-
-    def lc(self) -> TowerElem:
-        """Leading coefficient; raises on the zero polynomial."""
-        if not self.coeffs:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coeff(self, i: int) -> TowerElem:
-        cs = self.coeffs
-        return cs[i] if 0 <= i < len(cs) else ZERO
-
-    def __eq__(self, other):
-        if isinstance(other, ElemPoly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other: "ElemPoly") -> "ElemPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        cs = list(a)
-        for i, c in enumerate(b):
-            cs[i] = cs[i] + c
-        return ElemPoly(cs)
-
-    def __sub__(self, other: "ElemPoly") -> "ElemPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "ElemPoly":
-        return ElemPoly([-c for c in self.coeffs])
-
-    def __mul__(self, other: "ElemPoly") -> "ElemPoly":
-        xs, ys = self.coeffs, other.coeffs
-        if not xs or not ys:
-            return _ELEM_ZERO
-        if len(ys) == 1:
-            return self.scale(ys[0])
-        if len(xs) == 1:
-            return other.scale(xs[0])
-        out = [ZERO] * (len(xs) + len(ys) - 1)
-        for i, x in enumerate(xs):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(ys):
-                out[i + j] = out[i + j] + x * y
-        return ElemPoly(out)
-
-    def scale(self, c: TowerElem) -> "ElemPoly":
-        if c.is_zero():
-            return _ELEM_ZERO
-        return ElemPoly([a * c for a in self.coeffs])
-
-    def __divmod__(self, other: "ElemPoly"):
-        if not other.coeffs:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem, oc = list(self.coeffs), other.coeffs
-        dq = len(rem) - len(oc)
-        if dq < 0:
-            return _ELEM_ZERO, self
-        lc, d = oc[-1], len(oc) - 1
-        quo = [ZERO] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = quo[k] = rem[k + d] / lc
-            if not c.is_zero():
-                for i, o in enumerate(oc):
-                    rem[k + i] = rem[k + i] - c * o
-        return ElemPoly(quo), ElemPoly(rem[:d])
-
-    def exact_div(self, other: "ElemPoly") -> "ElemPoly":
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError("exact_div: division left a remainder")
-        return q
-
-    def monic(self) -> "ElemPoly":
-        cs = self.coeffs
-        if not cs or cs[-1] == ONE:
-            return self
-        return ElemPoly([c / cs[-1] for c in cs])
+def _is_one(terms: dict) -> bool:
+    return len(terms) == 1 and terms.get(()) == _RF_ONE
 
 
-_ELEM_ZERO = ElemPoly()
-_ELEM_ONE = ElemPoly((ONE,))
+def _vec_add(a: tuple, b: tuple) -> tuple:
+    """The sum of two trimmed exponent vectors, trimmed."""
+    if not a:
+        return b
+    if not b:
+        return a
+    if len(a) < len(b):
+        a, b = b, a
+    out = [x + y for x, y in zip(a, b)] + list(a[len(b):])
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
-def _elem_gcd(a: ElemPoly, b: ElemPoly) -> ElemPoly:
-    """Monic gcd of two ElemPolys by Euclid; gcd(0, 0) = 0.  Keeping the
-    remainders monic tames coefficient growth."""
-    while not b.is_zero():
-        a, b = b, divmod(a, b)[1].monic()
-    return a.monic()
+def _accumulate(out: dict, terms: dict):
+    """Add terms into out in place; a cancelled coefficient stays, as a
+    zero, until _collect drops it."""
+    for vec, c in terms.items():
+        s = out.get(vec)
+        out[vec] = c if s is None else s + c
 
 
-ElemPoly.gcd = _elem_gcd
-
-
-def _lift_rf(e: TowerElem, level: int) -> RatFunc:
-    """View a lower element as a degree-0 rational function at `level`."""
-    if e.level >= level:
-        raise ArithmeticError(f"cannot lift a level-{e.level} element to level {level}")
-    return RatFunc(ElemPoly((e,)), _ELEM_ONE, _normalized=True)
+def _collect(out: dict) -> TowerElem:
+    return TowerElem({vec: c for vec, c in out.items() if c})
 
 
 # ---------------------------------------------------------------------------
-# The shift automorphism
+# The class rule and the shift automorphism
 # ---------------------------------------------------------------------------
-
-
-def sigma(tower: Tower, f: TowerElem, j: int = 1) -> TowerElem:
-    """Apply the shift automorphism j times (j may be negative)."""
-    step = 1 if j >= 0 else -1
-    for _ in range(abs(j)):
-        f = _sigma_step(tower, f, step)
-    return f
-
-
-def _sigma_step(tower: Tower, f: TowerElem, step: int) -> TowerElem:
-    if f.level == 0:
-        return TowerElem(0, f.rf.shift(step))
-    # the image of f's top generator t: t + beta or alpha*t for step 1,
-    # t - sigma^-1(beta) or t / sigma^-1(alpha) for step -1
-    index = f.level - 1
-    gen = tower.gens[index]
-    t = TowerElem.gen(index)
-    part = gen.shift_part if step == 1 else _sigma_step(tower, gen.shift_part, -1)
-    if gen.kind == "sigma":
-        t_image = t + part if step == 1 else t - part
-    else:
-        t_image = part * t if step == 1 else t / part
-    num = _subst_poly(tower, f.rf.num, t_image, step)
-    den = _subst_poly(tower, f.rf.den, t_image, step)
-    return num / den
-
-
-def _subst_poly(tower: Tower, p: ElemPoly, t_image: TowerElem, step: int) -> TowerElem:
-    """Horner: apply sigma^step to coefficients, substitute t -> t_image."""
-    acc = ZERO
-    for c in reversed(p.coeffs):
-        acc = acc * t_image + _sigma_step(tower, c, step)
-    return acc
-
-
-# ---------------------------------------------------------------------------
-# Depth, occurrence and monomials
-# ---------------------------------------------------------------------------
-
-
-def depth(tower: Tower, f: TowerElem) -> int:
-    """0 for constants, else the max depth of x and the generators that
-    occur in the reduced numerator or denominator."""
-    d = 0
-    for idx in occurring_generators(tower, f):
-        d = max(d, 1 if idx == -1 else tower.gens[idx].depth)
-    return d
-
-
-def occurring_generators(tower: Tower, f: TowerElem) -> set:
-    """Indices of generators occurring in f's reduced form; -1 stands for
-    the base variable x."""
-    out = set()
-    _occurs_walk(f, out)
-    return out
-
-
-def _occurs_walk(f: TowerElem, out: set):
-    if f.level == 0:
-        if f.rf.num.degree >= 1 or f.rf.den.degree >= 1:
-            out.add(-1)
-        return
-    if f.rf.num.degree >= 1 or f.rf.den.degree >= 1:
-        out.add(f.level - 1)
-    for c in f.rf.num.coeffs:
-        _occurs_walk(c, out)
-    for c in f.rf.den.coeffs:
-        _occurs_walk(c, out)
 
 
 class UnsupportedShape(Exception):
@@ -529,39 +367,120 @@ class NotPolynomialPart(UnsupportedShape):
     product-like ones, over Q(x)."""
 
 
+def _class_terms(tower: Tower, f: TowerElem):
+    """f's (exponent vector, coefficient) pairs, once no exponent is
+    negative at a sum-like generator; such a power raises
+    NotPolynomialPart."""
+    gens = tower.gens
+    for vec in f.terms:
+        for i, e in enumerate(vec):
+            if e < 0 and gens[i].kind != "pi":
+                raise NotPolynomialPart(_NOT_IN_CLASS)
+    return f.terms.items()
+
+
+def sigma(tower: Tower, f: TowerElem, j: int = 1) -> TowerElem:
+    """Apply the shift automorphism j times (j may be negative).  Each
+    monomial goes to its shifted coefficient times its generators' images,
+    t + beta or alpha*t for j > 0 and their inverses for j < 0; one call
+    computes each image power once."""
+    step = 1 if j >= 0 else -1
+    images = {}
+    for _ in range(abs(j)):
+        f = _sigma_step(tower, f, step, images)
+    return f
+
+
+def _sigma_step(tower: Tower, f: TowerElem, step: int, images: dict) -> TowerElem:
+    out = {}
+    for vec, c in _class_terms(tower, f):
+        term = TowerElem({(): c.shift(step)})
+        for i, e in enumerate(vec):
+            if e:
+                term = term * _image(tower, i, e, step, images)
+        _accumulate(out, term.terms)
+    return _collect(out)
+
+
+def _image(tower: Tower, i: int, e: int, step: int, images: dict) -> TowerElem:
+    """sigma^step(t_i^e), kept in images: t_i's image under the key i and
+    its powers under (i, e)."""
+    img = images.get((i, e))
+    if img is None:
+        base = images.get(i)
+        if base is None:
+            gen = tower.gens[i]
+            t = TowerElem.gen(i)
+            part = gen.shift_part
+            if step < 0:
+                part = _sigma_step(tower, part, -1, images)
+            if gen.kind == "sigma":
+                base = t + part if step > 0 else t - part
+            else:
+                base = part * t if step > 0 else t / part
+            images[i] = base
+        img = images[i, e] = base ** e
+    return img
+
+
+# ---------------------------------------------------------------------------
+# Depth, occurrence and monomials
+# ---------------------------------------------------------------------------
+
+
+def depth(tower: Tower, f: TowerElem) -> int:
+    """0 for constants, else the max depth of x and the generators that
+    occur in f."""
+    d = 0
+    for idx in occurring_generators(tower, f):
+        d = max(d, 1 if idx == -1 else tower.gens[idx].depth)
+    return d
+
+
+def occurring_generators(tower: Tower, f: TowerElem) -> set:
+    """Indices of the generators with a nonzero exponent in f; -1 stands
+    for the base variable x, which occurs when a coefficient is not a
+    constant."""
+    out = set()
+    for vec, c in f.terms.items():
+        out.update(i for i, e in enumerate(vec) if e)
+        if c.num.degree >= 1 or c.den.degree >= 1:
+            out.add(-1)
+    return out
+
+
+def _split(f: TowerElem, level: int) -> dict:
+    """f as {exponent of the generator of `level`: coefficient below it},
+    for f no higher than `level`."""
+    i = level - 1
+    groups = {}
+    for vec, c in f.terms.items():
+        e = 0
+        if len(vec) > i:
+            e, vec = vec[i], vec[:i]
+            while vec and not vec[-1]:
+                vec = vec[:-1]
+        groups.setdefault(e, {})[vec] = c
+    return {e: TowerElem(terms) for e, terms in groups.items()}
+
+
 def laurent(tower: Tower, f: TowerElem, level: int) -> dict:
     """f as {exponent: coefficient below `level`} in the generator of
     `level` (1-based, no lower than f's), with nonzero coefficients only;
     {0: f} when f lies below that generator.  An exponent is negative only
-    at a product-like generator; any other denominator raises
+    at a product-like generator; any other negative power raises
     NotPolynomialPart."""
     if f.level < level:
         return {0: f}
-    den = f.rf.den
-    m = den.degree
-    # den is monic, so a monomial denominator is t^m itself
-    if m and (tower.gens[level - 1].kind != "pi" or any(den.coeffs[:-1])):
-        raise NotPolynomialPart(
-            "a denominator is not a monomial in product-like generators"
-        )
-    return {j - m: c for j, c in enumerate(f.rf.num.coeffs) if c}
+    _class_terms(tower, f)
+    return _split(f, level)
 
 
 def monomials(tower: Tower, f: TowerElem) -> dict:
-    """f as {exponent vector over the generators: Q(x) coefficient}, with
-    nonzero coefficients only: laurent applied down every level."""
-    out = {}
-    _monomials(tower, f, (0,) * len(tower.gens), out)
-    return out
-
-
-def _monomials(tower: Tower, f: TowerElem, vec: tuple, out: dict):
-    if f.level == 0:
-        out[vec] = f.rf
-        return
-    li = f.level - 1
-    for j, c in laurent(tower, f, f.level).items():
-        _monomials(tower, c, vec[:li] + (j,) + vec[li + 1:], out)
+    """f as {exponent vector over all the generators: Q(x) coefficient},
+    with nonzero coefficients only."""
+    n = len(tower.gens)
+    return {vec + (0,) * (n - len(vec)): c for vec, c in _class_terms(tower, f)}
 
 
 def constant_component(tower: Tower, f: TowerElem) -> Fraction:
@@ -594,27 +513,20 @@ def _adjoin_sigma_star_unchecked(tower: Tower, beta: TowerElem, name=None, certi
 
 
 def elem_to_str(tower: Tower, f: TowerElem) -> str:
-    """Canonical text form using x and the generator names."""
-    if f.level == 0:
+    """Canonical text form using x and the generator names: at level 0
+    the reduced Q(x) fraction; above it the numerator in descending powers
+    of the top generator t, its coefficients printed one level down, over
+    (t^m) when m = -(least exponent of t) is positive."""
+    level = f.level
+    if level == 0:
         return f.rf.to_str("x")
-    num = _poly_to_str(tower, f.rf.num, f.level)
-    if f.rf.den.is_one():
-        return num
-    den = _poly_to_str(tower, f.rf.den, f.level)
-    if " + " in num or " - " in num:
-        num = f"({num})"
-    return f"{num}/({den})"
-
-
-def _poly_to_str(tower: Tower, p: ElemPoly, level: int) -> str:
     name = tower.gens[level - 1].name
+    split = _split(f, level)
+    m = max(0, -min(split))
     parts = []
-    for i in range(p.degree, -1, -1):
-        c = p.coeffs[i]
-        if c.is_zero():
-            continue
-        cs = elem_to_str(tower, c)
-        tpow = "" if i == 0 else (name if i == 1 else f"{name}^{i}")
+    for j in sorted(split, reverse=True):
+        cs = elem_to_str(tower, split[j])
+        tpow = _power_str(name, j + m)
         if tpow:
             if cs == "1":
                 term = tpow
@@ -632,7 +544,16 @@ def _poly_to_str(tower: Tower, p: ElemPoly, level: int) -> str:
             parts.append(" - " + term[1:])
         else:
             parts.append(" + " + term)
-    return "".join(parts) if parts else "0"
+    num = "".join(parts)
+    if not m:
+        return num
+    if " + " in num or " - " in num:
+        num = f"({num})"
+    return f"{num}/({_power_str(name, m)})"
+
+
+def _power_str(name: str, i: int) -> str:
+    return "" if i == 0 else (name if i == 1 else f"{name}^{i}")
 
 
 def tower_to_json(tower: Tower) -> dict:

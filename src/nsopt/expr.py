@@ -25,8 +25,8 @@ from math import gcd
 
 from .algebra import (_DEGREE_LIMIT, Poly, RatFunc, _check_degree,
                       nonneg_integer_roots)
-from .dfield import (ElemPoly, Generator, Tower, TowerElem, UnsupportedShape,
-                     monomials, occurring_generators, sigma)
+from .dfield import (Generator, Tower, TowerElem, UnsupportedShape, monomials,
+                     occurring_generators, sigma)
 from .telescope import adjoin_pi, telescope_depth_optimal
 
 __all__ = [
@@ -958,7 +958,6 @@ def _prune_tower(grown: Tower, g: TowerElem, base_len: int):
     old_to_new = {i: i for i in range(base_len)}
     for new_i, old_i in enumerate(kept_sorted, start=base_len):
         old_to_new[old_i] = new_i
-    level_map = {old + 1: new + 1 for old, new in old_to_new.items()}
 
     gens = list(grown.gens[:base_len])
     for old_i in kept_sorted:
@@ -967,7 +966,7 @@ def _prune_tower(grown: Tower, g: TowerElem, base_len: int):
             Generator(
                 gen.name,
                 gen.kind,
-                _remap_elem(gen.shift_part, level_map),
+                _remap_elem(gen.shift_part, old_to_new),
                 gen.depth,
                 gen.certificate,
             )
@@ -975,25 +974,21 @@ def _prune_tower(grown: Tower, g: TowerElem, base_len: int):
     # the generators below base_len are the same objects, so their solves
     # stay in the shared memo
     pruned = Tower(gens, grown._solve_cache)
-    return pruned, _remap_elem(g, level_map), tuple(grown.gens[i].name for i in kept_sorted)
+    return pruned, _remap_elem(g, old_to_new), tuple(grown.gens[i].name for i in kept_sorted)
 
 
-def _remap_poly(p: ElemPoly, level_map: dict) -> ElemPoly:
-    return ElemPoly([_remap_elem(c, level_map) for c in p.coeffs])
-
-
-def _remap_elem(f: TowerElem, level_map: dict) -> TowerElem:
-    if f.level == 0:
-        return f
-    new_level = level_map[f.level]
-    return TowerElem(
-        new_level,
-        RatFunc(
-            _remap_poly(f.rf.num, level_map),
-            _remap_poly(f.rf.den, level_map),
-            _normalized=True,
-        ),
-    )
+def _remap_elem(f: TowerElem, old_to_new: dict) -> TowerElem:
+    """f with the exponent at each generator position i moved to
+    old_to_new[i].  The map keeps the order of the positions f uses, so
+    the last one of a trimmed vector stays its last."""
+    terms = {}
+    for vec, c in f.terms.items():
+        new = [0] * (old_to_new[len(vec) - 1] + 1 if vec else 0)
+        for i, e in enumerate(vec):
+            if e:
+                new[old_to_new[i]] = e
+        terms[tuple(new)] = c
+    return TowerElem(terms)
 
 
 def _compile_node(st: _Session, e, var: str):
@@ -1019,7 +1014,7 @@ def _compile_node(st: _Session, e, var: str):
         return out, lam
     if isinstance(e, Power):
         el, lam = _compile_node(st, e.base, var)
-        _check_degree(_degree(el.rf) * e.exp)
+        _check_degree(el.degree() * e.exp)
         return el ** e.exp, lam
     if isinstance(e, Sum):
         return _compile_sum(st, e, var)

@@ -16,10 +16,11 @@ unknown is a polynomial in the top generator of degree at most one more
 than the input's; comparing coefficients turns each degree slot into a
 parameterized subproblem one level down, with the parameter space rewritten
 after every slot.  At a product-like level the equation is diagonal in the
-generator's power, one first-order subproblem per power.  Each level is
-split by dfield.laurent, so an input outside the class the printer takes
-(a sum-like generator in a denominator, a non-monomial denominator at a
-product-like level) raises its NotPolynomialPart, an UnsupportedShape.
+generator's power, one first-order subproblem per power.  A tower element
+is stored as its monomials, which is the class the printer takes, and each
+level is split by dfield.laurent; an input with a negative power of a
+sum-like generator raises its NotPolynomialPart, an UnsupportedShape.  (A
+divisor of more than one term raised it when the input was built.)
 
 telescope_depth_optimal searches for a telescoper of *small depth*: it
 tries the given tower first, then lists candidate shift parts built from

@@ -54,10 +54,11 @@ def rand_fraction(rng: random.Random, span: int = 6) -> Fraction:
 
 
 def rand_elem(rng: random.Random, tower, maxdeg: int = 2) -> TowerElem:
-    """Random nonzero-denominator element built from x and the generators."""
+    """Random element of the class dfield stores: a polynomial in x and
+    the generators over a random nonzero Q[x] polynomial."""
     vars_ = [X] + [TowerElem.gen(i) for i in range(len(tower))]
 
-    def rand_poly_elem():
+    def rand_poly_elem(vars_):
         acc = TowerElem.const(rand_fraction(rng))
         for _ in range(rng.randint(1, 3)):
             term = TowerElem.const(rand_fraction(rng))
@@ -66,8 +67,8 @@ def rand_elem(rng: random.Random, tower, maxdeg: int = 2) -> TowerElem:
             acc = acc + term
         return acc
 
-    num = rand_poly_elem()
-    den = rand_poly_elem()
+    num = rand_poly_elem(vars_)
+    den = rand_poly_elem([X])
     while den.is_zero():
-        den = rand_poly_elem()
+        den = rand_poly_elem([X])
     return num / den

@@ -21,7 +21,7 @@ from nsopt.algebra import (
     shift_class,
     squarefree_decomposition,
 )
-from nsopt.dfield import ElemPoly, TowerElem, _elem_gcd
+from nsopt.dfield import TowerElem
 
 X = Poly.from_ints(0, 1)
 ONE = Poly.from_ints(1)
@@ -392,19 +392,82 @@ def test_nullspace_randomized():
 
 
 # ---------------------------------------------------------------------------
-# integer kernels against reference implementations: ElemPoly over constant
-# tower elements, a plain Gauss-Jordan, and Horner over Fractions
+# integer kernels against reference implementations: schoolbook loops over
+# plain Fraction lists, a plain Gauss-Jordan, and Horner over Fractions
 # ---------------------------------------------------------------------------
 
 
-def elem(p: Poly) -> ElemPoly:
-    """p over constant tower elements, where ElemPoly's loops serve as the
-    reference."""
-    return ElemPoly([TowerElem.const(c) for c in p.coeffs])
+class RefPoly:
+    """A dense ascending list of Fractions with no trailing zero, whose
+    schoolbook product and long division serve as the reference."""
+
+    def __init__(self, cs):
+        cs = list(cs)
+        while cs and not cs[-1]:
+            cs.pop()
+        self.cs = cs
+
+    def __eq__(self, other):
+        return self.cs == other.cs
+
+    def coeff(self, i):
+        return self.cs[i] if i < len(self.cs) else Fraction(0)
+
+    def __add__(self, other):
+        n = max(len(self.cs), len(other.cs))
+        return RefPoly([self.coeff(i) + other.coeff(i) for i in range(n)])
+
+    def __neg__(self):
+        return RefPoly([-c for c in self.cs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not self.cs or not other.cs:
+            return RefPoly([])
+        out = [Fraction(0)] * (len(self.cs) + len(other.cs) - 1)
+        for i, a in enumerate(self.cs):
+            for j, b in enumerate(other.cs):
+                out[i + j] += a * b
+        return RefPoly(out)
+
+    def scale(self, c):
+        return RefPoly([a * c for a in self.cs])
+
+    def lc(self):
+        return self.cs[-1]
+
+    def monic(self):
+        return self.scale(1 / self.cs[-1]) if self.cs else self
+
+    def __divmod__(self, other):
+        if not other.cs:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem, d = list(self.cs), len(other.cs) - 1
+        quo = [Fraction(0)] * max(len(rem) - d, 0)
+        for k in range(len(quo) - 1, -1, -1):
+            c = quo[k] = rem[k + d] / other.cs[-1]
+            for i, b in enumerate(other.cs):
+                rem[k + i] -= c * b
+        return RefPoly(quo), RefPoly(rem[:d])
+
+    def exact_div(self, other):
+        q, r = divmod(self, other)
+        if r.cs:
+            raise ValueError("exact_div: division left a remainder")
+        return q
 
 
-def unelem(e: ElemPoly) -> list:
-    return [c.constant_value() for c in e.coeffs]
+def ref(p: Poly) -> RefPoly:
+    return RefPoly(p.coeffs)
+
+
+def ref_gcd(a: RefPoly, b: RefPoly) -> RefPoly:
+    """Monic gcd by Euclid with monic remainders; gcd(0, 0) = 0."""
+    while b.cs:
+        a, b = b, divmod(a, b)[1].monic()
+    return a.monic()
 
 
 def gauss_jordan_nullspace(rows: list, ncols: int) -> list:
@@ -443,11 +506,11 @@ def horner(cs, v) -> Fraction:
 
 
 def reference_normal_form(num: Poly, den: Poly):
-    """(num, den) over ElemPoly divided by ElemPoly's gcd, den made monic."""
-    n, d = elem(num), elem(den)
-    g = _elem_gcd(n, d)
+    """(num, den) divided by the reference gcd, den made monic."""
+    n, d = ref(num), ref(den)
+    g = ref_gcd(n, d)
     n, d = n.exact_div(g), d.exact_div(g)
-    inv = d.lc().inverse()
+    inv = 1 / d.lc()
     return n.scale(inv), d.scale(inv)
 
 
@@ -468,7 +531,7 @@ def test_integer_gcd_matches_generic_randomized():
         q = shared * rand_frac_poly(rng, 3)
         if rng.random() < 0.2:
             q = -q  # negative leading coefficient
-        reference = unelem(_elem_gcd(elem(p), elem(q)))
+        reference = ref_gcd(ref(p), ref(q)).cs
         got = poly_gcd(p, q)
         assert all(type(c) is Fraction for c in got.coeffs)
         assert list(got.coeffs) == reference
@@ -486,7 +549,7 @@ def test_integer_gcd_edge_cases():
         (X.shift(3) ** 3, X.shift(3) ** 2 * lin(5)),
     ]
     for p, q in cases:
-        assert list(poly_gcd(p, q).coeffs) == unelem(_elem_gcd(elem(p), elem(q)))
+        assert list(poly_gcd(p, q).coeffs) == ref_gcd(ref(p), ref(q)).cs
     assert poly_gcd(X.shift(3) ** 3, X.shift(3) ** 2 * lin(5)) == X.shift(3) ** 2
 
 
@@ -515,9 +578,9 @@ def test_integer_nullspace_empty_and_zero():
     assert nullspace([[Fraction(-2), Fraction(4)]], 2) == [[2, 1]]
 
 
-def assert_rational_equal(got: Poly, reference: ElemPoly):
+def assert_rational_equal(got: Poly, reference: RefPoly):
     assert all(type(c) is Fraction for c in got.coeffs)
-    assert list(got.coeffs) == unelem(reference)
+    assert list(got.coeffs) == reference.cs
 
 
 def test_integer_product_and_division_match_generic_randomized():
@@ -526,17 +589,17 @@ def test_integer_product_and_division_match_generic_randomized():
         p, q = rand_frac_poly(rng, 6), rand_frac_poly(rng, 4)
         if trial % 4 == 0:
             q = q.scale(Fraction(-rng.randint(2, 9), rng.randint(1, 5)))
-        assert_rational_equal(p * q, elem(p) * elem(q))
+        assert_rational_equal(p * q, ref(p) * ref(q))
         if q.is_zero():
             with pytest.raises(ZeroDivisionError):
                 divmod(p, q)
             continue
         quo, rem = divmod(p, q)
-        rquo, rrem = divmod(elem(p), elem(q))
+        rquo, rrem = divmod(ref(p), ref(q))
         assert_rational_equal(quo, rquo)
         assert_rational_equal(rem, rrem)
         assert quo * q + rem == p
-        assert_rational_equal((p * q).exact_div(q), elem(p))
+        assert_rational_equal((p * q).exact_div(q), ref(p))
         if not rem.is_zero():
             with pytest.raises(ValueError, match="remainder"):
                 p.exact_div(q)
@@ -548,7 +611,7 @@ def test_integer_division_edge_cases():
     p = Poly((Fraction(7, 3), Fraction(-1), Fraction(5, 2), Fraction(3)))
     q = Poly((Fraction(1, 2), Fraction(4), Fraction(-6, 5)))
     quo, rem = divmod(p, q)
-    rquo, rrem = divmod(elem(p), elem(q))
+    rquo, rrem = divmod(ref(p), ref(q))
     assert_rational_equal(quo, rquo)
     assert_rational_equal(rem, rrem)
     assert quo * q + rem == p and rem.degree < q.degree
@@ -560,15 +623,15 @@ def test_integer_division_edge_cases():
     with pytest.raises(ValueError, match="remainder"):
         q.exact_div(p)
     with pytest.raises(ValueError, match="remainder"):
-        elem(q).exact_div(elem(p))
+        ref(q).exact_div(ref(p))
 
 
-def reference_shift(p: Poly, j) -> ElemPoly:
-    """p(x + j) by Horner over ElemPoly: the reference."""
-    inner = ElemPoly((TowerElem.const(j), TowerElem.const(1)))
-    acc = ElemPoly()
+def reference_shift(p: Poly, j) -> RefPoly:
+    """p(x + j) by Horner over the reference: the reference."""
+    inner = RefPoly([Fraction(j), Fraction(1)])
+    acc = RefPoly([])
     for c in reversed(p.coeffs):
-        acc = acc * inner + ElemPoly((TowerElem.const(c),))
+        acc = acc * inner + RefPoly([c])
     return acc
 
 
@@ -613,14 +676,14 @@ def test_integer_form_matches_generic_randomized():
     poles = 0
     for trial in range(250):
         p, q = rand_frac_poly(rng, 5), rand_frac_poly(rng, 4)
-        ep, eq = elem(p), elem(q)
+        ep, eq = ref(p), ref(q)
         c = rand_frac(rng, 9)
         assert_rational_equal(p + q, ep + eq)
         assert_rational_equal(p - q, ep - eq)
         assert_rational_equal(p - p, ep - ep)
         assert_rational_equal(-p, -ep)
         assert_rational_equal(p * q, ep * eq)
-        assert_rational_equal(p.scale(c), ep.scale(TowerElem.const(c)))
+        assert_rational_equal(p.scale(c), ep.scale(c))
         assert_rational_equal(p.monic(), ep.monic())
         assert list(p.derivative().coeffs) == [i * a for i, a in enumerate(p.coeffs) if i]
         if not q.is_zero():
@@ -634,7 +697,7 @@ def test_integer_form_matches_generic_randomized():
         for v in points + [rand_frac(rng, 9)]:
             got = p.eval_at(v)
             assert type(got) is Fraction
-            assert got == horner(unelem(ep), v)
+            assert got == horner(ep.cs, v)
         if p.is_zero() or q.is_zero():
             continue
         # a pole at r: q has no root r, or one that the normal form cancels
@@ -645,8 +708,8 @@ def test_integer_form_matches_generic_randomized():
         assert_rational_equal(f.den, rden)
         for v in points + [rand_frac(rng, 9)]:
             got = f.eval_at(v)
-            dv = horner(unelem(rden), v)
-            assert got == (None if dv == 0 else horner(unelem(rnum), v) / dv)
+            dv = horner(rden.cs, v)
+            assert got == (None if dv == 0 else horner(rnum.cs, v) / dv)
             assert got is None or type(got) is Fraction
         if f.den.eval_at(r) == 0:
             assert f.eval_at(r) is None
@@ -724,8 +787,9 @@ def test_parsed_base_node_copies_and_pickles_its_integer_form():
 
 
 def test_tower_coefficients_take_the_generic_path(monkeypatch):
-    # tower arithmetic normalizes its constants over Q, so the integer gcd
-    # may run, but only ever on constants
+    # Gauss-Jordan over tower elements divides by monomials only; their
+    # coefficients normalize over Q, so the integer gcd may run, but only
+    # ever on constants
     int_gcd = nsopt.algebra._int_gcd
     seen = []
 
@@ -736,15 +800,11 @@ def test_tower_coefficients_take_the_generic_path(monkeypatch):
     monkeypatch.setattr(nsopt.algebra, "_int_gcd", recorded)
     h = TowerElem.gen(0)
     one = TowerElem.const(Fraction(1))
-    # (h + 1)(h + 2) against (h + 1)(h - 3), as polynomials over Q(x)(h)
-    p = ElemPoly((one + one, one + one + one, one))
-    q = ElemPoly((-one - one - one, -one - one, one))
-    assert _elem_gcd(p, q) == ElemPoly((one, one))
-    assert all(sizes == (1, 1) for sizes in seen)
     basis = gauss_jordan_nullspace([[h, one], [h * h, h]], 2)
     assert len(basis) == 1
     v = basis[0]
     assert (h * v[0] + one * v[1]).is_zero()
+    assert all(sizes == (1, 1) for sizes in seen)
 
 
 def test_integer_roots_use_the_root_bound():
@@ -802,12 +862,41 @@ def test_gcd_shifts_skip_shifts_coprime_mod_p(monkeypatch):
     assert calls[0] == 1
     p = 2**61 - 1
     a, b = Poly.from_ints(1, p), Poly.from_ints(1 - 2 * p, p)  # b(x+2) = a(x)
-    window = nsopt.algebra._root_bound(a._ints) + nsopt.algebra._root_bound(b._ints)
+    lo, hi = nsopt.algebra._shift_window(a._ints, b._ints)
     calls[0] = 0
     got = gcd_shifts(a, b)
-    assert calls[0] == window + 1
+    # one integer gcd per shift of the searched window
+    assert calls[0] == hi - max(lo, 0) + 1
+    # every shift that can share a root is at most the sum of the root bounds
+    window = nsopt.algebra._root_bound(a._ints) + nsopt.algebra._root_bound(b._ints)
     brute = {i: poly_gcd(a, b.shift(i)) for i in range(window + 1)}
     assert got == {i: g for i, g in brute.items() if g.degree >= 1} == {2: a.monic()}
+
+
+def test_gcd_shifts_search_around_the_root_centroids(monkeypatch):
+    # x^40 + 1 against its copy moved by 30: the roots of each lie within 2
+    # of their centroid, so the window holds the 9 shifts around 30, not
+    # the 2400 up to the sum of the root bounds
+    calls = [0]
+    mod_p, int_gcd = nsopt.algebra._gcd_degree_mod_p, nsopt.algebra._int_gcd
+
+    def counted(fn):
+        def wrapped(a, b):
+            calls[0] += 1
+            return fn(a, b)
+        return wrapped
+
+    monkeypatch.setattr(nsopt.algebra, "_gcd_degree_mod_p", counted(mod_p))
+    monkeypatch.setattr(nsopt.algebra, "_int_gcd", counted(int_gcd))
+    a = Poly.from_ints(1, *[0] * 39, 1)
+    b = a.shift(-30)  # b(x+30) = a(x)
+    got = gcd_shifts(a, b)
+    assert calls[0] <= 10
+    # a's roots are on the unit circle and b's on the circle of radius 1
+    # around 30, so a shared root needs a shift between 28 and 32
+    brute = {i: poly_gcd(a, b.shift(i)) for i in range(61)}
+    assert got == {i: g for i, g in brute.items() if g.degree >= 1} == {30: a}
+    assert gcd_shifts(b, a) == {}
 
 
 def test_gcd_shifts_refuse_a_window_past_the_limit(monkeypatch):

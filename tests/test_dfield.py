@@ -8,14 +8,12 @@ import pytest
 
 from nsopt.algebra import Poly, RatFunc
 from nsopt.dfield import (
-    ElemPoly,
     Generator,
     NotPolynomialPart,
     Tower,
     TowerElem,
     UnsupportedShape,
     _adjoin_sigma_star_unchecked,
-    _lift_rf,
     constant_component,
     depth,
     elem_to_str,
@@ -54,18 +52,32 @@ def test_equality_and_hash():
     assert TowerElem.const(Fraction(3, 2)) == Fraction(3, 2)
 
 
+def rand_monomial(rng, tower):
+    """A random nonzero Q(x) coefficient times a product of generator
+    powers, negative ones included: a divisor dfield takes."""
+    m = rand_elem(rng, Tower())
+    while m.is_zero():
+        m = rand_elem(rng, Tower())
+    for i in range(len(tower)):
+        m = m * TowerElem.gen(i) ** rng.randint(-1, 2)
+    return m
+
+
 def test_field_laws_random():
+    # the ring laws, and division by a monomial undone by multiplying
     t, h, s = nested_tower()
     rng = random.Random(2001)
     for _ in range(40):
         a = rand_elem(rng, t)
         b = rand_elem(rng, t)
         c = rand_elem(rng, t)
+        m = rand_monomial(rng, t)
         assert a + b == b + a
         assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-        if not b.is_zero():
-            assert (a / b) * b == a
+        assert (a / m) * m == a == (a * m) / m
+        assert (a + b) / m == a / m + b / m
         assert a - a == 0
         assert a * ONE == a
 
@@ -78,8 +90,8 @@ def _sums_and_product_tower():
 
 
 def _unit_or_not(rng, tower):
-    """A random element whose top-level denominator is 1 (a polynomial in
-    x and the generators) or, half the time, a random quotient."""
+    """A random element whose coefficients are polynomials in x or, half
+    the time, share a random Q[x] denominator."""
     if rng.random() < 0.5:
         return rand_elem(rng, tower)
     vars_ = [X] + [TowerElem.gen(i) for i in range(len(tower))]
@@ -93,25 +105,40 @@ def _unit_or_not(rng, tower):
 
 
 def test_unit_fast_paths_keep_the_normal_form():
-    # products by 1, sums of unit-denominator elements and products by a
-    # single-coefficient polynomial take shortcuts; the results must be
-    # the normal form, demoted to the minimal level
+    # products by 1 and by zero, and sums with zero, take shortcuts; the
+    # results must be the stored form, equal and hashed alike
     t = _sums_and_product_tower()
     rng = random.Random(1906)
     levels = set()
     for _ in range(60):
         a, b, c = (_unit_or_not(rng, t) for _ in range(3))
+        m = rand_monomial(rng, t)
         levels.update((a.level, b.level))
         for one in (ONE, TowerElem.const(1), 1, Fraction(1)):
             assert a * one == one * a == a
+        assert a + 0 == 0 + a == a and (a * 0).is_zero()
         s = (a + b) - b
         assert s == a and hash(s) == hash(a)
         left, right = a * (b + c), a * b + a * c
         assert left == right and hash(left) == hash(right)
-        if not b.is_zero():
-            q = (a * b) / b
-            assert q == a and hash(q) == hash(a)
+        q = (a * m) / m
+        assert q == a and hash(q) == hash(a)
+        q = (b / m) * m
+        assert q == b and hash(q) == hash(b)
     assert levels >= {0, 1, 2, 3}
+
+
+def test_degree_is_that_of_the_reduced_fraction_in_the_top_variable():
+    # the degree expr's Power check multiplies: max(deg num, deg den) in x
+    # at level 0, else in the top generator, whose denominator is t^m
+    b, h = TowerElem.gen(0), TowerElem.gen(1)
+    assert TowerElem.const(5).degree() == 0 and TowerElem.const(0).degree() == 0
+    assert ((X * X + 1) / (X + 2)).degree() == 2
+    assert (X ** 3 + b).degree() == 1
+    assert (h * h / (X + 1) + b * h).degree() == 2
+    assert (b + ONE / (b * b)).degree() == 3  # (b^3 + 1)/b^2
+    assert (ONE / (b * b)).degree() == 2
+    assert (h + X / b).degree() == 1
 
 
 def test_pow():
@@ -193,9 +220,12 @@ def test_polynomial_part_detection():
     t, h, s = nested_tower()
     assert len(monomials(t, h * h + s * X)) == 2
     assert len(monomials(t, ONE / (X + 2) + h)) == 2  # x may sit below
-    for f in (ONE / h, s / (h + 1), ONE / (s + h)):
+    with pytest.raises(NotPolynomialPart):
+        monomials(t, ONE / h)
+    # a divisor of more than one term leaves the class at the division
+    for num, den in ((s, h + 1), (ONE, s + h)):
         with pytest.raises(NotPolynomialPart):
-            monomials(t, f)
+            num / den
 
 
 def test_monomials_over_a_product_and_a_sum():
@@ -213,13 +243,11 @@ def test_monomials_over_a_product_and_a_sum():
     # the constant summand is read off the all-zero vector, also when b
     # sits in a denominator
     assert constant_component(t, b + 2 + ONE / b) == 2
-    # a sum-like generator, and a product-like one that is not a monomial,
-    # in a denominator: the element leaves the class
-    for f in (ONE / h, ONE / (b + 1)):
-        with pytest.raises(NotPolynomialPart):
-            monomials(t, f)
-        with pytest.raises(NotPolynomialPart):
-            reinterpret(t, EvalSpec(), f)
+    # a sum-like generator in a denominator: the element leaves the class
+    with pytest.raises(NotPolynomialPart):
+        monomials(t, ONE / h)
+    with pytest.raises(NotPolynomialPart):
+        reinterpret(t, EvalSpec(), ONE / h)
 
 
 def test_laurent_splits_one_level():
@@ -234,11 +262,35 @@ def test_laurent_splits_one_level():
     # an element below the level is its own coefficient of the power 0
     assert laurent(t, b + ONE / b, 2) == {0: b + ONE / b}
     assert laurent(t, X, 1) == {0: X}
-    # a sum-like generator, and a product-like one that is not a monomial,
-    # in a denominator: the element leaves the class
-    for f, level in ((ONE / h, 2), (ONE / (b + 1), 1)):
+    # a sum-like generator in a denominator: the element leaves the class
+    with pytest.raises(NotPolynomialPart):
+        laurent(t, ONE / h, 2)
+    with pytest.raises(NotPolynomialPart):
+        laurent(t, b / h, 2)
+
+
+def test_a_divisor_of_more_than_one_term_leaves_the_class():
+    # Q(x)(b)(h) with sigma(b) = 2*b: a divisor that is not a single term
+    # raises at the division; a sum-like generator's negative power is
+    # stored, and every reader of the class raises on it
+    tb = adjoin_pi(Tower(), TowerElem.const(2), name="b")
+    t = _adjoin_sigma_star_unchecked(tb, ONE / (X + 1), "h")
+    b, h = TowerElem.gen(0), TowerElem.gen(1)
+    for den in (h + 1, b + 1, X + h):
         with pytest.raises(NotPolynomialPart):
-            laurent(t, f, level)
+            ONE / den
+        with pytest.raises(NotPolynomialPart):
+            den ** -1
+    f = ONE / h
+    assert f.terms == {(0, -1): RatFunc.from_const(Fraction(1))}
+    for read in (lambda: sigma(t, f), lambda: sigma(t, f, -1),
+                 lambda: laurent(t, f, 2), lambda: monomials(t, f),
+                 lambda: reinterpret(t, EvalSpec(), f)):
+        with pytest.raises(NotPolynomialPart):
+            read()
+    # a negative power of a product-like generator stays in the class
+    assert sigma(t, ONE / b) == ONE / (2 * b)
+    assert sigma(t, ONE / b, -1) == 2 * ONE / b
 
 
 def test_a_class_violation_is_one_exception():
@@ -288,7 +340,7 @@ def test_zero_division():
     with pytest.raises(ZeroDivisionError):
         h / (h - h)
     with pytest.raises(ZeroDivisionError):
-        (h - h).inverse()
+        (h - h) ** -1
 
 
 def test_generator_kind_is_checked():
@@ -296,30 +348,20 @@ def test_generator_kind_is_checked():
         Generator("d", "delta", ONE, 1)
 
 
-def test_lift_rejects_element_at_or_above_level():
-    t, h = harmonic_tower()
-    assert _lift_rf(X, 1).num.coeffs == (X,)
-    with pytest.raises(ArithmeticError):
-        _lift_rf(h, 1)
-
-
-def _walk_normal_form(f: TowerElem, levels: list):
-    """Assert the stored form of f and every coefficient below it: Q[x]
-    polynomials at level 0, ElemPolys over lower-level TowerElems with a
-    monic denominator above it."""
+def _check_stored_form(tower: Tower, f: TowerElem, levels: list):
+    """Assert the stored form of f: nonzero Q(x) coefficients under
+    trimmed exponent vectors, negative exponents only at product-like
+    generators."""
     levels.append(f.level)
-    num, den = f.rf.num, f.rf.den
-    if f.level == 0:
-        assert type(num) is Poly and type(den) is Poly
-        return
-    assert type(num) is ElemPoly and type(den) is ElemPoly
-    assert den.lc() == ONE
-    for c in num.coeffs + den.coeffs:
-        assert type(c) is TowerElem and c.level < f.level
-        _walk_normal_form(c, levels)
+    for vec, c in f.terms.items():
+        assert type(vec) is tuple and type(c) is RatFunc
+        assert c and (not vec or vec[-1])
+        assert len(vec) <= len(tower)
+        for i, e in enumerate(vec):
+            assert e >= 0 or tower.gens[i].kind == "pi"
 
 
-def test_compiled_fixtures_keep_elem_poly_form():
+def test_compiled_fixtures_keep_the_monomial_form():
     import test_acceptance as acc
 
     products = (ProductSpec("b", acc.BINOM_RATIO, 1),)
@@ -327,7 +369,7 @@ def test_compiled_fixtures_keep_elem_poly_form():
     for name in ("FLAGSHIP", "A4", "A5", "B_DEPTH7", "BINOM_A1", "BINOM_A2", "BINOM_B"):
         res = compile(parse(getattr(acc, name)),
                       products=products if name.startswith("BINOM") else ())
-        _walk_normal_form(res.elem, levels)
-        for g in res.tower.gens:
-            _walk_normal_form(g.shift_part, levels)
+        _check_stored_form(res.tower, res.elem, levels)
+        for i, g in enumerate(res.tower.gens):
+            _check_stored_form(res.tower.prefix(i), g.shift_part, levels)
     assert max(levels) >= 3 and levels.count(0) > 0

@@ -63,7 +63,8 @@ def test_resimplify_keeps_depth_and_certificate(label, flags, text, capsys):
 
 def test_corpus_diff_tallies_exit_code_changes(tmp_path, capsys):
     report = json.dumps({"input_depth": 2, "output_depth": 2,
-                         "optimality_certified": True, "output_text": "x"})
+                         "optimality_certified": True, "output_text": "x",
+                         "tower_summary": {"generators": [{"name": "h"}]}})
 
     def rec(label, code, stdout, seconds=1.0):
         return {"label": label, "argv": ["simplify", "--json", "e"], "code": code,
@@ -84,6 +85,9 @@ def test_corpus_diff_tallies_exit_code_changes(tmp_path, capsys):
     assert "refused: differs in code, stdout; exit 0 -> 3; (2, 2, True, 1) -> None" in out
     # the seconds are not compared
     assert "1 of 4 invocations byte-identical" in out
+    # totals over the exit-0 reports: two before, three after
+    assert ("totals: generators 2 -> 3, printed sums 0 -> 0,"
+            " output characters 2 -> 3") in out
     assert out[-1] == ("differing: 0 depth lower, 0 certification gained,"
                        " 2 refusal answered, 0 text only, 1 worse,"
                        " 0 not two simplify reports")

@@ -17,7 +17,11 @@ code, stdout and stderr, never on the seconds, and exits 1 when any
 invocation differs in a byte.  For each differing invocation it prints a
 changed exit code, and for a `simplify --json` report on either side
 (input_depth, output_depth, optimality_certified, len(output_text))
-before -> after.  It ends with a tally of the differing invocations: depth
+before -> after.  Then it prints three corpus totals, before -> after,
+over the `simplify --json` reports that exited 0: the generators of their
+tower_summary, the `sum(` printed in their output_text, and the
+characters of their output_text.  It ends with the count of
+byte-identical invocations and a tally of the differing ones: depth
 lower, certification gained, refusal answered (a nonzero exit, a timeout
 included, that became exit 0), text only (same depth and certification),
 worse (depth higher, certification lost, or a new nonzero exit), and the
@@ -105,8 +109,9 @@ BUDGET = ("sum(i,1,n,i^800)", "sum(i,1,n,i^100000)", "sum(i,1,n,1/(i^100+1))")
 # summands whose constant terms, roots or powers are large: the first two
 # once exited 3 (integer-root search, shift window), the third still does
 # (shift window), (i+1)^100000 once hung in the parser's power, and
-# 1/(i^40+1) took 2.7 s, mostly integer gcds of coprime shifts in its
-# shift window
+# 1/(i^40+1) took 2.7 s in integer gcds of coprime shifts, then 0.3 s in
+# their gcds mod a prime, and 0.1 s since the shift window is centred on
+# the root centroids
 LARGE = (
     "1/(i^2+1000000000000037)",
     "1/(i^3+10^30*i+1)",
@@ -116,8 +121,8 @@ LARGE = (
 )
 LARGE_TELESCOPE = "1/(n^2+1000000000000037)"
 # per-invocation wall-clock deadline, far above the slowest invocation as
-# `run` times it (budget/2 at 2.9 s, then planted/11 at 0.4 s, on a shared
-# 2-core machine)
+# `run` times it (planted/11 and budget/2, each at 0.17-0.33 s over two
+# runs, on a shared 2-core machine)
 DEADLINE_S = 30
 # (lhs, rhs, --range) of `nsopt verify`
 VERIFY = (
@@ -236,6 +241,20 @@ def _summary(rec):
         return None
 
 
+def _totals(records):
+    """(generators, printed sums, output characters) summed over the
+    `simplify --json` reports of records that exited 0."""
+    gens = sums = chars = 0
+    for rec in records:
+        if rec["argv"][:2] != ["simplify", "--json"] or rec["code"] != 0:
+            continue
+        rep = json.loads(rec["stdout"])
+        gens += len(rep["tower_summary"]["generators"])
+        sums += rep["output_text"].count("sum(")
+        chars += len(rep["output_text"])
+    return gens, sums, chars
+
+
 def _kind(code_a, code_b, before, after):
     """Which way an invocation changed, judged on its exit codes and then
     on its simplify summaries."""
@@ -278,6 +297,9 @@ def diff(a_path, b_path):
         if before is not None or after is not None:
             change += f"; {before} -> {after}"
         print(f"{label}: differs in {', '.join(fields)}{change}")
+    names = ("generators", "printed sums", "output characters")
+    pairs = zip(names, _totals(a.values()), _totals(b.values()))
+    print("totals: " + ", ".join(f"{n} {x} -> {y}" for n, x, y in pairs))
     total = len(a.keys() | b.keys())
     print(f"{same} of {total} invocations byte-identical")
     if same < total:
